@@ -10,12 +10,13 @@ Two mechanisms are implemented:
   with the two branch image outputs merged by interpolation
   (``merge_image_states``).
 
-All score/weight/value products are computed per stream-block pair in a fixed
-left-to-right order.  A key stream whose scale factor is exactly 0 is masked
-to -inf rather than scaled (a literal 0-scaled key would still receive weight
-proportional to e^0), which makes the theta in {0, 1} reductions exact: the
-surviving blocks go through bit-identical computations and the masked block
-contributes an exact zero matrix.
+Every mechanism runs through one core: the keys and values of the live
+streams are concatenated and each query stream gets
+``softmax_rows(Q K^T / norm) V``.  A key stream whose scale factor is exactly
+0 is dropped rather than scaled (a literal 0-scaled key would still receive
+weight proportional to e^0), which makes the theta in {0, 1} reductions exact:
+the surviving streams go through the same calls on the same operands as the
+plain two-stream path.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DegenerateRowError, ShapeError, as_matrix
+from .numerics import ShapeError, as_matrix, softmax_rows
 
 __all__ = [
     "AttentionWeights",
@@ -115,11 +116,11 @@ def _check_streams(**streams) -> None:
 
 
 def _multi_stream_attention(streams, w: AttentionWeights, key_scales, norm: NormConst):
-    """Shared masked-softmax core.
+    """Shared attention core.
 
     Returns one output matrix per input stream (the rows whose queries came
-    from that stream).  ``key_scales[j] == 0.0`` masks stream j's key columns
-    to -inf; any other scale multiplies its key vectors literally.
+    from that stream).  ``key_scales[j] == 0.0`` drops stream j's keys and
+    values; any other scale multiplies its key vectors literally.
     """
     streams = [as_matrix(s) for s in streams]
     d = streams[0].shape[1]
@@ -129,38 +130,10 @@ def _multi_stream_attention(streams, w: AttentionWeights, key_scales, norm: Norm
     if w.d_model != d:
         raise ShapeError(f"weights are {w.d_model}x{w.d_model}, streams have d={d}")
 
-    qs = [s @ w.w_q for s in streams]
-    vs = [s @ w.w_v for s in streams]
-    ks = []
-    for s, scale in zip(streams, key_scales):
-        if scale == 0.0:
-            ks.append(None)
-        elif scale == 1.0:
-            ks.append(s @ w.w_k)
-        else:
-            ks.append(scale * (s @ w.w_k))
-
-    outs = []
-    for q in qs:
-        n_q = q.shape[0]
-        score_blocks = []
-        for s, k in zip(streams, ks):
-            if k is None:
-                score_blocks.append(np.full((n_q, s.shape[0]), -np.inf))
-            else:
-                score_blocks.append((q @ k.T) / norm.value)
-        row_max = np.max(np.concatenate(score_blocks, axis=1), axis=1)
-        if np.any(np.isneginf(row_max)):
-            raise DegenerateRowError("a query row has every key masked")
-        exp_blocks = [np.exp(b - row_max[:, None]) for b in score_blocks]
-        denom = np.zeros(n_q)
-        for e in exp_blocks:
-            denom = denom + e.sum(axis=1)
-        out = np.zeros((n_q, d))
-        for e, v in zip(exp_blocks, vs):
-            out = out + (e / denom[:, None]) @ v
-        outs.append(out)
-    return outs
+    live = [(s, scale) for s, scale in zip(streams, key_scales) if scale != 0.0]
+    k = np.concatenate([scale * (s @ w.w_k) for s, scale in live])
+    v = np.concatenate([s @ w.w_v for s, _ in live])
+    return [softmax_rows((s @ w.w_q) @ k.T / norm.value) @ v for s in streams]
 
 
 def joint_attention(state: StreamState, w: AttentionWeights, norm: NormConst) -> StreamState:
@@ -180,8 +153,8 @@ def coupled_qkv_attention(
     """Dual-text attention with keys scaled by (1-theta) / theta.
 
     Background keys are weighted by (1-theta) and entity keys by theta;
-    queries and values stay unscaled.  At theta == 0 the entity key columns
-    are masked out entirely (and symmetrically for the background at
+    queries and values stay unscaled.  At theta == 0 the entity keys and
+    values are dropped entirely (and symmetrically for the background at
     theta == 1), so the boundary cases coincide exactly with
     ``joint_attention`` over the two surviving streams.
     """

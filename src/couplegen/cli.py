@@ -12,21 +12,24 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import isotonic, pnm
-from .metric import (
-    HashAlignmentScorer,
-    Lambdas,
-    background_similarity,
-    build_report,
-    jer,
-    validity_ratio,
+from .metric import Lambdas
+from .metric import background_similarity  # noqa: F401 - not called; perfbench/tracer.py wraps it
+from .pipeline import (
+    PipelineConfig,
+    auto_masks,
+    generate_and_score,
+    init_pipeline,
+    sample,
+    sample_single_prompt,
+    score_images,
 )
-from .pipeline import PipelineConfig, generate_and_score, init_pipeline, sample, sample_single_prompt, auto_masks
 from .pnm import quantize
 from .prompt_io import PromptBundle, decompose, endpoint_from_env
 from .schedule import (
@@ -45,33 +48,10 @@ def _load_bundle(path: str) -> PromptBundle:
 
 
 def _pipeline_options(fn):
-    for opt in reversed(
-        [
-            click.option("--d-model", default=16, show_default=True),
-            click.option("--text-tokens", default=8, show_default=True),
-            click.option("--grid-side", default=8, show_default=True),
-            click.option("--double-blocks", default=2, show_default=True),
-            click.option("--single-blocks", default=2, show_default=True),
-            click.option("--steps", default=10, show_default=True),
-            click.option("--weight-seed", default=0, show_default=True),
-            click.option("--noise-seed", default=0, show_default=True),
-        ]
-    ):
-        fn = opt(fn)
+    """One --flag per PipelineConfig field, defaulting to the field's default."""
+    for f in reversed(fields(PipelineConfig)):
+        fn = click.option("--" + f.name.replace("_", "-"), default=f.default, show_default=True)(fn)
     return fn
-
-
-def _config(kw) -> PipelineConfig:
-    return PipelineConfig(
-        d_model=kw["d_model"],
-        text_tokens=kw["text_tokens"],
-        grid_side=kw["grid_side"],
-        double_blocks=kw["double_blocks"],
-        single_blocks=kw["single_blocks"],
-        steps=kw["steps"],
-        weight_seed=kw["weight_seed"],
-        noise_seed=kw["noise_seed"],
-    )
 
 
 def _parse_centers(spec: str) -> list[float]:
@@ -123,8 +103,15 @@ def schedule_cmd(family, center, scale, steps, out_path):
 def generate_cmd(bundle_path, schedule_path, out_dir, separate_noise, dump_latents, **kw):
     """Render per-entity images (PGM) plus auto-threshold masks."""
     bundle = _load_bundle(bundle_path)
-    sched = read_schedule_csv(schedule_path)
-    cfg = _config(kw)
+    cfg = PipelineConfig(**kw)
+    try:
+        sched = read_schedule_csv(schedule_path)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--schedule") from exc
+    if len(sched) != cfg.steps:
+        raise click.BadParameter(
+            f"schedule has {len(sched)} steps but --steps is {cfg.steps}", param_hint="--schedule"
+        )
     pipeline = init_pipeline(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -168,12 +155,7 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
         )
     images = [pnm.read_pgm(p) for p in image_paths]
     masks = [pnm.read_mask(p) for p in mask_paths]
-    union = jer(masks)
-    ratio = validity_ratio(union)
-    f_bg = background_similarity(images, union)
-    scorer = HashAlignmentScorer({text: text for text in bundle.entities})
-    f_ti = [scorer.score(text, img) for text, img in zip(bundle.entities, images)]
-    report = build_report(f_bg, f_ti, ratio, Lambdas(lambda_bg, lambda_ti))
+    report = score_images(images, masks, bundle.entities, Lambdas(lambda_bg, lambda_ti))
     Path(out_path).write_text(report.to_json() + "\n")
     click.echo(f"wrote {out_path}")
 
@@ -188,7 +170,7 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
 def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
     """Pattern-search the schedule against the combined metric."""
     bundle = _load_bundle(bundle_path)
-    cfg = _config(kw)
+    cfg = PipelineConfig(**kw)
     pipeline = init_pipeline(cfg)
     out = Path(out_dir)
     trace_dir = out / "trace"
@@ -226,7 +208,7 @@ def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
 def sweep_cmd(family, centers, scale, bundle_path, noise_seeds, out_path, **kw):
     """Evaluate a grid of schedule centers and tabulate the metrics."""
     bundle = _load_bundle(bundle_path)
-    cfg = _config(kw)
+    cfg = PipelineConfig(**kw)
     pipeline = init_pipeline(cfg)
     rows = []
     for center in _parse_centers(centers):

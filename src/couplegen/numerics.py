@@ -107,8 +107,10 @@ def softmax_rows(m) -> np.ndarray:
     if np.any(np.isneginf(row_max)):
         bad = int(np.argmax(np.isneginf(row_max)))
         raise DegenerateRowError(f"row {bad} is entirely masked")
-    z = np.exp(m - row_max[:, None])
-    return z / z.sum(axis=1)[:, None]
+    z = m - row_max[:, None]
+    np.exp(z, out=z)
+    z /= z.sum(axis=1)[:, None]
+    return z
 
 
 _F32T_MAGIC = b"F32T"

@@ -10,6 +10,11 @@ The per-entity text streams are re-embedded at the start of every sampling
 step; only the image token state carries across steps.  Pixel readout takes
 channel 0 of each image token, and the final grid is squashed into [0, 1]
 with a tanh map.
+
+The single-prompt reference render is the theta == 0 trajectory of the same
+step function, with the prompt as the background stream: boundary reduction
+drops the entity stream's keys and values and keeps the background branch's
+image, so the image tokens follow the plain single-text pipeline exactly.
 """
 
 from __future__ import annotations
@@ -22,10 +27,9 @@ from .attention import (
     AttentionWeights,
     CoupledStreamState,
     NormConst,
-    StreamState,
     branch_attention,
     coupled_qkv_attention,
-    joint_attention,
+    joint_attention,  # noqa: F401 - not called; perfbench/tracer.py wraps it
     merge_image_states,
     norm_for,
 )
@@ -56,6 +60,7 @@ __all__ = [
     "sample",
     "sample_single_prompt",
     "auto_masks",
+    "score_images",
     "generate_and_score",
 ]
 
@@ -224,6 +229,20 @@ def _embed(cfg: PipelineConfig, text: str) -> np.ndarray:
     return embed_prompt(text, cfg.d_model, cfg.text_tokens, seed=cfg.weight_seed)
 
 
+def _trajectory(pipeline: Pipeline, bg_emb, ent_emb, x, thetas, steps_log=None) -> np.ndarray:
+    """Euler-integrate image tokens x over the schedule and read out pixels.
+
+    When steps_log is a list it receives the image token state after every
+    step.
+    """
+    for theta, delta in zip(thetas, _sigma_deltas(len(thetas))):
+        state = _run_step(pipeline, LatentState(bg_emb, ent_emb, x), float(theta))
+        x = x + delta * state.image
+        if steps_log is not None:
+            steps_log.append(x.copy())
+    return _readout(pipeline.config, x)
+
+
 def sample(
     pipeline: Pipeline,
     bundle: PromptBundle,
@@ -244,44 +263,25 @@ def sample(
         raise ValueError(f"schedule has {len(schedule)} steps, pipeline needs {cfg.steps}")
     if noise_seed is None:
         noise_seed = cfg.noise_seed
-    deltas = _sigma_deltas(cfg.steps)
     bg_emb = _embed(cfg, bundle.background)
     images = []
     for j, entity in enumerate(bundle.entities):
         ent_emb = _embed(cfg, entity)
         x = _initial_noise(cfg, noise_seed if shared_noise else noise_seed + j)
         steps_log = [] if latent_log is not None else None
-        for theta, delta in zip(schedule.values, deltas):
-            state = _run_step(pipeline, LatentState(bg_emb, ent_emb, x), float(theta))
-            x = x + delta * state.image
-            if steps_log is not None:
-                steps_log.append(x.copy())
+        images.append(_trajectory(pipeline, bg_emb, ent_emb, x, schedule.values, steps_log))
         if latent_log is not None:
             latent_log.append(steps_log)
-        images.append(_readout(cfg, x))
     return images
 
 
 def sample_single_prompt(pipeline: Pipeline, prompt: str, noise_seed: int | None = None) -> np.ndarray:
-    """Reference run of the unmodified single-text pipeline."""
+    """Reference run of the unmodified single-text pipeline (theta == 0)."""
     cfg = pipeline.config
-    if noise_seed is None:
-        noise_seed = cfg.noise_seed
-    deltas = _sigma_deltas(cfg.steps)
     emb = _embed(cfg, prompt)
-    x = _initial_noise(cfg, noise_seed)
-    for delta in deltas:
-        text, image = emb, x
-        for blk in pipeline.double_blocks:
-            attn = joint_attention(StreamState(text, image), blk.attn, pipeline.norm_double)
-            t1 = text + attn.text @ blk.attn.w_o
-            i1 = image + attn.image @ blk.attn.w_o
-            text = t1 + blk.text_ff(t1)
-            image = i1 + blk.image_ff(i1)
-        for blk in pipeline.single_blocks:
-            text, image = _single_branch(text, image, blk, pipeline.norm_single)
-        x = x + delta * image
-    return _readout(cfg, x)
+    x = _initial_noise(cfg, cfg.noise_seed if noise_seed is None else noise_seed)
+    # at theta == 0 the entity stream never reaches the image tokens
+    return _trajectory(pipeline, emb, emb, x, np.zeros(cfg.steps))
 
 
 def auto_masks(images, background_image, threshold: float = AUTO_MASK_THRESHOLD):
@@ -290,15 +290,23 @@ def auto_masks(images, background_image, threshold: float = AUTO_MASK_THRESHOLD)
     return [np.abs(img - background_image) > threshold for img in images]
 
 
+def score_images(images, masks, entities, lambdas: Lambdas) -> MetricReport:
+    """Metric report for quantized images, their entity masks and prompts."""
+    union = jer(masks)
+    ratio = validity_ratio(union)
+    f_bg = background_similarity(images, union)
+    scorer = HashAlignmentScorer({text: text for text in entities})
+    f_ti = [scorer.score(text, img) for text, img in zip(entities, images)]
+    return build_report(f_bg, f_ti, ratio, lambdas)
+
+
 def generate_and_score(
     pipeline: Pipeline,
     bundle: PromptBundle,
     schedule: ThetaSchedule,
     masks=None,
-    scorer=None,
     lambdas: Lambdas | None = None,
     noise_seed: int | None = None,
-    shared_noise: bool = True,
 ) -> MetricReport:
     """Sample, derive masks (given or thresholded), and assemble the report.
 
@@ -308,20 +316,10 @@ def generate_and_score(
     """
     if len(bundle.entities) < 2:
         raise ValueError("scoring needs at least 2 entity prompts")
-    lambdas = lambdas or Lambdas()
-    images = [
-        quantize(img)
-        for img in sample(pipeline, bundle, schedule, noise_seed, shared_noise)
-    ]
+    images = [quantize(img) for img in sample(pipeline, bundle, schedule, noise_seed)]
     if masks is None:
         background_image = quantize(
             sample_single_prompt(pipeline, bundle.background, noise_seed)
         )
         masks = auto_masks(images, background_image)
-    union = jer(masks)
-    ratio = validity_ratio(union)
-    f_bg = background_similarity(images, union)
-    if scorer is None:
-        scorer = HashAlignmentScorer({text: text for text in bundle.entities})
-    f_ti = [scorer.score(text, img) for text, img in zip(bundle.entities, images)]
-    return build_report(f_bg, f_ti, ratio, lambdas)
+    return score_images(images, masks, bundle.entities, lambdas or Lambdas())

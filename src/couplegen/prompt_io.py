@@ -147,6 +147,9 @@ def parse_decomposition(reply: str) -> PromptBundle:
     if not entities:
         raise ParseError("reply has no 'Entity k:' lines", reply)
     entities.sort(key=lambda pair: pair[0])
+    numbers = [num for num, _ in entities]
+    if numbers != list(range(1, len(entities) + 1)):
+        raise ParseError(f"entity numbers {numbers} are not exactly 1..{len(entities)}", reply)
     return PromptBundle(background=bg.group(1), entities=tuple(t for _, t in entities))
 
 
@@ -159,11 +162,22 @@ def decompose(
 
     A string/Path endpoint is read as the raw text of a canned model reply
     (no network).  Network failures are retried with exponential backoff
-    before surfacing a TransportError.
+    before surfacing a TransportError.  A reply that does not parse, or whose
+    entity count differs from the number of prompts, raises ParseError.
     """
     if isinstance(endpoint, (str, Path)):
-        return parse_decomposition(Path(endpoint).read_text())
+        reply = Path(endpoint).read_text()
+    else:
+        reply = _request_reply(prompts, endpoint, sleep)
+    bundle = parse_decomposition(reply)
+    if len(bundle.entities) != len(prompts):
+        raise ParseError(
+            f"reply has {len(bundle.entities)} entities for {len(prompts)} prompts", reply
+        )
+    return bundle
 
+
+def _request_reply(prompts: Sequence[str], endpoint: LlmEndpoint, sleep) -> str:
     payload = build_decomposition_request(prompts, model=endpoint.model)
     headers = {"Content-Type": "application/json"}
     if endpoint.api_key:
@@ -178,10 +192,7 @@ def decompose(
                 endpoint.base_url, json=payload, headers=headers, timeout=endpoint.timeout
             )
             resp.raise_for_status()
-            reply = resp.json()["choices"][0]["message"]["content"]
-            return parse_decomposition(reply)
-        except ParseError:
-            raise
+            return resp.json()["choices"][0]["message"]["content"]
         except Exception as exc:  # noqa: BLE001 - network/JSON failures all retry
             last_error = exc
     raise TransportError(

@@ -125,10 +125,21 @@ def write_schedule_csv(path, s: ThetaSchedule) -> None:
 
 
 def read_schedule_csv(path) -> ThetaSchedule:
+    """Read a step,theta CSV; raise ValueError unless the step column is
+    1..N and the values form a valid schedule (see ``validate``)."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["step", "theta"]:
-            raise ValueError(f"bad schedule header {header}, expected ['step', 'theta']")
-        values = [float(row[1]) for row in reader if row]
-    return ThetaSchedule(np.array(values))
+        try:
+            rows = [row for row in csv.reader(fh) if row]
+        except csv.Error as exc:
+            raise ValueError(f"malformed schedule CSV: {exc}") from exc
+    header = rows[0] if rows else None
+    if header != ["step", "theta"]:
+        raise ValueError(f"bad schedule header {header}, expected ['step', 'theta']")
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != 2 or row[0] != str(i):
+            raise ValueError(f"schedule row {i} is {row}, expected step {i} and one theta")
+    sched = ThetaSchedule(np.array([float(theta) for _, theta in rows[1:]]))
+    violation = validate(sched)
+    if violation is not None:
+        raise ValueError(f"invalid schedule: {violation}")
+    return sched

@@ -88,6 +88,25 @@ class TestGenerateCommand:
         latents = sorted(out_dir.glob("latent_e*_s*.f32t"))
         assert len(latents) == 2 * 10
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["1,0.5", "2,0.4"],
+            ["1,0", "3,0"],
+            ["1,0"],
+            ["1,0", "2,1.5"],
+            ["1,0", "2,nan"],
+        ],
+        ids=["decreasing", "step_gap", "short", "above_one", "nan"],
+    )
+    def test_bad_schedule_exit_1(self, tmp_path, bundle_file, rows):
+        sched = tmp_path / "bad.csv"
+        sched.write_text("step,theta\n" + "\n".join(rows) + "\n")
+        code = run(["generate", "--bundle", str(bundle_file), "--schedule", str(sched),
+                    "--out-dir", str(tmp_path / "o"), "--steps", "2"])
+        assert code == 1
+        assert not (tmp_path / "o").exists()
+
     def test_missing_bundle_exit_1(self, tmp_path, schedule_file):
         code = run(["generate", "--bundle", str(tmp_path / "nope.json"),
                     "--schedule", str(schedule_file), "--out-dir", str(tmp_path / "o")])
@@ -165,6 +184,16 @@ class TestDecomposeCommand:
         prompts.write_text("one\ntwo\n")
         fixture = tmp_path / "reply.txt"
         fixture.write_text("nothing parseable here\n")
+        code = run(["decompose", "--prompts", str(prompts), "--fixture",
+                    str(fixture), "--out", str(tmp_path / "b.json")])
+        assert code == 2
+
+
+    def test_entity_count_mismatch_exit_2(self, tmp_path):
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("one\ntwo\nthree\n")
+        fixture = tmp_path / "reply.txt"
+        fixture.write_text("Background: bg\nEntity 1: only\n")
         code = run(["decompose", "--prompts", str(prompts), "--fixture",
                     str(fixture), "--out", str(tmp_path / "b.json")])
         assert code == 2

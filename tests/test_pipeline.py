@@ -155,11 +155,24 @@ class TestSample:
         imgs = sample(p, BUNDLE, constant_schedule(0.0))
         assert np.array_equal(imgs[0], imgs[1])
 
-    def test_theta_one_matches_single_prompt(self):
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    def test_theta_one_matches_single_prompt(self, theta):
+        # theta = 1 renders each entity prompt alone; theta = 0 renders the
+        # background prompt, which is the reference render itself
         p = small_pipeline()
-        imgs = sample(p, BUNDLE, constant_schedule(1.0))
+        imgs = sample(p, BUNDLE, constant_schedule(theta))
         for img, prompt in zip(imgs, BUNDLE.entities):
-            assert np.array_equal(img, sample_single_prompt(p, prompt))
+            expected = prompt if theta == 1.0 else BUNDLE.background
+            assert np.array_equal(img, sample_single_prompt(p, expected))
+
+    def test_single_prompt_frozen_golden(self):
+        img = sample_single_prompt(small_pipeline(), BUNDLE.background)
+        assert img.mean() == pytest.approx(0.496850696534479, abs=1e-14)
+        np.testing.assert_allclose(
+            img[0, :4],
+            [0.6338036301859165, 0.5065380385353436, 0.3399521391782758, 0.4730794861934817],
+            atol=1e-14,
+        )
 
     def test_step_schedule_prefix_latents(self):
         # before a step schedule's crossing the latents are bit-identical to

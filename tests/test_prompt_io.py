@@ -85,6 +85,14 @@ class TestParseDecomposition:
         with pytest.raises(ParseError, match="Entity"):
             parse_decomposition("Background: something\n")
 
+    @pytest.mark.parametrize(
+        "numbers", [(1, 5, 5), (1, 1), (2, 3), (0, 1)], ids=["gap_dup", "dup", "from_2", "from_0"]
+    )
+    def test_numbering_must_be_1_to_n(self, numbers):
+        reply = "Background: bg\n" + "".join(f"Entity {k}: e{k}\n" for k in numbers)
+        with pytest.raises(ParseError, match="1.."):
+            parse_decomposition(reply)
+
     def test_roundtrip_with_build(self):
         # a well-formed reply parses losslessly back into its lines
         bundle = parse_decomposition(FIGURE_REPLY)
@@ -108,6 +116,25 @@ class TestDecompose:
         fixture.write_text("Background: bg\nEntity 1: a\nEntity 2: b\nEntity 3: c\n")
         bundle = decompose(["p1", "p2", "p3"], fixture)
         assert len(bundle.entities) == 3
+
+    def test_fixture_entity_count_must_match_prompts(self, tmp_path):
+        fixture = tmp_path / "reply.txt"
+        fixture.write_text("Background: bg\nEntity 1: a\n")
+        with pytest.raises(ParseError, match="1 entities for 3 prompts"):
+            decompose(["p1", "p2", "p3"], fixture)
+
+    def test_network_entity_count_must_match_prompts(self, monkeypatch):
+        class FakeResponse:
+            def raise_for_status(self):
+                pass
+
+            def json(self):
+                return {"choices": [{"message": {"content": FIGURE_REPLY}}]}
+
+        monkeypatch.setattr(prompt_io.requests, "post", lambda *a, **k: FakeResponse())
+        ep = LlmEndpoint(base_url="http://example.invalid/v1", model="m")
+        with pytest.raises(ParseError, match="2 entities for 3 prompts"):
+            decompose([PIKACHU, GIRL, "a third prompt"], ep, sleep=lambda s: None)
 
     def test_unreachable_endpoint_retries_then_fails(self, monkeypatch):
         attempts = []

@@ -125,6 +125,11 @@ class TestValidate:
         assert v is not None and v.index == 0 and v.kind == "bounds"
 
 
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "sched.csv"
+
+
 class TestCsv:
     def test_roundtrip_preserves_12_digits(self, tmp_path):
         sched = make_schedule(ScheduleFamily("arctan", 6.7, 0.5), 50)
@@ -141,3 +146,42 @@ class TestCsv:
         path.write_text("a,b\n1,0.5\n")
         with pytest.raises(ValueError, match="header"):
             read_schedule_csv(path)
+
+    def test_oversized_field_is_value_error(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("step,theta\n1," + "0" * 200_000 + "\n")
+        with pytest.raises(ValueError, match="malformed"):
+            read_schedule_csv(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_reader_accepts_exactly_valid_schedules(self, csv_path, data):
+        thetas = data.draw(
+            st.lists(st.floats(-0.5, 1.5) | st.sampled_from([math.nan, math.inf]), max_size=6)
+        )
+        n = len(thetas)
+        steps = data.draw(
+            st.just(list(range(1, n + 1))) | st.lists(st.integers(0, 7), min_size=n, max_size=n)
+        )
+        csv_path.write_text("step,theta\n" + "".join(f"{i},{t!r}\n" for i, t in zip(steps, thetas)))
+        valid = (
+            n > 0
+            and steps == list(range(1, n + 1))
+            and all(0.0 <= t <= 1.0 for t in thetas)
+            and all(a <= b for a, b in zip(thetas, thetas[1:]))
+        )
+        if valid:
+            assert read_schedule_csv(csv_path).values.tolist() == thetas
+        else:
+            with pytest.raises(ValueError):
+                read_schedule_csv(csv_path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([b"", b"step,theta\n"]), st.binary(max_size=60))
+    def test_reader_fuzz_valid_or_value_error(self, csv_path, prefix, payload):
+        csv_path.write_bytes(prefix + payload)
+        try:
+            sched = read_schedule_csv(csv_path)
+        except ValueError:
+            return
+        assert validate(sched) is None
