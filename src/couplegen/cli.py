@@ -54,6 +54,17 @@ def _pipeline_options(fn):
     return fn
 
 
+def _read_files(reader, paths, hint: str) -> list:
+    """Read every path with reader; a malformed file is a bad parameter."""
+    arrays = []
+    for path in paths:
+        try:
+            arrays.append(reader(path))
+        except ValueError as exc:
+            raise click.BadParameter(f"{path}: {exc}", param_hint=hint) from exc
+    return arrays
+
+
 def _parse_centers(spec: str) -> list[float]:
     """'3..12' expands to integer centers; otherwise a comma-separated list."""
     if ".." in spec:
@@ -153,8 +164,16 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
         raise click.UsageError(
             f"bundle has {len(bundle.entities)} entities but {len(image_paths)} images given"
         )
-    images = [pnm.read_pgm(p) for p in image_paths]
-    masks = [pnm.read_mask(p) for p in mask_paths]
+    images = _read_files(pnm.read_pgm, image_paths, "--image")
+    masks = _read_files(pnm.read_mask, mask_paths, "--mask")
+    h, w = images[0].shape
+    for hint, paths, arrays in (("--image", image_paths, images), ("--mask", mask_paths, masks)):
+        for path, a in zip(paths, arrays):
+            if a.shape != (h, w):
+                raise click.BadParameter(
+                    f"{path} is {a.shape[1]}x{a.shape[0]}, {image_paths[0]} is {w}x{h}",
+                    param_hint=hint,
+                )
     report = score_images(images, masks, bundle.entities, Lambdas(lambda_bg, lambda_ti))
     Path(out_path).write_text(report.to_json() + "\n")
     click.echo(f"wrote {out_path}")
@@ -207,16 +226,24 @@ def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
 @_pipeline_options
 def sweep_cmd(family, centers, scale, bundle_path, noise_seeds, out_path, **kw):
     """Evaluate a grid of schedule centers and tabulate the metrics."""
+    if noise_seeds < 1:
+        raise click.BadParameter(f"must be >= 1, got {noise_seeds}", param_hint="--noise-seeds")
     bundle = _load_bundle(bundle_path)
     cfg = PipelineConfig(**kw)
     pipeline = init_pipeline(cfg)
+    grid = _parse_centers(centers)
+    schedules = [
+        make_schedule(ScheduleFamily(kind=family, center=center, scale=scale), cfg.steps)
+        for center in grid
+    ]
+    # seeds outermost: every center of one seed shares the pipeline's theta == 0 trunk
+    by_seed = [
+        [generate_and_score(pipeline, bundle, sched, noise_seed=cfg.noise_seed + s)
+         for sched in schedules]
+        for s in range(noise_seeds)
+    ]
     rows = []
-    for center in _parse_centers(centers):
-        sched = make_schedule(ScheduleFamily(kind=family, center=center, scale=scale), cfg.steps)
-        reports = [
-            generate_and_score(pipeline, bundle, sched, noise_seed=cfg.noise_seed + s)
-            for s in range(noise_seeds)
-        ]
+    for center, reports in zip(grid, zip(*by_seed)):
         rows.append(
             {
                 "family": family,

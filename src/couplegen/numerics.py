@@ -9,6 +9,7 @@ per-platform, not bit-exact across interpreters.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -128,13 +129,20 @@ def save_f32t(path, array) -> None:
 
 def load_f32t(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _F32T_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {_F32T_MAGIC!r}")
-        (ndim,) = struct.unpack("<I", fh.read(4))
-        dims = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-        data = np.frombuffer(fh.read(), dtype="<f4")
-    expected = int(np.prod(dims)) if dims else 1
-    if data.size != expected:
-        raise ValueError(f"payload has {data.size} values, dims {dims} need {expected}")
-    return data.reshape(dims).astype(np.float64)
+        blob = fh.read()
+    magic = blob[:4]
+    if magic != _F32T_MAGIC:
+        raise ValueError(f"bad magic {magic!r}, expected {_F32T_MAGIC!r}")
+    if len(blob) < 8:
+        raise ValueError("truncated header: no ndim")
+    (ndim,) = struct.unpack_from("<I", blob, 4)
+    start = 8 + 4 * ndim
+    if len(blob) < start:
+        raise ValueError(f"truncated header: {ndim} dims need {start} bytes, file has {len(blob)}")
+    dims = struct.unpack_from(f"<{ndim}I", blob, 8)
+    expected = math.prod(dims)
+    if len(blob) - start != 4 * expected:
+        raise ValueError(
+            f"payload has {len(blob) - start} bytes, dims {dims} need {4 * expected}"
+        )
+    return np.frombuffer(blob, dtype="<f4", offset=start).reshape(dims).astype(np.float64)

@@ -1,7 +1,9 @@
 """Binary PGM (P5) / PPM (P6) image and mask files.
 
 Pixel value v maps to the real v / 255.  Masks are PGM files restricted to
-{0, 255}; anything else is rejected.
+{0, 255}; anything else is rejected.  Readers accept only maxval 255,
+positive decimal dimensions and exactly the raster those dimensions need;
+anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -47,12 +49,30 @@ def _read_header(fh, magic: bytes):
         line = fh.readline()
         if not line:
             raise ValueError("truncated header")
-        text = line.split(b"#", 1)[0]
-        fields.extend(int(tok) for tok in text.split())
-    width, height, maxval = fields[:3]
+        fields.extend(line.split(b"#", 1)[0].split())
+    if len(fields) > 3:
+        raise ValueError(f"unexpected header fields after maxval: {fields[3:]!r}")
+    for name, tok in zip(("width", "height", "maxval"), fields):
+        if not tok.isdigit() or int(tok) < 1:
+            raise ValueError(f"{name} {tok!r} is not a positive integer")
+    width, height, maxval = (int(tok) for tok in fields)
     if maxval != 255:
         raise ValueError(f"only maxval 255 is supported, got {maxval}")
     return width, height
+
+
+def _read_raster(path, magic: bytes, channels: int, what: str):
+    """The flat uint8 raster of a P5/P6 file, which must hold exactly
+    width * height * channels bytes after the header, and its height and width."""
+    with open(path, "rb") as fh:
+        w, h = _read_header(fh, magic)
+        raster = fh.read()
+    size = w * h * channels
+    if len(raster) < size:
+        raise ValueError(f"truncated {what} data")
+    if len(raster) > size:
+        raise ValueError(f"{len(raster) - size} trailing bytes after the {what} data")
+    return np.frombuffer(raster, dtype=np.uint8), h, w
 
 
 def write_pgm(path, image) -> None:
@@ -63,11 +83,7 @@ def write_pgm(path, image) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        w, h = _read_header(fh, b"P5")
-        data = np.frombuffer(fh.read(w * h), dtype=np.uint8)
-    if data.size != w * h:
-        raise ValueError("truncated pixel data")
+    data, h, w = _read_raster(path, b"P5", 1, "pixel")
     return data.reshape(h, w).astype(np.float64) / 255.0
 
 
@@ -79,11 +95,7 @@ def write_ppm(path, image) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        w, h = _read_header(fh, b"P6")
-        data = np.frombuffer(fh.read(w * h * 3), dtype=np.uint8)
-    if data.size != w * h * 3:
-        raise ValueError("truncated pixel data")
+    data, h, w = _read_raster(path, b"P6", 3, "pixel")
     return data.reshape(h, w, 3).astype(np.float64) / 255.0
 
 
@@ -98,11 +110,7 @@ def write_mask(path, mask) -> None:
 
 
 def read_mask(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        w, h = _read_header(fh, b"P5")
-        data = np.frombuffer(fh.read(w * h), dtype=np.uint8)
-    if data.size != w * h:
-        raise ValueError("truncated mask data")
+    data, h, w = _read_raster(path, b"P5", 1, "mask")
     bad = np.setdiff1d(np.unique(data), [0, 255])
     if bad.size:
         raise ValueError(f"mask contains values other than 0/255: {bad.tolist()}")

@@ -156,6 +156,44 @@ class TestEvaluateCommand:
         direct = generate_and_score(pipeline, bundle, sched).to_dict()
         assert file_report == direct
 
+    @pytest.mark.parametrize(
+        "image",
+        [
+            b"P5\n8 8\n255\n" + b"\x80" * 60,
+            b"P5\n0 0\n255\n",
+            b"P5\n-1 -1\n255\n",
+            b"P5\nx y\n255\n",
+            b"P5\n8 8\n255\n" + b"\x80" * 64 + b"\n",
+        ],
+        ids=["truncated", "zero_dims", "negative_dims", "word_dims", "trailing_bytes"],
+    )
+    def test_bad_image_exit_1(self, tmp_path, bundle_file, image):
+        from couplegen import pnm
+
+        (tmp_path / "bad.pgm").write_bytes(image)
+        pnm.write_pgm(tmp_path / "ok.pgm", np.full((8, 8), 0.5))
+        for j in (1, 2):
+            pnm.write_mask(tmp_path / f"mask_{j}.pgm", np.zeros((8, 8), dtype=bool))
+        code = run(["evaluate", "--image", str(tmp_path / "bad.pgm"),
+                    "--image", str(tmp_path / "ok.pgm"),
+                    "--mask", str(tmp_path / "mask_1.pgm"), "--mask", str(tmp_path / "mask_2.pgm"),
+                    "--bundle", str(bundle_file), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_mask_shape_mismatch_exit_1(self, tmp_path, bundle_file):
+        from couplegen import pnm
+
+        for j in (1, 2):
+            pnm.write_pgm(tmp_path / f"img_{j}.pgm", np.full((8, 8), 0.5))
+        pnm.write_mask(tmp_path / "mask_1.pgm", np.zeros((4, 4), dtype=bool))
+        pnm.write_mask(tmp_path / "mask_2.pgm", np.zeros((8, 8), dtype=bool))
+        code = run(["evaluate", "--image", str(tmp_path / "img_1.pgm"),
+                    "--image", str(tmp_path / "img_2.pgm"),
+                    "--mask", str(tmp_path / "mask_1.pgm"), "--mask", str(tmp_path / "mask_2.pgm"),
+                    "--bundle", str(bundle_file), "--out", str(tmp_path / "r.json")])
+        assert code == 1
+
     def test_count_mismatch_exit_1(self, tmp_path, bundle_file):
         code = run(["evaluate", "--image", "a.pgm", "--mask", "m1.pgm",
                     "--mask", "m2.pgm", "--bundle", str(bundle_file),
@@ -209,6 +247,30 @@ class TestSweepCommand:
         assert lines[0] == "family,center,scale,f_bg,f_ti_mean,f_c"
         assert len(lines) == 4
         assert all(ln.startswith("step01,") for ln in lines[1:])
+
+    def test_noise_seeds_rows_match_library(self, tmp_path, bundle_file):
+        out = tmp_path / "sweep.csv"
+        code = run(["sweep", "--family", "step01", "--centers", "3,6,11",
+                    "--bundle", str(bundle_file), "--noise-seeds", "2", "--out", str(out)])
+        assert code == 0
+        bundle = PromptBundle.from_dict(json.loads(bundle_file.read_text()))
+        expected = [["family", "center", "scale", "f_bg", "f_ti_mean", "f_c"]]
+        for center in (3.0, 6.0, 11.0):
+            sched = make_schedule(ScheduleFamily("step01", center=center), 10)
+            reports = [
+                generate_and_score(init_pipeline(PipelineConfig()), bundle, sched, noise_seed=s)
+                for s in (0, 1)
+            ]
+            expected.append(["step01", str(center), "1.0",
+                             str(float(np.mean([r.f_bg for r in reports]))),
+                             str(float(np.mean([np.mean(r.f_ti) for r in reports]))),
+                             str(float(np.mean([r.f_c for r in reports])))])
+        assert [line.split(",") for line in out.read_text().splitlines()] == expected
+
+    def test_zero_noise_seeds_exit_1(self, tmp_path, bundle_file):
+        code = run(["sweep", "--family", "step01", "--centers", "3", "--bundle",
+                    str(bundle_file), "--noise-seeds", "0", "--out", str(tmp_path / "s.csv")])
+        assert code == 1
 
     def test_range_syntax(self, tmp_path, bundle_file):
         out = tmp_path / "sweep.csv"

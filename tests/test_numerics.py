@@ -122,6 +122,11 @@ class TestRng:
         assert a == b and sorted(a) == list(range(10))
 
 
+@pytest.fixture(scope="module")
+def f32t_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("f32t") / "fuzz.f32t"
+
+
 class TestTensorFiles:
     def test_roundtrip_2d(self, tmp_path):
         arr = np.arange(12, dtype=np.float64).reshape(3, 4) / 7.0
@@ -146,3 +151,24 @@ class TestTensorFiles:
         path.write_bytes(b"NOPE" + b"\0" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_f32t(path)
+
+    @pytest.mark.parametrize("cut", [4, 6, 8, 12, 15])
+    def test_truncated_header_rejected(self, tmp_path, cut):
+        path = tmp_path / "t.f32t"
+        save_f32t(path, np.zeros((2, 3)))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match="truncated header"):
+            load_f32t(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([b"", b"F32T", b"F32T\x02\x00\x00\x00", b"F32T\xff\xff\xff\xff"]),
+        st.binary(max_size=40),
+    )
+    def test_fuzz_array_or_value_error(self, f32t_path, prefix, payload):
+        f32t_path.write_bytes(prefix + payload)
+        try:
+            out = load_f32t(f32t_path)
+        except ValueError:
+            return
+        assert out.dtype == np.float64

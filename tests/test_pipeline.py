@@ -1,9 +1,11 @@
 """End-to-end tests for the miniature double/single-block denoising pipeline."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from couplegen.attention import StreamState, joint_attention
+from couplegen.attention import StreamState, branch_attention, joint_attention, merge_image_states
 from couplegen.metric import background_similarity, jer
 from couplegen.numerics import Rng
 from couplegen.pipeline import (
@@ -24,6 +26,10 @@ from couplegen.schedule import ScheduleFamily, ThetaSchedule, make_schedule
 BUNDLE = PromptBundle(
     "a cozy room with wooden flooring",
     ("a cute pikachu sits", "a beautiful girl stands"),
+)
+OTHER = PromptBundle(
+    "a misty pine forest at dawn",
+    ("a small red fox", "an old robot", "a curious owl"),
 )
 
 
@@ -109,6 +115,37 @@ class TestBlocks:
         assert not np.array_equal(at0.image, at1.image)
         np.testing.assert_allclose(mid.image, 0.5 * (at0.image + at1.image), atol=1e-12)
 
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    def test_single_block_boundary_skips_dead_branch(self, theta, monkeypatch):
+        p = small_pipeline(d_model=6)
+        state = self._state()
+        blk = p.single_blocks[0]
+
+        def branch_image(text):
+            _, image_a = branch_attention(text, state.image, blk.attn, p.norm_single)
+            image1 = state.image + image_a @ blk.attn.w_o
+            return image1 + blk.ff(image1)
+
+        expected = merge_image_states(
+            branch_image(state.entity), branch_image(state.background), theta
+        )
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return branch_attention(*args)
+
+        monkeypatch.setattr("couplegen.pipeline.branch_attention", counting)
+        out = run_single_block(state, blk, theta, p.norm_single)
+        assert np.array_equal(out.image, expected)
+        # only the kept branch runs; the dead text stream passes through
+        if theta == 0.0:
+            live, dead, dead_out = state.background, state.entity, out.entity
+        else:
+            live, dead, dead_out = state.entity, state.background, out.background
+        assert len(calls) == 1 and calls[0][0] is live
+        assert dead_out is dead
+
     def test_residual_structure(self):
         # output stays near the input when attention/FF products are tiny
         p = small_pipeline(d_model=6)
@@ -187,6 +224,46 @@ class TestSample:
             for i in range(5):  # steps 1..5 have theta = 0
                 assert np.array_equal(log_step[ent][i], log_zero[ent][i])
             assert not np.array_equal(log_step[ent][5], log_zero[ent][5])
+
+    def test_reused_pipeline_matches_fresh(self):
+        # one pipeline across alternating bundles, seeds, noise modes and
+        # schedules renders what a fresh pipeline renders for each call
+        schedules = [
+            make_schedule(ScheduleFamily("step01", center=4.0), 10),
+            make_schedule(ScheduleFamily("arctan", center=5.0, scale=0.8), 10),
+            constant_schedule(0.0),
+            make_schedule(ScheduleFamily("step01", center=8.0), 10),
+            constant_schedule(1.0),
+        ]
+        reused = small_pipeline()
+        calls = itertools.product((BUNDLE, OTHER), (None, 3), (True, False))
+        for i, (bundle, seed, shared) in enumerate(calls):
+            sched = schedules[i % len(schedules)]
+            got = sample(reused, bundle, sched, seed, shared_noise=shared)
+            want = sample(small_pipeline(), bundle, sched, seed, shared_noise=shared)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+            got = generate_and_score(reused, bundle, sched, noise_seed=seed)
+            want = generate_and_score(small_pipeline(), bundle, sched, noise_seed=seed)
+            assert got.to_dict() == want.to_dict()
+            assert np.array_equal(
+                sample_single_prompt(reused, bundle.background, seed),
+                sample_single_prompt(small_pipeline(), bundle.background, seed),
+            )
+
+    def test_latent_log_writes_do_not_reach_later_renders(self):
+        p = small_pipeline()
+        sched = make_schedule(ScheduleFamily("step01", center=6.0), 10)
+        log: list = []
+        first = sample(p, BUNDLE, sched, latent_log=log)
+        for steps in log:
+            for latent in steps:
+                latent += 1.0
+        again = sample(p, BUNDLE, sched)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        assert np.array_equal(
+            sample_single_prompt(p, BUNDLE.background),
+            sample_single_prompt(small_pipeline(), BUNDLE.background),
+        )
 
     def test_shared_vs_separate_noise(self):
         p = small_pipeline()
