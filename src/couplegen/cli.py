@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import isotonic, pnm
-from .metric import Lambdas
+from .metric import DegenerateMaskError, Lambdas
 from .metric import background_similarity  # noqa: F401 - not called; perfbench/tracer.py wraps it
 from .pipeline import (
     PipelineConfig,
@@ -174,7 +174,10 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
                     f"{path} is {a.shape[1]}x{a.shape[0]}, {image_paths[0]} is {w}x{h}",
                     param_hint=hint,
                 )
-    report = score_images(images, masks, bundle.entities, Lambdas(lambda_bg, lambda_ti))
+    try:
+        report = score_images(images, masks, bundle.entities, Lambdas(lambda_bg, lambda_ti))
+    except DegenerateMaskError as exc:
+        raise click.BadParameter(str(exc), param_hint="--mask") from exc
     Path(out_path).write_text(report.to_json() + "\n")
     click.echo(f"wrote {out_path}")
 

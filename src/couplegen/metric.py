@@ -16,7 +16,7 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .numerics import Rng, ShapeError
+from .numerics import Rng, ShapeError, uniform_rows
 
 __all__ = [
     "DegenerateMaskError",
@@ -163,8 +163,7 @@ class HashAlignmentScorer:
         digest = hashlib.blake2b(
             text.encode("utf-8"), digest_size=8, key=self.seed.to_bytes(8, "little")
         ).digest()
-        rng = Rng(int.from_bytes(digest, "little"))
-        return np.array([rng.uniform(-1.0, 1.0) for _ in range(self.dim)])
+        return uniform_rows([int.from_bytes(digest, "little")], self.dim, -1.0, 1.0)[0]
 
     def image_embedding(self, image) -> np.ndarray:
         img = as_image(image)

@@ -5,6 +5,12 @@ three primitives: a shape-checked dense matmul, a masked row softmax, and a
 splitmix64 PRNG.  Matrices are plain 2-D float64 numpy arrays in row-major
 order.  Summation order is fixed within this build; determinism is
 per-platform, not bit-exact across interpreters.
+
+splitmix64 is counter-based: its k-th output (k = 1, 2, ...) from seed s is
+mix(s + k*gamma mod 2**64) and depends on nothing else.  `uniform_rows`
+draws whole streams that way with wrapping uint64 array arithmetic, bit for
+bit the values the scalar `Rng.uniform` returns, and `Rng.fill` draws through
+it and then advances its state by n*gamma.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ __all__ = [
     "ShapeError",
     "DegenerateRowError",
     "Rng",
+    "uniform_rows",
     "as_matrix",
     "matmul",
     "softmax_rows",
@@ -31,6 +38,11 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# The same constants as numpy scalars: numpy 1.x and 2.x promote a Python int
+# against a uint64 array differently, so array code uses only these.
+_U_GAMMA = np.uint64(_GAMMA)
+_U_MIX1 = np.uint64(_MIX1)
+_U_MIX2 = np.uint64(_MIX2)
 
 
 class ShapeError(ValueError):
@@ -66,11 +78,15 @@ class Rng:
         return lo + (hi - lo) * self.next_unit_real()
 
     def fill(self, rows: int, cols: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        """Row-major matrix of uniforms in [lo, hi)."""
-        out = np.empty((rows, cols), dtype=np.float64)
-        flat = out.reshape(-1)
-        for i in range(flat.size):
-            flat[i] = self.uniform(lo, hi)
+        """Row-major matrix of the next rows*cols uniforms in [lo, hi).
+
+        The values are those of rows*cols `uniform(lo, hi)` calls, drawn at
+        once by `uniform_rows`; the state then advances by rows*cols*gamma
+        (mod 2**64), so later scalar draws continue the same stream.
+        """
+        n = rows * cols
+        out = uniform_rows([self.state], n, lo, hi).reshape(rows, cols)
+        self.state = (self.state + n * _GAMMA) & _MASK64
         return out
 
     def shuffle(self, items: list) -> None:
@@ -78,6 +94,26 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.next_u64() % (i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+def uniform_rows(seeds, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    """(len(seeds), n) array whose row i is the first n `Rng(seeds[i])` uniforms.
+
+    Computes z = seed + k*gamma for k = 1..n and the three mix steps in
+    wrapping uint64 arithmetic, then maps the top 53 bits to [lo, hi) with
+    the same float operations as `Rng.uniform`.
+    """
+    if n < 0:
+        raise ValueError(f"cannot draw {n} values")
+    s = np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
+    z = np.arange(1, n + 1, dtype=np.uint64) * _U_GAMMA + s[:, None]
+    z ^= z >> np.uint64(30)
+    z *= _U_MIX1
+    z ^= z >> np.uint64(27)
+    z *= _U_MIX2
+    z ^= z >> np.uint64(31)
+    u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return lo + (hi - lo) * u
 
 
 def as_matrix(a) -> np.ndarray:

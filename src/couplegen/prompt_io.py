@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 import requests
 
-from .numerics import Rng
+from .numerics import uniform_rows
 
 __all__ = [
     "PromptBundle",
@@ -219,10 +219,7 @@ def embed_prompt(text: str, d_model: int, n_tokens: int, seed: int = 0) -> np.nd
     if d_model < 1 or n_tokens < 1:
         raise ValueError(f"d_model and n_tokens must be >= 1, got {d_model}, {n_tokens}")
     rows = np.zeros((n_tokens, d_model), dtype=np.float64)
-    tokens = text.split()[:n_tokens]
-    for i, token in enumerate(tokens):
-        rng = Rng(_token_seed(token, seed))
-        for j in range(d_model):
-            rows[i, j] = rng.uniform(-1.0, 1.0)
+    seeds = [_token_seed(token, seed) for token in text.split()[:n_tokens]]
+    rows[: len(seeds)] = uniform_rows(seeds, d_model, -1.0, 1.0)
     rows[:, 0] += np.arange(n_tokens) / n_tokens
     return rows

@@ -6,6 +6,7 @@ package's own linear algebra, so agreement is meaningful.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -171,3 +172,33 @@ def splitmix64_reference(seed, count):
         z ^= z >> 31
         out.append(z)
     return out
+
+
+def _uniforms_reference(seed, count, lo, hi):
+    return [lo + (hi - lo) * ((z >> 11) * 2.0**-53) for z in splitmix64_reference(seed, count)]
+
+
+def _keyed_hash64(text, key):
+    digest = hashlib.blake2b(
+        text.encode("utf-8"), digest_size=8, key=(key % 2**64).to_bytes(8, "little")
+    ).digest()
+    return int.from_bytes(digest, "little")
+
+
+def oracle_embed_prompt(text, d_model, n_tokens, seed=0):
+    """Token embedding rows drawn token by token from the reference stepping."""
+    tokens = text.split()[:n_tokens]
+    rows = []
+    for i in range(n_tokens):
+        if i < len(tokens):
+            row = _uniforms_reference(_keyed_hash64(tokens[i], seed), d_model, -1.0, 1.0)
+        else:
+            row = [0.0] * d_model
+        row[0] += i / n_tokens
+        rows.append(row)
+    return np.array(rows)
+
+
+def oracle_text_embedding(text, seed, dim):
+    """Alignment-scorer text vector: one reference stream seeded by the text's hash."""
+    return np.array(_uniforms_reference(_keyed_hash64(text, seed), dim, -1.0, 1.0))

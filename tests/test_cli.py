@@ -194,6 +194,18 @@ class TestEvaluateCommand:
                     "--bundle", str(bundle_file), "--out", str(tmp_path / "r.json")])
         assert code == 1
 
+    def test_full_cover_mask_exit_1(self, tmp_path, bundle_file):
+        from couplegen import pnm
+
+        args = ["evaluate", "--bundle", str(bundle_file), "--out", str(tmp_path / "r.json")]
+        for j in (1, 2):
+            pnm.write_pgm(tmp_path / f"img_{j}.pgm", np.full((8, 8), 0.25 * j))
+            pnm.write_mask(tmp_path / f"mask_{j}.pgm", np.ones((8, 8), dtype=bool))
+            args += ["--image", str(tmp_path / f"img_{j}.pgm"),
+                     "--mask", str(tmp_path / f"mask_{j}.pgm")]
+        assert run(args) == 1
+        assert not (tmp_path / "r.json").exists()
+
     def test_count_mismatch_exit_1(self, tmp_path, bundle_file):
         code = run(["evaluate", "--image", "a.pgm", "--mask", "m1.pgm",
                     "--mask", "m2.pgm", "--bundle", str(bundle_file),

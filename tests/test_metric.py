@@ -19,7 +19,7 @@ from couplegen.metric import (
 )
 from couplegen.numerics import ShapeError
 
-from oracles import pixelwise_union, scalar_background_score
+from oracles import oracle_text_embedding, pixelwise_union, scalar_background_score
 
 
 def half_mask(h=32, w=32, left=True):
@@ -163,6 +163,16 @@ class TestAlignmentStub:
         scorer = HashAlignmentScorer(self.PROMPTS, seed=0)
         assert scorer.score("a", img1) == pytest.approx(41.96840758199115, abs=1e-12)
         assert scorer.score("b", img2) == pytest.approx(61.683582993766485, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.text() | st.lists(st.sampled_from(["a", "room", "café", "猫"]), max_size=12).map(" ".join),
+        st.integers(0, 2**64 - 1),
+        st.integers(1, 40),
+    )
+    def test_text_embedding_matches_scalar_oracle(self, text, seed, dim):
+        got = HashAlignmentScorer(seed=seed, dim=dim).text_embedding(text)
+        assert np.array_equal(got, oracle_text_embedding(text, seed, dim))
 
     def test_unknown_key(self):
         scorer = HashAlignmentScorer(self.PROMPTS)

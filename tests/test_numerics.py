@@ -19,6 +19,23 @@ from couplegen.numerics import (
 
 from oracles import matmul_loops, splitmix64_reference
 
+SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
+BOUNDS = st.integers(-5, 5) | st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def fills(draw):
+    """(seed, rows, cols): seeds anywhere in [0, 2**64), or placed so that
+    seed + k*gamma wraps past 2**64 to within 256 of zero at a k <= rows*cols."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    near_wrap = st.builds(
+        lambda k, d: (d - k * SPLITMIX64_GAMMA) % 2**64,
+        st.integers(1, max(rows * cols, 1)),
+        st.integers(-256, 256),
+    )
+    seed = draw(st.integers(0, 2**64 - 1) | near_wrap | st.sampled_from([0, 2**64 - 1]))
+    return seed, rows, cols
+
 
 class TestMatmul:
     def test_identity_left_and_right(self):
@@ -113,6 +130,24 @@ class TestRng:
         r = Rng(987654321)
         got = [r.next_u64() for _ in range(500)]
         assert got == splitmix64_reference(987654321, 500)
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(fills(), BOUNDS, BOUNDS)
+    def test_fill_matches_reference_and_advances_state(self, fill, lo, hi):
+        seed, rows, cols = fill
+        ref = splitmix64_reference(seed, rows * cols + 1)
+        expected = [lo + (hi - lo) * ((z >> 11) * 2.0**-53) for z in ref[:-1]]
+        r = Rng(seed)
+        got = r.fill(rows, cols, lo, hi)
+        assert got.shape == (rows, cols) and got.dtype == np.float64
+        assert np.array_equal(got, np.array(expected, dtype=np.float64).reshape(rows, cols))
+        assert r.next_u64() == ref[-1]
+
+    @pytest.mark.parametrize("shape", [(-1, 3), (3, -1), (-2, -3)])
+    def test_negative_fill_shape_rejected(self, shape):
+        with pytest.raises(ValueError):
+            Rng(0).fill(*shape)
 
     def test_shuffle_is_deterministic(self):
         a = list(range(10))

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import couplegen.prompt_io as prompt_io
 from couplegen.prompt_io import (
@@ -19,6 +21,14 @@ from couplegen.prompt_io import (
     embed_prompt,
     parse_decomposition,
 )
+
+from oracles import oracle_embed_prompt
+
+# Empty, short and long texts; repeated tokens; non-ASCII and odd whitespace.
+TEXTS = st.text() | st.lists(
+    st.sampled_from(["a", "cozy", "room", "Pikachu", "café", "猫", "🙂", "a\tb", " "]),
+    max_size=12,
+).map(" ".join)
 
 PIKACHU = (
     "A cute Pikachu sits in a cozy room bathed in warm sunshine. "
@@ -206,6 +216,14 @@ class TestEmbedPrompt:
     def test_bad_dims(self):
         with pytest.raises(ValueError):
             embed_prompt("x", 0, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(TEXTS, st.integers(1, 9), st.integers(1, 6), st.integers(0, 2**64 - 1))
+    def test_matches_scalar_oracle(self, text, d_model, n_tokens, seed):
+        assert np.array_equal(
+            embed_prompt(text, d_model, n_tokens, seed=seed),
+            oracle_embed_prompt(text, d_model, n_tokens, seed=seed),
+        )
 
     def test_injective_on_1000_strings(self):
         seen = {}
