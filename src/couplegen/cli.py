@@ -54,6 +54,21 @@ def _pipeline_options(fn):
     return fn
 
 
+def _checked(hint: str, build, *args, **kwargs):
+    """build(*args, **kwargs); a ValueError it raises is a bad value of hint."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint=hint) from exc
+
+
+def _config(kw) -> PipelineConfig:
+    """The PipelineConfig of the --flags in kw, each checked on its own."""
+    for name, value in kw.items():
+        _checked("--" + name.replace("_", "-"), PipelineConfig, **{name: value})
+    return PipelineConfig(**kw)
+
+
 def _read_files(reader, paths, hint: str) -> list:
     """Read every path with reader; a malformed file is a bad parameter."""
     arrays = []
@@ -69,8 +84,12 @@ def _parse_centers(spec: str) -> list[float]:
     """'3..12' expands to integer centers; otherwise a comma-separated list."""
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        return [float(c) for c in range(int(lo), int(hi) + 1)]
-    return [float(tok) for tok in spec.split(",") if tok.strip()]
+        centers = [float(c) for c in range(int(lo), int(hi) + 1)]
+    else:
+        centers = [float(tok) for tok in spec.split(",") if tok.strip()]
+    if not centers:
+        raise ValueError(f"{spec!r} names no center")
+    return centers
 
 
 @click.group()
@@ -99,7 +118,9 @@ def decompose_cmd(prompts_path, fixture, out_path):
 @click.option("--out", "out_path", required=True)
 def schedule_cmd(family, center, scale, steps, out_path):
     """Write a theta schedule CSV for a parameterized family."""
-    sched = make_schedule(ScheduleFamily(kind=family, center=center, scale=scale), steps)
+    _checked("--scale", ScheduleFamily, family, 0.0, scale)
+    fam = _checked("--center", ScheduleFamily, family, center, scale)
+    sched = _checked("--steps", make_schedule, fam, steps)
     write_schedule_csv(out_path, sched)
     click.echo(f"wrote {out_path}")
 
@@ -114,7 +135,7 @@ def schedule_cmd(family, center, scale, steps, out_path):
 def generate_cmd(bundle_path, schedule_path, out_dir, separate_noise, dump_latents, **kw):
     """Render per-entity images (PGM) plus auto-threshold masks."""
     bundle = _load_bundle(bundle_path)
-    cfg = PipelineConfig(**kw)
+    cfg = _config(kw)
     try:
         sched = read_schedule_csv(schedule_path)
     except ValueError as exc:
@@ -192,21 +213,22 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
 def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
     """Pattern-search the schedule against the combined metric."""
     bundle = _load_bundle(bundle_path)
-    cfg = PipelineConfig(**kw)
+    cfg = _config(kw)
     pipeline = init_pipeline(cfg)
-    out = Path(out_dir)
-    trace_dir = out / "trace"
-    trace_dir.mkdir(parents=True, exist_ok=True)
-
     objective = isotonic.CountingObjective(
         lambda sched: generate_and_score(pipeline, bundle, sched).f_c
     )
     init = make_schedule(
         ScheduleFamily(kind="arctan", center=cfg.steps / 5.0, scale=0.5), cfg.steps
     )
-    search = isotonic.SearchConfig(
-        max_evals=max_evals, init=init, step=step_size, seed=search_seed
+    _checked("--max-evals", isotonic.SearchConfig, max_evals=max_evals, init=init)
+    search = _checked(
+        "--step-size", isotonic.SearchConfig,
+        max_evals=max_evals, init=init, step=step_size, seed=search_seed,
     )
+    out = Path(out_dir)
+    trace_dir = out / "trace"
+    trace_dir.mkdir(parents=True, exist_ok=True)
     best, value, trace = isotonic.coordinate_search(search, objective)
 
     write_schedule_csv(out / "best_schedule.csv", best)
@@ -232,11 +254,12 @@ def sweep_cmd(family, centers, scale, bundle_path, noise_seeds, out_path, **kw):
     if noise_seeds < 1:
         raise click.BadParameter(f"must be >= 1, got {noise_seeds}", param_hint="--noise-seeds")
     bundle = _load_bundle(bundle_path)
-    cfg = PipelineConfig(**kw)
+    cfg = _config(kw)
     pipeline = init_pipeline(cfg)
-    grid = _parse_centers(centers)
+    grid = _checked("--centers", _parse_centers, centers)
+    _checked("--scale", ScheduleFamily, family, 0.0, scale)
     schedules = [
-        make_schedule(ScheduleFamily(kind=family, center=center, scale=scale), cfg.steps)
+        make_schedule(_checked("--centers", ScheduleFamily, family, center, scale), cfg.steps)
         for center in grid
     ]
     # seeds outermost: every center of one seed shares the pipeline's theta == 0 trunk

@@ -22,13 +22,29 @@ That theta == 0 trajectory is also the trunk every entity shares until its
 schedule's first nonzero theta.  The pipeline keeps the latest trunk, keyed
 by (background text, noise seed), as the image latents after every step; the
 reference render reads its last latent and an entity whose schedule starts
-with z zeros resumes from latent z.  One trunk holds
+with z zeros resumes from latent z.  The trunk is kept whatever its size:
 steps * grid_side**2 * d_model * 8 bytes (80 KB at the default config,
 14.7 MB at d64, 32x32, 28 steps).
+
+Beside the trunk, the pipeline memoises whole entity trajectories keyed by
+(background text, noise seed, entity text, theta tuple).  An entity render
+resumes from the deepest memoised prefix: the longest common theta prefix
+with an entry that differs only in theta, or the trunk's z leading zeros,
+whichever is deeper.  A coordinate-search proposal that first changes
+theta_i thus recomputes only steps i..N.  Entries live in slots of one
+trajectory each, allocated up to ENTITY_MEMO_BYTES (1 MiB) and otherwise
+reused in least-recently-used order and overwritten in place, never freed.
+The pool grows past one slot per entity of a call only for a render whose
+key differs from an entry's in theta alone, so a pipeline that never
+renders one entity twice holds one render's slots.  A config whose
+trajectory is larger than the budget (1.31 MB at d32, 16x16, 20 steps)
+stores nothing and keeps only the trunk.
 """
 
 from __future__ import annotations
 
+import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +92,7 @@ __all__ = [
 
 WEIGHT_RANGE = 0.1
 AUTO_MASK_THRESHOLD = 0.1
+ENTITY_MEMO_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -128,6 +145,55 @@ class LatentState:
     image: np.ndarray
 
 
+def _common_prefix(a: tuple, b: tuple) -> int:
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+class EntityMemo:
+    """Entity trajectories, one per slot, in least-recently-used order.
+
+    A key is (background text, noise seed, entity text, theta tuple) and a
+    slot is a (steps, image_tokens, d_model) array of the image latents after
+    every step.  Slots are allocated while they fit in ENTITY_MEMO_BYTES and
+    the caller asks the pool to grow, and are otherwise overwritten in place,
+    the least recently used first; none is ever freed.
+    """
+
+    def __init__(self):
+        self.slots: OrderedDict = OrderedDict()  # key -> slot, least recent first
+        self.spare: np.ndarray | None = None  # claimed slot, not yet holding an entry
+
+    def lookup(self, key: tuple) -> tuple[int, np.ndarray | None]:
+        """(depth, slot) of the entry that differs from key at most in theta
+        and shares the longest theta prefix with it, depth being that
+        prefix's length; (0, None) when no entry differs only in theta."""
+        depth, best = -1, None
+        for other in self.slots:
+            if other[:3] == key[:3]:
+                n = _common_prefix(other[3], key[3])
+                if n > depth:
+                    depth, best = n, other
+        if best is None:
+            return 0, None
+        self.slots.move_to_end(best)
+        return depth, self.slots[best]
+
+    def claim(self, shape: tuple[int, ...], grow: bool) -> np.ndarray | None:
+        """A slot to render into: the spare; else, if grow is set and the
+        budget allows, a new one; else the least recently used one, whose
+        entry is dropped.  None when the pool has no slot to give."""
+        if self.spare is None:
+            if grow and (len(self.slots) + 1) * 8 * math.prod(shape) <= ENTITY_MEMO_BYTES:
+                self.spare = np.empty(shape)
+            elif self.slots:
+                self.spare = self.slots.popitem(last=False)[1]
+        return self.spare
+
+    def store(self, key: tuple) -> None:
+        """File the claimed slot, now holding key's whole trajectory."""
+        self.slots[key], self.spare = self.spare, None
+
+
 @dataclass(frozen=True)
 class Pipeline:
     config: PipelineConfig
@@ -137,6 +203,9 @@ class Pipeline:
     norm_single: NormConst
     # at most one entry: (background text, noise seed) -> read-only trunk latents
     trunk_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    entity_memo: EntityMemo = field(
+        default_factory=EntityMemo, init=False, repr=False, compare=False
+    )
 
 
 def _square(rng: Rng, d: int) -> np.ndarray:
@@ -250,19 +319,21 @@ def _embed(cfg: PipelineConfig, text: str) -> np.ndarray:
     return embed_prompt(text, cfg.d_model, cfg.text_tokens, seed=cfg.weight_seed)
 
 
-def _trajectory(pipeline: Pipeline, bg_emb, ent_emb, x, thetas, deltas, steps_log=None):
+def _trajectory(pipeline: Pipeline, bg_emb, ent_emb, x, thetas, deltas, out=None):
     """Euler-integrate image tokens x over (theta, sigma delta) pairs and
     return the final state.
 
-    When steps_log is a list it receives the image token state after every
-    step.
+    When out is given, the state after step i is written to out[i]; out is
+    a (steps, image_tokens, d_model) array or a list of per-step arrays.
     """
-    for theta, delta in zip(thetas, deltas):
+    for i, (theta, delta) in enumerate(zip(thetas, deltas)):
         state = _run_step(pipeline, LatentState(bg_emb, ent_emb, x), float(theta))
-        x = x + delta * state.image
-        if steps_log is not None:
-            steps_log.append(x)
+        x = np.add(x, delta * state.image, out=None if out is None else out[i])
     return x
+
+
+def _latents_shape(cfg: PipelineConfig) -> tuple[int, int, int]:
+    return (cfg.steps, cfg.image_tokens, cfg.d_model)
 
 
 def _trunk(pipeline: Pipeline, background: str, noise_seed: int) -> list[np.ndarray]:
@@ -271,7 +342,7 @@ def _trunk(pipeline: Pipeline, background: str, noise_seed: int) -> list[np.ndar
     if key not in pipeline.trunk_memo:
         cfg = pipeline.config
         emb = _embed(cfg, background)
-        latents: list = []
+        latents = [np.empty((cfg.image_tokens, cfg.d_model)) for _ in range(cfg.steps)]
         # at theta == 0 the entity stream never reaches the image tokens
         _trajectory(pipeline, emb, emb, _initial_noise(cfg, noise_seed),
                     np.zeros(cfg.steps), _sigma_deltas(cfg.steps), latents)
@@ -297,8 +368,9 @@ def sample(
     noise stream seeded with noise_seed + j.  When latent_log is a list it
     receives, per entity, the image token state after every step.
 
-    An entity on the base noise stream whose schedule starts with z zeros
-    resumes from the pipeline's theta == 0 trunk after step z.
+    Each entity resumes from its deepest memoised prefix: an entity
+    trajectory of the pipeline's memo, or, on the base noise stream, the
+    theta == 0 trunk after the schedule's leading zeros.
     """
     cfg = pipeline.config
     if len(schedule) != cfg.steps:
@@ -306,26 +378,36 @@ def sample(
     if noise_seed is None:
         noise_seed = cfg.noise_seed
     thetas = schedule.values
+    theta_key = tuple(thetas.tolist())
     deltas = _sigma_deltas(cfg.steps)
-    zeros = next((i for i, theta in enumerate(thetas) if theta != 0.0), cfg.steps)
+    zeros = _common_prefix(theta_key, (0.0,) * cfg.steps)
     bg_emb = _embed(cfg, bundle.background)
+    memo = pipeline.entity_memo
     images = []
     for j, entity in enumerate(bundle.entities):
         seed = noise_seed if shared_noise else noise_seed + j
-        z = zeros if seed == noise_seed else 0
-        steps_log = [] if latent_log is not None else None
-        if z:
-            trunk = _trunk(pipeline, bundle.background, noise_seed)
-            x = trunk[z - 1]
-            if steps_log is not None:
-                steps_log.extend(t.copy() for t in trunk[:z])
-        else:
-            x = _initial_noise(cfg, seed)
-        ent_emb = _embed(cfg, entity)
-        x = _trajectory(pipeline, bg_emb, ent_emb, x, thetas[z:], deltas[z:], steps_log)
-        images.append(_readout(cfg, x))
+        key = (bundle.background, seed, entity, theta_key)
+        depth, prefix = memo.lookup(key)
+        # past one slot per entity, grow only for a render related to an entry
+        grow = prefix is not None or len(memo.slots) < len(bundle.entities)
+        if seed == noise_seed and zeros > depth:
+            depth, prefix = zeros, _trunk(pipeline, bundle.background, noise_seed)
+        out = prefix
+        if depth < cfg.steps:
+            out = slot = memo.claim(_latents_shape(cfg), grow)
+            if out is None and latent_log is not None:
+                out = np.empty(_latents_shape(cfg))
+            x = _initial_noise(cfg, seed) if depth == 0 else prefix[depth - 1]
+            if out is not None:
+                for i in range(depth):
+                    out[i] = prefix[i]
+            x = _trajectory(pipeline, bg_emb, _embed(cfg, entity), x, thetas[depth:],
+                            deltas[depth:], None if out is None else out[depth:])
+            if slot is not None:
+                memo.store(key)
+        images.append(_readout(cfg, x if out is None else out[-1]))
         if latent_log is not None:
-            latent_log.append(steps_log)
+            latent_log.append([latent.copy() for latent in out])
     return images
 
 

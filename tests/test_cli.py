@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from couplegen.cli import run
-from couplegen.pipeline import PipelineConfig, generate_and_score, init_pipeline
+from couplegen.numerics import load_f32t
+from couplegen.pipeline import PipelineConfig, generate_and_score, init_pipeline, sample
 from couplegen.prompt_io import PromptBundle
 from couplegen.schedule import ScheduleFamily, make_schedule, read_schedule_csv
 
@@ -87,6 +88,23 @@ class TestGenerateCommand:
         assert code == 0
         latents = sorted(out_dir.glob("latent_e*_s*.f32t"))
         assert len(latents) == 2 * 10
+
+    def test_dump_latents_match_library(self, tmp_path, schedule_file):
+        # the repeated entity's latents come from the first one's memo slot
+        bundle = PromptBundle("A cozy room.", ("A cat sits.", "A dog naps.", "A cat sits."))
+        bundle_path = tmp_path / "repeat.json"
+        bundle_path.write_text(bundle.to_json())
+        out_dir = tmp_path / "gen"
+        assert run(["generate", "--bundle", str(bundle_path), "--schedule", str(schedule_file),
+                    "--out-dir", str(out_dir), "--dump-latents"]) == 0
+        sched = read_schedule_csv(schedule_file)
+        for j, entity in enumerate(bundle.entities, start=1):
+            log: list = []
+            alone = PromptBundle(bundle.background, (entity,))
+            sample(init_pipeline(PipelineConfig()), alone, sched, latent_log=log)
+            for i, latent in enumerate(log[0], start=1):
+                dumped = load_f32t(out_dir / f"latent_e{j}_s{i:03d}.f32t")
+                assert np.array_equal(dumped, latent.astype(np.float32))
 
     @pytest.mark.parametrize(
         "rows",
@@ -284,6 +302,14 @@ class TestSweepCommand:
                     str(bundle_file), "--noise-seeds", "0", "--out", str(tmp_path / "s.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("centers", [",", "3..2", " , "], ids=["comma", "empty_range", "blanks"])
+    def test_no_centers_exit_1(self, tmp_path, bundle_file, centers):
+        out = tmp_path / "sweep.csv"
+        code = run(["sweep", "--family", "step01", "--centers", centers,
+                    "--bundle", str(bundle_file), "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
     def test_range_syntax(self, tmp_path, bundle_file):
         out = tmp_path / "sweep.csv"
         code = run(["sweep", "--family", "step01", "--centers", "3..5",
@@ -315,3 +341,45 @@ class TestExitCodes:
 
     def test_missing_required_flag_exit_1(self):
         assert run(["schedule", "--family", "arctan"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["optimize", "--bundle", "{bundle}", "--out-dir", "{out}", "--max-evals", "0"],
+             "--max-evals"),
+            (["optimize", "--bundle", "{bundle}", "--out-dir", "{out}", "--step-size", "0"],
+             "--step-size"),
+            (["optimize", "--bundle", "{bundle}", "--out-dir", "{out}", "--d-model", "0"],
+             "--d-model"),
+            (["generate", "--bundle", "{bundle}", "--schedule", "{schedule}", "--out-dir",
+              "{out}", "--steps", "0"], "--steps"),
+            (["generate", "--bundle", "{bundle}", "--schedule", "{schedule}", "--out-dir",
+              "{out}", "--grid-side", "0"], "--grid-side"),
+            (["sweep", "--family", "step01", "--centers", "3", "--bundle", "{bundle}",
+              "--out", "{out}", "--d-model", "0"], "--d-model"),
+            (["sweep", "--family", "step01", "--centers", "3", "--bundle", "{bundle}",
+              "--out", "{out}", "--steps", "0"], "--steps"),
+            (["sweep", "--family", "sin", "--centers", "3", "--scale", "0", "--bundle",
+              "{bundle}", "--out", "{out}"], "--scale"),
+            (["sweep", "--family", "step01", "--centers", "a..b", "--bundle", "{bundle}",
+              "--out", "{out}"], "--centers"),
+            (["schedule", "--family", "arctan", "--center", "3", "--scale", "0", "--out",
+              "{out}"], "--scale"),
+            (["schedule", "--family", "sin", "--center", "3", "--scale", "0", "--out",
+              "{out}"], "--scale"),
+            (["schedule", "--family", "arctan", "--center", "3", "--steps", "0", "--out",
+              "{out}"], "--steps"),
+        ],
+        ids=["max_evals", "step_size", "optimize_d_model", "generate_steps",
+             "generate_grid_side", "sweep_d_model", "sweep_steps", "sweep_scale",
+             "sweep_centers", "arctan_scale", "sin_scale", "schedule_steps"],
+    )
+    def test_bad_number_exit_1_names_flag(
+        self, tmp_path, bundle_file, schedule_file, capsys, argv, flag
+    ):
+        out = tmp_path / "out"
+        paths = {"bundle": bundle_file, "schedule": schedule_file, "out": out}
+        capsys.readouterr()
+        assert run([a.format(**paths) for a in argv]) == 1
+        assert f"Invalid value for {flag}:" in capsys.readouterr().err
+        assert not out.exists()

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from couplegen import isotonic
 from couplegen.attention import StreamState, branch_attention, joint_attention, merge_image_states
 from couplegen.metric import background_similarity, jer
 from couplegen.numerics import Rng
@@ -314,6 +315,104 @@ class TestSample:
         assert len(log) == 2
         assert len(log[0]) == 10
         assert log[0][0].shape == (64, 16)
+
+
+def counted_double_blocks(monkeypatch) -> list:
+    calls: list = []
+
+    def counting(*args):
+        calls.append(args)
+        return run_double_block(*args)
+
+    monkeypatch.setattr("couplegen.pipeline.run_double_block", counting)
+    return calls
+
+
+def ramp() -> ThetaSchedule:
+    return ThetaSchedule(np.linspace(0.1, 0.9, 10))
+
+
+def nudged(schedule: ThetaSchedule, i: int) -> ThetaSchedule:
+    values = schedule.values.copy()
+    values[i] += 0.01
+    return ThetaSchedule(values)
+
+
+class TestEntityMemo:
+    def test_search_on_reused_pipeline_matches_fresh(self, monkeypatch):
+        # renders differ only in entity text, noise seed (None, 3, or
+        # noise_seed + j with separate noise) or background, so a memo key
+        # that drops any of them hands one render another's trajectory; the
+        # reference renders each call on a new pipeline with no memo budget
+        cfg = PipelineConfig(d_model=8, grid_side=6, steps=6)
+        swapped = PromptBundle(OTHER.background, BUNDLE.entities)
+        renders = [(BUNDLE, None, True), (BUNDLE, 3, True), (swapped, None, True),
+                   (BUNDLE, None, False)]
+
+        def objective(pipeline_for):
+            def f(sched):
+                return sum((j + 1) * float(img.mean())
+                           for bundle, seed, shared in renders
+                           for j, img in enumerate(sample(pipeline_for(), bundle, sched, seed,
+                                                          shared_noise=shared)))
+            return f
+
+        search = isotonic.SearchConfig(
+            max_evals=40, init=make_schedule(ScheduleFamily("arctan", 1.2, 0.5), 6)
+        )
+        calls = counted_double_blocks(monkeypatch)
+        with monkeypatch.context() as m:
+            m.setattr("couplegen.pipeline.ENTITY_MEMO_BYTES", 0)
+            fresh = isotonic.coordinate_search(search, objective(lambda: init_pipeline(cfg)))
+        fresh_blocks = len(calls)
+        del calls[:]
+        reused_pipeline = init_pipeline(cfg)
+        reused = isotonic.coordinate_search(search, objective(lambda: reused_pipeline))
+        assert np.array_equal(reused[0].values, fresh[0].values)
+        assert reused[1] == fresh[1]
+        assert [(e.value, e.accepted) for e in reused[2]] == [(e.value, e.accepted) for e in fresh[2]]
+        assert all(np.array_equal(a.schedule.values, b.schedule.values)
+                   for a, b in zip(reused[2], fresh[2], strict=True))
+        assert sum(e.accepted for e in fresh[2]) > 1
+        # the reused pipeline resumes proposals from the incumbent's steps
+        assert len(calls) < 0.7 * fresh_blocks
+
+    @pytest.mark.parametrize("i", [0, 3, 9])
+    def test_proposal_runs_only_steps_from_first_change(self, i, monkeypatch):
+        p = small_pipeline()
+        incumbent = ramp()
+        sample(p, BUNDLE, incumbent)
+        calls = counted_double_blocks(monkeypatch)
+        got = sample(p, BUNDLE, nudged(incumbent, i))
+        cfg = p.config
+        assert len(calls) == (cfg.steps - i) * cfg.double_blocks * len(BUNDLE.entities)
+        want = sample(small_pipeline(), BUNDLE, nudged(incumbent, i))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        # the incumbent is still held in full
+        del calls[:]
+        sample(p, BUNDLE, incumbent)
+        assert calls == []
+
+    def test_oversized_trajectory_stores_nothing(self):
+        # 20 * 256 * 32 * 8 bytes = 1.31 MB, more than the 1 MiB budget
+        p = small_pipeline(d_model=32, grid_side=16, steps=20)
+        sched = make_schedule(ScheduleFamily("step01", center=17.0), 20)
+        sample(p, BUNDLE, sched)
+        assert not p.entity_memo.slots and p.entity_memo.spare is None
+
+    def test_latent_log_matches_fresh_and_never_reaches_a_slot(self):
+        p = small_pipeline()
+        proposal = nudged(ramp(), 4)
+        sample(p, BUNDLE, ramp())
+        want: list = []
+        sample(small_pipeline(), BUNDLE, proposal, latent_log=want)
+        for _ in range(2):  # resumed from step 4, then served whole from its slot
+            log: list = []
+            sample(p, BUNDLE, proposal, latent_log=log)
+            for steps, want_steps in zip(log, want, strict=True):
+                assert all(np.array_equal(a, b) for a, b in zip(steps, want_steps, strict=True))
+                for latent in steps:
+                    latent += 1.0
 
 
 class TestAutoMasks:
