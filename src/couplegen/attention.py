@@ -17,6 +17,15 @@ streams are concatenated and each query stream gets
 weight proportional to e^0), which makes the theta in {0, 1} reductions exact:
 the surviving streams go through the same calls on the same operands as the
 plain two-stream path.
+
+Streams are (tokens, d) matrices or (E, tokens, d) stacks with a leading
+batch axis, every stream of a call having the same E and d.  The sampler
+stacks the coupled entities of one call that way: they share the weights and
+the theta of every step, so theta stays one float per call.  Keys and values
+are concatenated on axis -2 and scored against their last two axes swapped,
+the softmax reduces over the last axis, and numpy runs the matrix products
+of a stack slice by slice, so each slice of a stacked call equals the 2-D
+call on that slice bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ShapeError, as_matrix, softmax_rows
+from .numerics import ShapeError, as_matrices, softmax_rows
 
 __all__ = [
     "AttentionWeights",
@@ -101,45 +110,49 @@ class CoupledStreamState:
         )
 
 
-def _check_streams(**streams) -> None:
-    d = None
+def _check_streams(**streams) -> list[np.ndarray]:
+    """The named streams as float64 arrays: each (tokens, d) or
+    (E, tokens, d) with at least one token, all with the same E and d."""
+    arrays = []
     for name, s in streams.items():
-        m = as_matrix(s)
-        if m.shape[0] < 1:
+        m = as_matrices(s)
+        if m.shape[-2] < 1:
             raise ShapeError(f"{name} stream must have at least one token")
-        if d is None:
-            d = m.shape[1]
-        elif m.shape[1] != d:
+        if arrays and m.shape[-1] != arrays[0].shape[-1]:
             raise ShapeError(
-                f"{name} stream has feature dim {m.shape[1]}, expected {d}"
+                f"{name} stream has feature dim {m.shape[-1]}, expected {arrays[0].shape[-1]}"
             )
+        if arrays and m.shape[:-2] != arrays[0].shape[:-2]:
+            raise ShapeError(
+                f"{name} stream has batch shape {m.shape[:-2]}, expected {arrays[0].shape[:-2]}"
+            )
+        arrays.append(m)
+    return arrays
 
 
-def _multi_stream_attention(streams, w: AttentionWeights, key_scales, norm: NormConst):
+def _multi_stream_attention(streams: dict, w: AttentionWeights, key_scales, norm: NormConst):
     """Shared attention core.
 
-    Returns one output matrix per input stream (the rows whose queries came
-    from that stream).  ``key_scales[j] == 0.0`` drops stream j's keys and
-    values; any other scale multiplies its key vectors literally.
+    Returns one output per named input stream (the rows whose queries came
+    from that stream), in order.  ``key_scales[j] == 0.0`` drops stream j's
+    keys and values; any other scale multiplies its key vectors literally.
     """
-    streams = [as_matrix(s) for s in streams]
-    d = streams[0].shape[1]
-    for s in streams:
-        if s.shape[1] != d:
-            raise ShapeError("streams must share the feature dimension")
+    streams = _check_streams(**streams)
+    d = streams[0].shape[-1]
     if w.d_model != d:
         raise ShapeError(f"weights are {w.d_model}x{w.d_model}, streams have d={d}")
 
     live = [(s, scale) for s, scale in zip(streams, key_scales) if scale != 0.0]
-    k = np.concatenate([scale * (s @ w.w_k) for s, scale in live])
-    v = np.concatenate([s @ w.w_v for s, _ in live])
-    return [softmax_rows((s @ w.w_q) @ k.T / norm.value) @ v for s in streams]
+    k = np.concatenate([scale * (s @ w.w_k) for s, scale in live], axis=-2)
+    v = np.concatenate([s @ w.w_v for s, _ in live], axis=-2)
+    k_t = k.swapaxes(-1, -2)
+    return [softmax_rows((s @ w.w_q) @ k_t / norm.value) @ v for s in streams]
 
 
 def joint_attention(state: StreamState, w: AttentionWeights, norm: NormConst) -> StreamState:
     """Token-axis QKV concatenation over (text, image), one softmax, split back."""
     text_out, image_out = _multi_stream_attention(
-        [state.text, state.image], w, (1.0, 1.0), norm
+        {"text": state.text, "image": state.image}, w, (1.0, 1.0), norm
     )
     return StreamState(text=text_out, image=image_out)
 
@@ -161,7 +174,7 @@ def coupled_qkv_attention(
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must be in [0, 1], got {theta}")
     bg_out, ent_out, img_out = _multi_stream_attention(
-        [state.background, state.entity, state.image],
+        {"background": state.background, "entity": state.entity, "image": state.image},
         w,
         (1.0 - theta, theta, 1.0),
         norm,
@@ -175,20 +188,23 @@ def branch_attention(text, image, w: AttentionWeights, norm: NormConst):
     Projections are linear, so projecting the concatenated sequence equals
     concatenating per-stream projections; the block core exploits that.
     """
-    text_out, image_out = _multi_stream_attention([text, image], w, (1.0, 1.0), norm)
+    text_out, image_out = _multi_stream_attention(
+        {"text": text, "image": image}, w, (1.0, 1.0), norm
+    )
     return text_out, image_out
 
 
 def merge_image_states(img_ent, img_bg, theta: float) -> np.ndarray:
-    """Weighted interpolation theta * img_ent + (1 - theta) * img_bg.
+    """Weighted interpolation theta * img_ent + (1 - theta) * img_bg, for
+    two matrices or two stacks of the same shape.
 
     The boundaries return one branch unchanged (same array contents, no
     arithmetic) so that theta in {0, 1} reduces bit-identically.
     """
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must be in [0, 1], got {theta}")
-    a = as_matrix(img_ent)
-    b = as_matrix(img_bg)
+    a = as_matrices(img_ent)
+    b = as_matrices(img_bg)
     if a.shape != b.shape:
         raise ShapeError(f"branch shapes differ: {a.shape} vs {b.shape}")
     if theta == 1.0:

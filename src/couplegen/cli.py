@@ -43,8 +43,20 @@ from .schedule import (
 __all__ = ["main", "run", "entrypoint"]
 
 
-def _load_bundle(path: str) -> PromptBundle:
-    return PromptBundle.from_dict(json.loads(Path(path).read_text()))
+def _load_bundle(path: str, min_entities: int = 1) -> PromptBundle:
+    """The bundle JSON at path; malformed JSON, a bad bundle or fewer than
+    min_entities entity prompts is a bad --bundle."""
+    try:
+        bundle = PromptBundle.from_dict(json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        raise click.BadParameter(f"{path}: {exc}", param_hint="--bundle") from exc
+    if len(bundle.entities) < min_entities:
+        raise click.BadParameter(
+            f"{path}: scoring needs at least {min_entities} entity prompts, "
+            f"got {len(bundle.entities)}",
+            param_hint="--bundle",
+        )
+    return bundle
 
 
 def _pipeline_options(fn):
@@ -180,7 +192,7 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
     """Score images + masks and write the metric report JSON."""
     if len(image_paths) != len(mask_paths):
         raise click.UsageError("need one --mask per --image")
-    bundle = _load_bundle(bundle_path)
+    bundle = _load_bundle(bundle_path, min_entities=2)
     if len(image_paths) != len(bundle.entities):
         raise click.UsageError(
             f"bundle has {len(bundle.entities)} entities but {len(image_paths)} images given"
@@ -212,7 +224,7 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
 @_pipeline_options
 def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
     """Pattern-search the schedule against the combined metric."""
-    bundle = _load_bundle(bundle_path)
+    bundle = _load_bundle(bundle_path, min_entities=2)
     cfg = _config(kw)
     pipeline = init_pipeline(cfg)
     objective = isotonic.CountingObjective(
@@ -253,7 +265,7 @@ def sweep_cmd(family, centers, scale, bundle_path, noise_seeds, out_path, **kw):
     """Evaluate a grid of schedule centers and tabulate the metrics."""
     if noise_seeds < 1:
         raise click.BadParameter(f"must be >= 1, got {noise_seeds}", param_hint="--noise-seeds")
-    bundle = _load_bundle(bundle_path)
+    bundle = _load_bundle(bundle_path, min_entities=2)
     cfg = _config(kw)
     pipeline = init_pipeline(cfg)
     grid = _checked("--centers", _parse_centers, centers)

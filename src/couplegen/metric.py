@@ -2,9 +2,9 @@
 
 The background score masks out the union of all entity regions (the joint
 entity region, "JER"), rescales by the fraction of surviving pixels, and
-averages pairwise squared distances between the masked images.  Alignment
-scoring is a pluggable interface; the bundled scorer is a deterministic
-hash-embedding stand-in for an external embedding model.
+averages pairwise squared distances between the masked images.  The
+alignment scorer is a deterministic hash-embedding stand-in for an external
+embedding model.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "PromptKeyError",
     "Lambdas",
     "MetricReport",
-    "AlignmentScorer",
     "HashAlignmentScorer",
     "as_image",
     "as_mask",
@@ -127,10 +126,6 @@ def background_similarity(images: Sequence[np.ndarray], joint_mask) -> float:
             diff = masked[j] - masked[k]
             total += float(np.mean(diff * diff))
     return -(2.0 / (n * (n - 1) * ratio)) * total
-
-
-class AlignmentScorer(Protocol):
-    def score(self, prompt_key: str, image) -> float: ...
 
 
 class HashAlignmentScorer:

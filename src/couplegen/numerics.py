@@ -1,10 +1,11 @@
 """Deterministic float64 numeric kernel.
 
 Everything downstream (attention, the toy sampler, the metrics) is built on
-three primitives: a shape-checked dense matmul, a masked row softmax, and a
-splitmix64 PRNG.  Matrices are plain 2-D float64 numpy arrays in row-major
-order.  Summation order is fixed within this build; determinism is
-per-platform, not bit-exact across interpreters.
+two primitives: a masked softmax over the last axis and a splitmix64 PRNG.
+Matrices are row-major float64 numpy arrays, 2-D or stacked as 3-D with a
+leading batch axis; a stack is reduced row by row exactly as each of its
+matrices would be on its own.  Summation order is fixed within this build;
+determinism is per-platform, not bit-exact across interpreters.
 
 splitmix64 is counter-based: its k-th output (k = 1, 2, ...) from seed s is
 mix(s + k*gamma mod 2**64) and depends on nothing else.  `uniform_rows`
@@ -25,8 +26,7 @@ __all__ = [
     "DegenerateRowError",
     "Rng",
     "uniform_rows",
-    "as_matrix",
-    "matmul",
+    "as_matrices",
     "softmax_rows",
     "save_f32t",
     "load_f32t",
@@ -116,37 +116,31 @@ def uniform_rows(seeds, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
     return lo + (hi - lo) * u
 
 
-def as_matrix(a) -> np.ndarray:
+def as_matrices(a) -> np.ndarray:
+    """a as float64: a 2-D matrix or a 3-D stack of matrices."""
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if m.ndim not in (2, 3):
+        raise ShapeError(f"expected a 2-D matrix or a 3-D stack, got ndim={m.ndim}")
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    """Shape-checked dense product of two 2-D float64 matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def softmax_rows(m) -> np.ndarray:
-    """Row softmax with -inf entries treated as masked (exact 0 weight).
+    """Softmax over the last axis with -inf entries treated as masked (exact
+    0 weight), for a matrix or a stack of matrices.
 
     Rows are shift-invariant: the row max is subtracted before
     exponentiation.  A row that is entirely -inf has no finite
-    normalization and raises DegenerateRowError.
+    normalization and raises DegenerateRowError (naming the flat row index
+    of a stack).
     """
-    m = as_matrix(m)
-    row_max = np.max(m, axis=1)
+    m = as_matrices(m)
+    row_max = np.max(m, axis=-1)
     if np.any(np.isneginf(row_max)):
         bad = int(np.argmax(np.isneginf(row_max)))
         raise DegenerateRowError(f"row {bad} is entirely masked")
-    z = m - row_max[:, None]
+    z = m - row_max[..., None]
     np.exp(z, out=z)
-    z /= z.sum(axis=1)[:, None]
+    z /= z.sum(axis=-1)[..., None]
     return z
 
 

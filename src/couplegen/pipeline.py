@@ -39,6 +39,22 @@ key differs from an entry's in theta alone, so a pipeline that never
 renders one entity twice holds one render's slots.  A config whose
 trajectory is larger than the budget (1.31 MB at d32, 16x16, 20 steps)
 stores nothing and keeps only the trunk.
+
+The entities of one call share the weights, the background text and the
+theta of every step, so the entities that resume at the same depth are
+rendered together: their states are stacked on a leading batch axis and go
+through the blocks and the attention core as one (E, tokens, d_model)
+array, each entity's image equal to its one-entity render bit for bit.
+Every step of entity j is still copied into that entity's own slot.  A
+group is split into chunks of balanced size whose stacked image-query
+score block, E * image_tokens * (image_tokens + 2 * text_tokens) * 8 bytes,
+stays within CHUNK_SCORE_BYTES (128 KiB, glibc's default mmap threshold):
+larger temporaries are mapped and unmapped on every call, and their page
+faults cost more than the stacking saves.  The default config holds up to
+3 entities per chunk (40 KiB each); at d32, 16x16 one entity needs 557 KB,
+so every chunk holds one entity.  A slot claimed for a chunk is filed only
+after the chunk renders, so a render that raises corrupts no entry; its
+slots stay spare for the next call.
 """
 
 from __future__ import annotations
@@ -93,6 +109,7 @@ __all__ = [
 WEIGHT_RANGE = 0.1
 AUTO_MASK_THRESHOLD = 0.1
 ENTITY_MEMO_BYTES = 1 << 20
+CHUNK_SCORE_BYTES = 128 << 10  # glibc's default mmap threshold; see the docstring
 
 
 @dataclass(frozen=True)
@@ -161,7 +178,8 @@ class EntityMemo:
 
     def __init__(self):
         self.slots: OrderedDict = OrderedDict()  # key -> slot, least recent first
-        self.spare: np.ndarray | None = None  # claimed slot, not yet holding an entry
+        self.spare: list[np.ndarray] = []  # claimed slots, not holding an entry
+        self.allocated = 0
 
     def lookup(self, key: tuple) -> tuple[int, np.ndarray | None]:
         """(depth, slot) of the entry that differs from key at most in theta
@@ -179,19 +197,25 @@ class EntityMemo:
         return depth, self.slots[best]
 
     def claim(self, shape: tuple[int, ...], grow: bool) -> np.ndarray | None:
-        """A slot to render into: the spare; else, if grow is set and the
+        """A slot to render into, held by the caller until it is stored or
+        given back as spare: a spare one; else, if grow is set and the
         budget allows, a new one; else the least recently used one, whose
         entry is dropped.  None when the pool has no slot to give."""
-        if self.spare is None:
-            if grow and (len(self.slots) + 1) * 8 * math.prod(shape) <= ENTITY_MEMO_BYTES:
-                self.spare = np.empty(shape)
-            elif self.slots:
-                self.spare = self.slots.popitem(last=False)[1]
-        return self.spare
+        if self.spare:
+            return self.spare.pop()
+        if grow and (self.allocated + 1) * 8 * math.prod(shape) <= ENTITY_MEMO_BYTES:
+            self.allocated += 1
+            return np.empty(shape)
+        if self.slots:
+            return self.slots.popitem(last=False)[1]
+        return None
 
-    def store(self, key: tuple) -> None:
-        """File the claimed slot, now holding key's whole trajectory."""
-        self.slots[key], self.spare = self.spare, None
+    def store(self, key: tuple, slot: np.ndarray) -> None:
+        """File a claimed slot, now holding key's whole trajectory."""
+        displaced = self.slots.pop(key, None)  # two entities of one call with one key
+        if displaced is not None:
+            self.spare.append(displaced)
+        self.slots[key] = slot
 
 
 @dataclass(frozen=True)
@@ -319,16 +343,20 @@ def _embed(cfg: PipelineConfig, text: str) -> np.ndarray:
     return embed_prompt(text, cfg.d_model, cfg.text_tokens, seed=cfg.weight_seed)
 
 
-def _trajectory(pipeline: Pipeline, bg_emb, ent_emb, x, thetas, deltas, out=None):
-    """Euler-integrate image tokens x over (theta, sigma delta) pairs and
-    return the final state.
+def _trajectory(pipeline: Pipeline, bg_emb, ent_emb, x, thetas, deltas, outs):
+    """Euler-integrate the stacked image tokens x (E, image_tokens, d_model)
+    over (theta, sigma delta) pairs and return the final stack.
 
-    When out is given, the state after step i is written to out[i]; out is
-    a (steps, image_tokens, d_model) array or a list of per-step arrays.
+    The state of stack row j after step i is copied to outs[j][i] unless
+    outs[j] is None; outs[j] is a (steps, image_tokens, d_model) array or a
+    list of per-step arrays.
     """
     for i, (theta, delta) in enumerate(zip(thetas, deltas)):
         state = _run_step(pipeline, LatentState(bg_emb, ent_emb, x), float(theta))
-        x = np.add(x, delta * state.image, out=None if out is None else out[i])
+        x = x + delta * state.image
+        for xj, out in zip(x, outs):
+            if out is not None:
+                np.copyto(out[i], xj)
     return x
 
 
@@ -341,16 +369,25 @@ def _trunk(pipeline: Pipeline, background: str, noise_seed: int) -> list[np.ndar
     key = (background, noise_seed)
     if key not in pipeline.trunk_memo:
         cfg = pipeline.config
-        emb = _embed(cfg, background)
+        emb = _embed(cfg, background)[None]
         latents = [np.empty((cfg.image_tokens, cfg.d_model)) for _ in range(cfg.steps)]
         # at theta == 0 the entity stream never reaches the image tokens
-        _trajectory(pipeline, emb, emb, _initial_noise(cfg, noise_seed),
-                    np.zeros(cfg.steps), _sigma_deltas(cfg.steps), latents)
+        _trajectory(pipeline, emb, emb, _initial_noise(cfg, noise_seed)[None],
+                    np.zeros(cfg.steps), _sigma_deltas(cfg.steps), [latents])
         for x in latents:
             x.flags.writeable = False
         pipeline.trunk_memo.clear()
         pipeline.trunk_memo[key] = latents
     return pipeline.trunk_memo[key]
+
+
+def _chunks(group: list, cfg: PipelineConfig) -> list[list]:
+    """group split into runs of balanced sizes whose stacked image-query
+    score block fits CHUNK_SCORE_BYTES, or into single entities when even
+    one entity's block does not fit."""
+    entity_bytes = 8 * cfg.image_tokens * (cfg.image_tokens + 2 * cfg.text_tokens)
+    n = -(-len(group) // max(1, CHUNK_SCORE_BYTES // entity_bytes))
+    return [group[i * len(group) // n:(i + 1) * len(group) // n] for i in range(n)]
 
 
 def sample(
@@ -370,7 +407,8 @@ def sample(
 
     Each entity resumes from its deepest memoised prefix: an entity
     trajectory of the pipeline's memo, or, on the base noise stream, the
-    theta == 0 trunk after the schedule's leading zeros.
+    theta == 0 trunk after the schedule's leading zeros.  The entities that
+    resume at the same depth are rendered as stacks (see `_chunks`).
     """
     cfg = pipeline.config
     if len(schedule) != cfg.steps:
@@ -383,31 +421,59 @@ def sample(
     zeros = _common_prefix(theta_key, (0.0,) * cfg.steps)
     bg_emb = _embed(cfg, bundle.background)
     memo = pipeline.entity_memo
-    images = []
+    n_entities = len(bundle.entities)
+    images: list = [None] * n_entities
+    outs: list = [None] * n_entities  # per entity: its latents after every step
+    starts, claimed, groups = {}, {}, {}  # claimed: j -> (key, slot) until filed
     for j, entity in enumerate(bundle.entities):
         seed = noise_seed if shared_noise else noise_seed + j
         key = (bundle.background, seed, entity, theta_key)
         depth, prefix = memo.lookup(key)
         # past one slot per entity, grow only for a render related to an entry
-        grow = prefix is not None or len(memo.slots) < len(bundle.entities)
+        grow = prefix is not None or memo.allocated < n_entities
         if seed == noise_seed and zeros > depth:
             depth, prefix = zeros, _trunk(pipeline, bundle.background, noise_seed)
-        out = prefix
-        if depth < cfg.steps:
-            out = slot = memo.claim(_latents_shape(cfg), grow)
-            if out is None and latent_log is not None:
-                out = np.empty(_latents_shape(cfg))
-            x = _initial_noise(cfg, seed) if depth == 0 else prefix[depth - 1]
-            if out is not None:
-                for i in range(depth):
-                    out[i] = prefix[i]
-            x = _trajectory(pipeline, bg_emb, _embed(cfg, entity), x, thetas[depth:],
-                            deltas[depth:], None if out is None else out[depth:])
-            if slot is not None:
-                memo.store(key)
-        images.append(_readout(cfg, x if out is None else out[-1]))
-        if latent_log is not None:
-            latent_log.append([latent.copy() for latent in out])
+        if depth == cfg.steps:
+            # read now: a later entity's claim may overwrite this slot
+            images[j] = _readout(cfg, prefix[-1])
+            if latent_log is not None:
+                outs[j] = [latent.copy() for latent in prefix]
+            continue
+        out = slot = memo.claim(_latents_shape(cfg), grow)
+        if slot is not None:
+            claimed[j] = key, slot
+        elif latent_log is not None:
+            out = np.empty(_latents_shape(cfg))
+        if out is not None:
+            for i in range(depth):
+                out[i] = prefix[i]
+        # a prefix slot is copied to this entity's own slot before a later
+        # claim can take it; without a slot the prefix is the read-only trunk
+        outs[j] = out
+        starts[j] = _initial_noise(cfg, seed) if depth == 0 else (
+            prefix if out is None else out)[depth - 1]
+        groups.setdefault(depth, []).append(j)
+    try:
+        for depth, group in groups.items():
+            for chunk in _chunks(group, cfg):
+                x = _trajectory(
+                    pipeline,
+                    np.repeat(bg_emb[None], len(chunk), axis=0),
+                    np.stack([_embed(cfg, bundle.entities[j]) for j in chunk]),
+                    np.stack([starts[j] for j in chunk]),
+                    thetas[depth:],
+                    deltas[depth:],
+                    [None if outs[j] is None else outs[j][depth:] for j in chunk],
+                )
+                for j, xj in zip(chunk, x):
+                    images[j] = _readout(cfg, xj)
+                    if j in claimed:
+                        memo.store(*claimed.pop(j))
+    finally:
+        # slots of renders that raised hold no entry
+        memo.spare.extend(slot for _, slot in claimed.values())
+    if latent_log is not None:
+        latent_log.extend([latent.copy() for latent in out] for out in outs)
     return images
 
 

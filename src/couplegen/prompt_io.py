@@ -89,8 +89,17 @@ class PromptBundle:
         return {"background": self.background, "entities": list(self.entities)}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PromptBundle":
-        return cls(background=d["background"], entities=tuple(d["entities"]))
+    def from_dict(cls, d) -> "PromptBundle":
+        """The bundle of a decoded JSON object; ValueError unless it has a
+        non-empty string background and a list of non-empty string entities."""
+        if not isinstance(d, dict):
+            raise ValueError(f"bundle must be a JSON object, got {type(d).__name__}")
+        background, entities = d.get("background"), d.get("entities")
+        if not isinstance(background, str) or not background:
+            raise ValueError(f"background must be a non-empty string, got {background!r}")
+        if not isinstance(entities, list) or not all(isinstance(e, str) and e for e in entities):
+            raise ValueError(f"entities must be a list of non-empty strings, got {entities!r}")
+        return cls(background=background, entities=tuple(entities))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)

@@ -3,6 +3,8 @@ agreement, and the exact theta boundary reductions."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from couplegen.attention import (
     AttentionWeights,
@@ -249,3 +251,65 @@ class TestMergeImageStates:
             merge_image_states(np.zeros((2, 2)), np.zeros((3, 2)), 0.5)
         with pytest.raises(ValueError, match="theta"):
             merge_image_states(np.zeros((2, 2)), np.zeros((2, 2)), 1.5)
+
+
+@st.composite
+def stacks(draw):
+    """(weights, background, entity, image stacks, theta): E in 1..4 stacked
+    matrices per stream with their own token counts, theta 0, 1 or interior."""
+    rng = Rng(draw(st.integers(0, 2**64 - 1)))
+    e, d = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    bg, ent, img = (
+        rng.fill(e * n, d, -2.0, 2.0).reshape(e, n, d)
+        for n in (draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 9)))
+    )
+    theta = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0, exclude_min=True,
+                                                            exclude_max=True))
+    return random_weights(rng, d), bg, ent, img, theta
+
+
+class TestBatchAxis:
+    """A stacked call equals the 2-D calls on its slices bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stacks())
+    def test_coupled_stack_matches_slices(self, case):
+        w, bg, ent, img, theta = case
+        norm = norm_for(bg.shape[-1], bg.shape[-1])
+        out = coupled_qkv_attention(CoupledStreamState(bg, ent, img), w, theta, norm)
+        for j in range(len(img)):
+            ref = coupled_qkv_attention(CoupledStreamState(bg[j], ent[j], img[j]), w, theta, norm)
+            assert np.array_equal(out.background[j], ref.background)
+            assert np.array_equal(out.entity[j], ref.entity)
+            assert np.array_equal(out.image[j], ref.image)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stacks())
+    def test_branch_stack_matches_slices(self, case):
+        w, text, _, img, _ = case
+        norm = norm_for(text.shape[-1], 0)
+        text_out, img_out = branch_attention(text, img, w, norm)
+        for j in range(len(img)):
+            ref_text, ref_img = branch_attention(text[j], img[j], w, norm)
+            assert np.array_equal(text_out[j], ref_text)
+            assert np.array_equal(img_out[j], ref_img)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stacks())
+    def test_merge_stack_matches_slices(self, case):
+        _, _, _, img, theta = case
+        other = img[::-1] * 0.5
+        merged = merge_image_states(img, other, theta)
+        for j in range(len(img)):
+            assert np.array_equal(merged[j], merge_image_states(img[j], other[j], theta))
+
+    def test_mismatched_batch_rejected(self):
+        w = random_weights(Rng(0), 3)
+        with pytest.raises(ShapeError, match="batch"):
+            CoupledStreamState(np.zeros((2, 1, 3)), np.zeros((2, 1, 3)), np.zeros((3, 1, 3)))
+        with pytest.raises(ShapeError, match="batch"):
+            branch_attention(np.zeros((1, 3)), np.zeros((2, 4, 3)), w, NormConst(1.0))
+        with pytest.raises(ShapeError):
+            merge_image_states(np.zeros((2, 4, 3)), np.zeros((4, 3)), 0.5)
+        with pytest.raises(ShapeError):
+            merge_image_states(np.zeros((1, 2, 4, 3)), np.zeros((1, 2, 4, 3)), 0.5)

@@ -383,3 +383,59 @@ class TestExitCodes:
         assert run([a.format(**paths) for a in argv]) == 1
         assert f"Invalid value for {flag}:" in capsys.readouterr().err
         assert not out.exists()
+
+
+BAD_BUNDLES = {
+    "not_json": "{background: a room",
+    "top_level_list": '["a room", ["a cat", "a dog"]]',
+    "no_background": '{"entities": ["a cat", "a dog"]}',
+    "no_entities": '{"background": "a room"}',
+    "empty_background": '{"background": "", "entities": ["a cat", "a dog"]}',
+    "numeric_background": '{"background": 3, "entities": ["a cat", "a dog"]}',
+    "string_entities": '{"background": "a room", "entities": "ab"}',
+    "numeric_entities": '{"background": "a room", "entities": [1, 2]}',
+    "empty_entity": '{"background": "a room", "entities": ["a cat", ""]}',
+    "no_entity": '{"background": "a room", "entities": []}',
+}
+ONE_ENTITY = '{"background": "a room", "entities": ["a cat"]}'
+
+
+def _bundle_argv(command: str, bundle, schedule, out) -> list:
+    return {
+        "generate": ["generate", "--bundle", bundle, "--schedule", schedule, "--out-dir", out],
+        "evaluate": ["evaluate", "--image", "x.pgm", "--mask", "m.pgm", "--bundle", bundle,
+                     "--out", out],
+        "optimize": ["optimize", "--bundle", bundle, "--max-evals", "2", "--out-dir", out],
+        "sweep": ["sweep", "--family", "step01", "--centers", "3", "--bundle", bundle,
+                  "--out", out],
+    }[command]
+
+
+class TestBundleEdge:
+    @pytest.mark.parametrize("command", ["generate", "evaluate", "optimize", "sweep"])
+    @pytest.mark.parametrize("text", BAD_BUNDLES.values(), ids=BAD_BUNDLES.keys())
+    def test_bad_bundle_exit_1(self, tmp_path, schedule_file, capsys, command, text):
+        bundle = tmp_path / "bad.json"
+        bundle.write_text(text)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(_bundle_argv(command, str(bundle), str(schedule_file), str(out))) == 1
+        assert "Invalid value for --bundle:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "optimize", "sweep"])
+    def test_scoring_one_entity_exit_1(self, tmp_path, schedule_file, capsys, command):
+        bundle = tmp_path / "one.json"
+        bundle.write_text(ONE_ENTITY)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(_bundle_argv(command, str(bundle), str(schedule_file), str(out))) == 1
+        assert "at least 2 entity prompts" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_generate_one_entity_exit_0(self, tmp_path, schedule_file):
+        bundle = tmp_path / "one.json"
+        bundle.write_text(ONE_ENTITY)
+        out = tmp_path / "out"
+        assert run(_bundle_argv("generate", str(bundle), str(schedule_file), str(out))) == 0
+        assert (out / "entity_1.pgm").exists()

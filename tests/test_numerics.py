@@ -1,4 +1,4 @@
-"""Kernel tests: matmul, masked softmax, splitmix64 RNG, .f32t files."""
+"""Kernel tests: masked softmax, splitmix64 RNG, .f32t files."""
 
 import mpmath
 import numpy as np
@@ -12,12 +12,11 @@ from couplegen.numerics import (
     Rng,
     ShapeError,
     load_f32t,
-    matmul,
     save_f32t,
     softmax_rows,
 )
 
-from oracles import matmul_loops, splitmix64_reference
+from oracles import splitmix64_reference
 
 SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
 BOUNDS = st.integers(-5, 5) | st.floats(-1e3, 1e3, allow_nan=False)
@@ -35,32 +34,6 @@ def fills(draw):
     )
     seed = draw(st.integers(0, 2**64 - 1) | near_wrap | st.sampled_from([0, 2**64 - 1]))
     return seed, rows, cols
-
-
-class TestMatmul:
-    def test_identity_left_and_right(self):
-        m = np.array([[1.5, -2.0], [0.25, 7.0]])
-        eye = np.eye(2)
-        assert np.array_equal(matmul(eye, m), m)
-        assert np.array_equal(matmul(m, eye), m)
-
-    def test_hand_expanded_case(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        expected = matmul_loops(a, b)
-        assert np.array_equal(expected, np.array([[2.0], [4.0]]))
-        assert np.allclose(matmul(a, b), expected)
-
-    def test_random_against_triple_loop(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a = rng.normal(size=(3, 4))
-            b = rng.normal(size=(4, 2))
-            np.testing.assert_allclose(matmul(a, b), matmul_loops(a, b), atol=1e-12)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 class TestSoftmaxRows:

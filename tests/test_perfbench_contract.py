@@ -10,7 +10,14 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import couplegen.cli
+import couplegen.pipeline
+from couplegen.cli import run
+from couplegen.pipeline import PipelineConfig, init_pipeline, sample
+from couplegen.prompt_io import PromptBundle
+from couplegen.schedule import ScheduleFamily, make_schedule
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -67,3 +74,76 @@ def test_hooks_accept_wrapped_signatures():
             inspect.signature(hook).bind("result", *args, **kwargs)
         checked.add(name)
     assert {"pipeline.sample", "pipeline.reference", "attention.branch"} <= checked
+
+
+BUNDLE = PromptBundle(
+    "an old stone library in autumn",
+    ("a sleeping cat", "a brass telescope", "a stack of maps"),
+)
+
+
+def test_traced_generate_records_attention(tmp_path):
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(BUNDLE.to_json())
+    schedule = tmp_path / "schedule.csv"
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert run(["schedule", "--family", "arctan", "--center", "4", "--steps", "10",
+                    "--out", str(schedule)]) == 0
+        t.enabled = True
+        code = run(["generate", "--bundle", str(bundle), "--schedule", str(schedule),
+                    "--out-dir", str(tmp_path / "out")])
+    finally:
+        t.enabled = False
+        t.uninstall()
+    assert code == 0
+    stats = t.span_stats()
+    assert stats["attention.coupled"][0] > 0
+    assert stats["pipeline.sample"][0] == 1
+
+
+def _attention_flops(streams, key_scales) -> int:
+    """Useful FLOPs of one attention call over 2-D or stacked streams: Q for
+    every stream, K and V for live key streams, scores and weighted values."""
+    batch = 1 if streams[0].ndim == 2 else streams[0].shape[0]
+    d = streams[0].shape[-1]
+    n_q = sum(s.shape[-2] for s in streams)
+    n_k = sum(s.shape[-2] for s, scale in zip(streams, key_scales) if scale != 0.0)
+    return batch * (2 * d * d * (n_q + 2 * n_k) + 4 * n_q * n_k * d)
+
+
+def _counted_sample(monkeypatch, chunk_bytes) -> tuple[int, int, list]:
+    """(attention calls, their useful FLOPs, images) of one 3-entity sample."""
+    counts = [0, 0]
+    coupled = couplegen.pipeline.coupled_qkv_attention
+    branch = couplegen.pipeline.branch_attention
+
+    def count(streams, key_scales):
+        counts[0] += 1
+        counts[1] += _attention_flops(streams, key_scales)
+
+    def counted_coupled(state, w, theta, norm):
+        count((state.background, state.entity, state.image), (1.0 - theta, theta, 1.0))
+        return coupled(state, w, theta, norm)
+
+    def counted_branch(text, image, w, norm):
+        count((text, image), (1.0, 1.0))
+        return branch(text, image, w, norm)
+
+    sched = make_schedule(ScheduleFamily("arctan", 4.0, 0.8), 10)
+    with monkeypatch.context() as m:
+        m.setattr(couplegen.pipeline, "coupled_qkv_attention", counted_coupled)
+        m.setattr(couplegen.pipeline, "branch_attention", counted_branch)
+        m.setattr(couplegen.pipeline, "CHUNK_SCORE_BYTES", chunk_bytes)
+        images = sample(init_pipeline(PipelineConfig()), BUNDLE, sched)
+    return counts[0], counts[1], images
+
+
+def test_stacking_keeps_attention_work(monkeypatch):
+    # per-layer call counts fall with stacking; the useful work may not
+    calls_one, flops_one, images_one = _counted_sample(monkeypatch, 0)
+    calls, flops, images = _counted_sample(monkeypatch, couplegen.pipeline.CHUNK_SCORE_BYTES)
+    assert flops == flops_one
+    assert calls * len(BUNDLE.entities) == calls_one
+    assert all(np.array_equal(a, b) for a, b in zip(images, images_one, strict=True))

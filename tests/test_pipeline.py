@@ -1,5 +1,6 @@
 """End-to-end tests for the miniature double/single-block denoising pipeline."""
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -318,11 +319,13 @@ class TestSample:
 
 
 def counted_double_blocks(monkeypatch) -> list:
+    """One entry per entity row a run_double_block call renders, so the
+    length is the sum of the calls' batch sizes."""
     calls: list = []
 
-    def counting(*args):
-        calls.append(args)
-        return run_double_block(*args)
+    def counting(state, *args):
+        calls.extend([args] * (1 if state.image.ndim == 2 else len(state.image)))
+        return run_double_block(state, *args)
 
     monkeypatch.setattr("couplegen.pipeline.run_double_block", counting)
     return calls
@@ -398,7 +401,7 @@ class TestEntityMemo:
         p = small_pipeline(d_model=32, grid_side=16, steps=20)
         sched = make_schedule(ScheduleFamily("step01", center=17.0), 20)
         sample(p, BUNDLE, sched)
-        assert not p.entity_memo.slots and p.entity_memo.spare is None
+        assert not p.entity_memo.slots and not p.entity_memo.spare
 
     def test_latent_log_matches_fresh_and_never_reaches_a_slot(self):
         p = small_pipeline()
@@ -413,6 +416,100 @@ class TestEntityMemo:
                 assert all(np.array_equal(a, b) for a, b in zip(steps, want_steps, strict=True))
                 for latent in steps:
                     latent += 1.0
+
+
+FIVE = PromptBundle(
+    "a quiet harbour at noon",
+    ("a red boat", "a grey gull", "an old sailor", "a stack of crates", "a striped lighthouse"),
+)
+
+
+@contextlib.contextmanager
+def per_entity(monkeypatch):
+    """Inside, every chunk holds one entity: the unbatched reference."""
+    with monkeypatch.context() as m:
+        m.setattr("couplegen.pipeline.CHUNK_SCORE_BYTES", 0)
+        yield
+
+
+def same_renders(got, want) -> bool:
+    return all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def same_logs(got, want) -> bool:
+    return all(same_renders(a, b) for a, b in zip(got, want, strict=True))
+
+
+class TestBatchedSample:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "separate"])
+    @pytest.mark.parametrize("family", ["arctan", "step01"])
+    def test_grouped_matches_per_entity(self, n, shared, family, monkeypatch):
+        # step01 starts with 3 zeros, so the base-stream entity resumes from
+        # the trunk and, with separate noise, the others from step 0
+        bundle = PromptBundle(FIVE.background, FIVE.entities[:n])
+        sched = make_schedule(ScheduleFamily(family, center=3.5, scale=0.8), 10)
+        with per_entity(monkeypatch):
+            want_log: list = []
+            want = sample(small_pipeline(), bundle, sched, 7, shared, want_log)
+        calls = counted_double_blocks(monkeypatch)
+        got_log: list = []
+        got = sample(small_pipeline(), bundle, sched, 7, shared, got_log)
+        assert same_renders(got, want)
+        assert same_logs(got_log, want_log)
+        # a chunk holds up to 3 entities that resume at one depth; with
+        # step01 and separate noise, 2 entities resume at different depths
+        stacked = shared or family == "arctan" or n > 2
+        assert (len({id(args) for args in calls}) < len(calls)) == stacked
+
+    def test_mixed_resume_depths(self, monkeypatch):
+        # the last entity's slot is evicted: it restarts from step 0 while
+        # the others resume from the incumbent's first 6 steps
+        p = small_pipeline()
+        sample(p, FIVE, ramp())
+        memo = p.entity_memo
+        key = (FIVE.background, 0, FIVE.entities[-1], tuple(ramp().values.tolist()))
+        memo.spare.append(memo.slots.pop(key))
+        proposal = nudged(ramp(), 6)
+        calls = counted_double_blocks(monkeypatch)
+        got_log: list = []
+        got = sample(p, FIVE, proposal, latent_log=got_log)
+        cfg = p.config
+        assert len(calls) == (4 * (cfg.steps - 6) + cfg.steps) * cfg.double_blocks
+        with per_entity(monkeypatch):
+            want_log: list = []
+            want = sample(small_pipeline(), FIVE, proposal, latent_log=want_log)
+        assert same_renders(got, want)
+        assert same_logs(got_log, want_log)
+
+    def test_repeated_entity_keeps_every_slot(self):
+        # two entities of one call with one key both render and store; the
+        # slot the second store displaces goes back to the pool
+        p = small_pipeline()
+        twice = PromptBundle(BUNDLE.background, (BUNDLE.entities[0],) * 2)
+        for sched in (ramp(), nudged(ramp(), 2), ramp()):
+            got = sample(p, twice, sched)
+            assert np.array_equal(got[0], got[1])
+            memo = p.entity_memo
+            assert len(memo.slots) + len(memo.spare) == memo.allocated
+
+    def test_failed_chunk_leaves_memo_intact(self):
+        # theta 1.5 at step 5 raises inside a 3-entity chunk resumed from step 5
+        p = small_pipeline()
+        first = sample(p, OTHER, ramp())
+        memo = p.entity_memo
+        entries = {key: slot.copy() for key, slot in memo.slots.items()}
+        bad = ramp().values.copy()
+        bad[5] = 1.5
+        with pytest.raises(ValueError, match="theta"):
+            sample(p, OTHER, ThetaSchedule(bad))
+        assert list(memo.slots) == list(entries)
+        assert all(np.array_equal(memo.slots[key], slot) for key, slot in entries.items())
+        assert len(memo.spare) == len(OTHER.entities)
+        assert same_renders(sample(p, OTHER, ramp()), first)
+        proposal = nudged(ramp(), 5)
+        assert same_renders(sample(p, OTHER, proposal), sample(small_pipeline(), OTHER, proposal))
+        assert not memo.spare
 
 
 class TestAutoMasks:
