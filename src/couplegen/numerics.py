@@ -124,21 +124,22 @@ def as_matrices(a) -> np.ndarray:
     return m
 
 
-def softmax_rows(m) -> np.ndarray:
+def softmax_rows(m, out=None) -> np.ndarray:
     """Softmax over the last axis with -inf entries treated as masked (exact
     0 weight), for a matrix or a stack of matrices.
 
     Rows are shift-invariant: the row max is subtracted before
     exponentiation.  A row that is entirely -inf has no finite
     normalization and raises DegenerateRowError (naming the flat row index
-    of a stack).
+    of a stack).  The result is written to and returned in ``out`` when it
+    is given: a float64 array of m's shape, which may be m itself.
     """
     m = as_matrices(m)
     row_max = np.max(m, axis=-1)
     if np.any(np.isneginf(row_max)):
         bad = int(np.argmax(np.isneginf(row_max)))
         raise DegenerateRowError(f"row {bad} is entirely masked")
-    z = m - row_max[..., None]
+    z = np.subtract(m, row_max[..., None], out=out)
     np.exp(z, out=z)
     z /= z.sum(axis=-1)[..., None]
     return z

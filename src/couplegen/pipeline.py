@@ -48,13 +48,14 @@ array, each entity's image equal to its one-entity render bit for bit.
 Every step of entity j is still copied into that entity's own slot.  A
 group is split into chunks of balanced size whose stacked image-query
 score block, E * image_tokens * (image_tokens + 2 * text_tokens) * 8 bytes,
-stays within CHUNK_SCORE_BYTES (128 KiB, glibc's default mmap threshold):
-larger temporaries are mapped and unmapped on every call, and their page
-faults cost more than the stacking saves.  The default config holds up to
-3 entities per chunk (40 KiB each); at d32, 16x16 one entity needs 557 KB,
-so every chunk holds one entity.  A slot claimed for a chunk is filed only
-after the chunk renders, so a render that raises corrupts no entry; its
-slots stay spare for the next call.
+stays within CHUNK_SCORE_BYTES (2 MiB, one core's L2 cache on the Xeon
+it was measured on).  That block is the largest the attention core writes
+into its reused workspace, so the budget bounds the workspace of a chunk;
+stacking past it made a d64, 32x32 render use more memory and run no
+faster.  The default config holds up to 51 entities per chunk (40 KiB
+each), d32, 16x16 up to 3 (557 KB each) and d64, 32x32 one (8.5 MB).  A
+slot claimed for a chunk is filed only after the chunk renders, so a render
+that raises corrupts no entry; its slots stay spare for the next call.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ __all__ = [
 WEIGHT_RANGE = 0.1
 AUTO_MASK_THRESHOLD = 0.1
 ENTITY_MEMO_BYTES = 1 << 20
-CHUNK_SCORE_BYTES = 128 << 10  # glibc's default mmap threshold; see the docstring
+CHUNK_SCORE_BYTES = 2 << 20  # the attention workspace of one chunk; see the docstring
 
 
 @dataclass(frozen=True)

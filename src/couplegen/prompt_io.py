@@ -16,9 +16,9 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
+from urllib.request import Request, urlopen
 
 import numpy as np
-import requests
 
 from .numerics import uniform_rows
 
@@ -143,18 +143,26 @@ def build_decomposition_request(prompts: Sequence[str], model: str = "") -> dict
     }
 
 
-_BACKGROUND_RE = re.compile(r"^\s*Background:\s*(.+?)\s*$", re.MULTILINE)
-_ENTITY_RE = re.compile(r"^\s*Entity\s+(\d+):\s*(.+?)\s*$", re.MULTILINE)
+# [^\S\n] is whitespace within a line: a value never reaches into the next
+# line, and a CRLF reply's "\r" is trimmed like a space.
+_BACKGROUND_RE = re.compile(r"^[^\S\n]*Background:[^\S\n]*(.*?)[^\S\n]*$", re.MULTILINE)
+_ENTITY_RE = re.compile(r"^[^\S\n]*Entity[^\S\n]+([0-9]+):[^\S\n]*(.*?)[^\S\n]*$", re.MULTILINE)
 
 
 def parse_decomposition(reply: str) -> PromptBundle:
-    """Extract the Background line and the numbered Entity lines."""
+    """Extract the first Background line and the numbered Entity lines;
+    every value must be non-empty."""
     bg = _BACKGROUND_RE.search(reply)
     if bg is None:
         raise ParseError("reply has no 'Background:' line", reply)
+    if not bg.group(1):
+        raise ParseError("reply has an empty 'Background:' line", reply)
     entities = [(int(num), text) for num, text in _ENTITY_RE.findall(reply)]
     if not entities:
         raise ParseError("reply has no 'Entity k:' lines", reply)
+    empty = [num for num, text in entities if not text]
+    if empty:
+        raise ParseError(f"reply has empty 'Entity k:' lines for k = {empty}", reply)
     entities.sort(key=lambda pair: pair[0])
     numbers = [num for num, _ in entities]
     if numbers != list(range(1, len(entities) + 1)):
@@ -191,18 +199,17 @@ def _request_reply(prompts: Sequence[str], endpoint: LlmEndpoint, sleep) -> str:
     headers = {"Content-Type": "application/json"}
     if endpoint.api_key:
         headers["Authorization"] = f"Bearer {endpoint.api_key}"
+    request = Request(endpoint.base_url, data=json.dumps(payload).encode("utf-8"), headers=headers)
 
     last_error: Exception | None = None
     for attempt in range(RETRY_ATTEMPTS):
         if attempt:
             sleep(RETRY_BACKOFF_S * 2 ** (attempt - 1))
         try:
-            resp = requests.post(
-                endpoint.base_url, json=payload, headers=headers, timeout=endpoint.timeout
-            )
-            resp.raise_for_status()
-            return resp.json()["choices"][0]["message"]["content"]
-        except Exception as exc:  # noqa: BLE001 - network/JSON failures all retry
+            # urlopen follows redirects and raises HTTPError for any other non-2xx status
+            with urlopen(request, timeout=endpoint.timeout) as resp:
+                return json.load(resp)["choices"][0]["message"]["content"]
+        except Exception as exc:  # noqa: BLE001 - network/HTTP/JSON failures all retry
             last_error = exc
     raise TransportError(
         f"decomposition failed after {RETRY_ATTEMPTS} attempts: {last_error}",

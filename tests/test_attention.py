@@ -1,11 +1,14 @@
 """Attention mechanism tests: trivial identities, scalar-loop oracle
 agreement, and the exact theta boundary reductions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from couplegen import attention
 from couplegen.attention import (
     AttentionWeights,
     CoupledStreamState,
@@ -313,3 +316,47 @@ class TestBatchAxis:
             merge_image_states(np.zeros((2, 4, 3)), np.zeros((4, 3)), 0.5)
         with pytest.raises(ShapeError):
             merge_image_states(np.zeros((1, 2, 4, 3)), np.zeros((1, 2, 4, 3)), 0.5)
+
+
+def coupled_state(rng: Rng, d: int, e: int, tokens) -> CoupledStreamState:
+    """Background, entity and image stacks of E matrices with the given
+    token counts."""
+    return CoupledStreamState(*(rng.fill(e * n, d, -1.0, 1.0).reshape(e, n, d) for n in tokens))
+
+
+class TestWorkspace:
+    """Score blocks live in one reused buffer that no output aliases."""
+
+    def test_warm_call_allocates_no_score_block(self):
+        rng = Rng(5)
+        d = 32
+        w, norm = random_weights(rng, d), norm_for(d, d)
+        state = coupled_state(rng, d, 1, (8, 8, 256))
+        coupled_qkv_attention(state, w, 0.5, norm)  # the workspace now holds the block
+        tracemalloc.start()
+        try:
+            coupled_qkv_attention(state, w, 0.5, norm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one image-query score block: 256 queries x 272 keys x 8 bytes
+        assert peak < 256 * 272 * 8
+
+    def test_held_outputs_survive_grow_and_shrink(self, monkeypatch):
+        monkeypatch.setattr(attention, "_workspace", np.empty(0))
+        rng = Rng(6)
+        d = 8
+        w, norm = random_weights(rng, d), norm_for(d, d)
+        first = coupled_qkv_attention(coupled_state(rng, d, 1, (3, 4, 16)), w, 0.5, norm)
+        held = [first.background, first.entity, first.image]
+        held += branch_attention(first.background, first.image, w, norm)
+        want = [a.copy() for a in held]
+        small = attention._workspace
+        # a larger block grows the workspace, a smaller one reuses it
+        for e, n_img in ((3, 64), (1, 4)):
+            out = coupled_qkv_attention(coupled_state(rng, d, e, (3, 4, n_img)), w, 0.5, norm)
+            outs = [out.background, out.entity, out.image]
+            outs += branch_attention(out.background, out.image, w, norm)
+            assert not any(np.shares_memory(a, attention._workspace) for a in held + outs)
+        assert attention._workspace.size == 3 * 64 * (3 + 4 + 64) > small.size
+        assert all(np.array_equal(a, b) for a, b in zip(held, want, strict=True))

@@ -74,6 +74,37 @@ class TestSoftmaxRows:
         np.testing.assert_allclose(softmax_rows(m + c), softmax_rows(m), atol=1e-12)
 
 
+@st.composite
+def masked_scores(draw):
+    """2-D or 3-D score arrays with -inf entries, some rows fully masked."""
+    shape = draw(hnp.array_shapes(min_dims=2, max_dims=3, max_side=5))
+    return draw(hnp.arrays(np.float64, shape, elements=st.floats(-50, 50) | st.just(-np.inf)))
+
+
+class TestSoftmaxOut:
+    @settings(max_examples=100, deadline=None)
+    @given(masked_scores())
+    def test_in_place_equals_fresh(self, m):
+        try:
+            want = softmax_rows(m)
+        except DegenerateRowError:
+            with pytest.raises(DegenerateRowError):
+                z = m.copy()
+                softmax_rows(z, out=z)
+            return
+        z = m.copy()
+        assert softmax_rows(z, out=z) is z
+        assert np.array_equal(z, want)
+        buf = np.full_like(m, np.nan)
+        assert softmax_rows(m, out=buf) is buf
+        assert np.array_equal(buf, want)
+
+    def test_all_masked_row_raises_in_place(self):
+        z = np.array([[[0.0, 1.0], [-np.inf, -np.inf]]])
+        with pytest.raises(DegenerateRowError, match="row 1"):
+            softmax_rows(z, out=z)
+
+
 class TestRng:
     def test_seed_zero_golden_pair(self):
         ref = splitmix64_reference(0, 2)

@@ -22,6 +22,7 @@ from couplegen.pipeline import (
     run_double_block,
     run_single_block,
     sample,
+    _chunks,
     _initial_noise,
     sample_single_prompt,
 )
@@ -457,8 +458,8 @@ class TestBatchedSample:
         got = sample(small_pipeline(), bundle, sched, 7, shared, got_log)
         assert same_renders(got, want)
         assert same_logs(got_log, want_log)
-        # a chunk holds up to 3 entities that resume at one depth; with
-        # step01 and separate noise, 2 entities resume at different depths
+        # the entities that resume at one depth share a chunk; with step01
+        # and separate noise, 2 entities resume at different depths
         stacked = shared or family == "arctan" or n > 2
         assert (len({id(args) for args in calls}) < len(calls)) == stacked
 
@@ -510,6 +511,26 @@ class TestBatchedSample:
         proposal = nudged(ramp(), 5)
         assert same_renders(sample(p, OTHER, proposal), sample(small_pipeline(), OTHER, proposal))
         assert not memo.spare
+
+
+class TestChunks:
+    """A chunk's image-query score block stays within 2 MiB."""
+
+    @pytest.mark.parametrize(
+        "overrides, n, sizes",
+        [
+            ({"d_model": 32, "grid_side": 16}, 9, [3, 3, 3]),  # 557 KB per entity
+            ({"d_model": 32, "grid_side": 16}, 4, [2, 2]),
+            ({}, 5, [5]),  # 40 KiB per entity
+            ({}, 51, [51]),
+            ({}, 52, [26, 26]),
+            ({"d_model": 64, "grid_side": 32}, 3, [1, 1, 1]),  # 8.5 MB per entity
+        ],
+    )
+    def test_balanced_sizes(self, overrides, n, sizes):
+        chunks = _chunks(list(range(n)), PipelineConfig(**overrides))
+        assert [len(c) for c in chunks] == sizes
+        assert sum(chunks, []) == list(range(n))
 
 
 class TestAutoMasks:

@@ -1,7 +1,11 @@
 """Prompt decomposition request/parse tests, fixture-mode decompose, and the
 deterministic hash embedding."""
 
+import io
+import json
 import re
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
@@ -45,6 +49,11 @@ FIGURE_REPLY = (
     "Entity 1: A cute Pikachu sits.\n"
     "Entity 2: A beautiful girl stands.\n"
 )
+
+
+def fake_response(content: str) -> io.BytesIO:
+    """What urlopen returns for a chat completion whose reply is content."""
+    return io.BytesIO(json.dumps({"choices": [{"message": {"content": content}}]}).encode())
 
 
 def normalize_ws(text: str) -> str:
@@ -114,6 +123,90 @@ class TestParseDecomposition:
         assert rebuilt == FIGURE_REPLY
 
 
+def oracle_decomposition(reply: str):
+    """The bundle a reply must parse to, or None when it must be rejected.
+
+    Lines are split on "\n" only and stripped of whitespace, so a CRLF
+    reply reads like an LF one.  The first line that starts with
+    "Background:" gives the background; every line of the form
+    "Entity <ASCII digits>: ..." gives an entity; other lines are ignored.
+    Every value must be non-empty and the entity numbers exactly 1..n.
+    """
+    background, entities = None, []
+    for line in reply.split("\n"):
+        body = line.strip()
+        if body.startswith("Background:"):
+            if background is None:
+                background = body[len("Background:"):].strip()
+        elif body.startswith("Entity") and body[6:7].isspace():
+            num, colon, value = body[6:].lstrip().partition(":")
+            if colon and num.isascii() and num.isdigit():
+                entities.append((int(num), value.strip()))
+    entities.sort(key=lambda pair: pair[0])
+    if (
+        not background
+        or not entities
+        or not all(value for _, value in entities)
+        or [num for num, _ in entities] != list(range(1, len(entities) + 1))
+    ):
+        return None
+    return PromptBundle(background, tuple(value for _, value in entities))
+
+
+BLANKS = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\u3000"])
+VALUES = st.text(st.characters(exclude_characters="\n"), max_size=8) | st.sampled_from(
+    ["", " ", "a fox", "café au lait", "猫", "🙂 smile", "\r", "Entity 2: a cat"]
+)
+
+
+@st.composite
+def replies(draw):
+    """Background/Entity replies with missing lines, empty values, CRLF,
+    extra text, duplicate or missing numbers and unicode."""
+    lines = []
+    if draw(st.integers(0, 3)):  # present 3 times in 4
+        lines.append(f"{draw(BLANKS)}Background:{draw(BLANKS)}{draw(VALUES)}{draw(BLANKS)}")
+    numbers = list(range(1, draw(st.integers(0, 4)) + 1))
+    if not draw(st.integers(0, 3)):  # duplicate, missing or out-of-range numbers
+        numbers = draw(st.lists(st.integers(0, 5), max_size=4))
+    for k in numbers:
+        lines.append(f"{draw(BLANKS)}Entity{draw(BLANKS)}{k}:{draw(BLANKS)}{draw(VALUES)}")
+    lines.extend(draw(st.lists(VALUES, max_size=2)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(draw(st.permutations(lines))) + draw(st.sampled_from(["", end]))
+
+
+class TestParseFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(replies())
+    def test_matches_oracle(self, reply):
+        want = oracle_decomposition(reply)
+        if want is None:
+            with pytest.raises(ParseError):
+                parse_decomposition(reply)
+        else:
+            assert parse_decomposition(reply) == want
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            "Background:\nEntity 1: a fox\nEntity 2: a cat",
+            "Background: park\nEntity 1:\nEntity 2: a cat",
+            "Background: park\r\nEntity 1: \r\nEntity 2: a cat\r\n",
+            "Background: park\nEntity\n1: a fox",
+        ],
+        ids=["empty_background", "empty_entity", "empty_entity_crlf", "split_entity"],
+    )
+    def test_empty_value_does_not_take_the_next_line(self, reply):
+        with pytest.raises(ParseError):
+            parse_decomposition(reply)
+
+    def test_crlf_reply(self):
+        assert parse_decomposition(FIGURE_REPLY.replace("\n", "\r\n")) == parse_decomposition(
+            FIGURE_REPLY
+        )
+
+
 class TestDecompose:
     def test_fixture_mode(self, tmp_path):
         fixture = tmp_path / "reply.txt"
@@ -134,14 +227,7 @@ class TestDecompose:
             decompose(["p1", "p2", "p3"], fixture)
 
     def test_network_entity_count_must_match_prompts(self, monkeypatch):
-        class FakeResponse:
-            def raise_for_status(self):
-                pass
-
-            def json(self):
-                return {"choices": [{"message": {"content": FIGURE_REPLY}}]}
-
-        monkeypatch.setattr(prompt_io.requests, "post", lambda *a, **k: FakeResponse())
+        monkeypatch.setattr(prompt_io, "urlopen", lambda *a, **k: fake_response(FIGURE_REPLY))
         ep = LlmEndpoint(base_url="http://example.invalid/v1", model="m")
         with pytest.raises(ParseError, match="2 entities for 3 prompts"):
             decompose([PIKACHU, GIRL, "a third prompt"], ep, sleep=lambda s: None)
@@ -153,7 +239,7 @@ class TestDecompose:
             attempts.append(1)
             raise ConnectionError("no route to host")
 
-        monkeypatch.setattr(prompt_io.requests, "post", failing_post)
+        monkeypatch.setattr(prompt_io, "urlopen", failing_post)
         ep = LlmEndpoint(base_url="http://unreachable.invalid/v1", model="m")
         with pytest.raises(TransportError) as err:
             decompose([PIKACHU, GIRL], ep, sleep=lambda s: None)
@@ -161,17 +247,46 @@ class TestDecompose:
         assert len(attempts) == 3
 
     def test_network_mode_parses_choices(self, monkeypatch):
-        class FakeResponse:
-            def raise_for_status(self):
-                pass
-
-            def json(self):
-                return {"choices": [{"message": {"content": FIGURE_REPLY}}]}
-
-        monkeypatch.setattr(prompt_io.requests, "post", lambda *a, **k: FakeResponse())
+        monkeypatch.setattr(prompt_io, "urlopen", lambda *a, **k: fake_response(FIGURE_REPLY))
         ep = LlmEndpoint(base_url="http://example.invalid/v1", model="m")
         bundle = decompose([PIKACHU, GIRL], ep, sleep=lambda s: None)
         assert bundle.entities == ("A cute Pikachu sits.", "A beautiful girl stands.")
+
+    def test_posts_json_to_local_server_and_retries_non_2xx(self, monkeypatch):
+        # the real transport against a loopback server: 503, then 200
+        monkeypatch.setenv("no_proxy", "*")
+        statuses, seen = [503, 200], []
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                seen.append((self.headers["Content-Type"], self.headers["Authorization"],
+                             json.loads(body)))
+                reply = fake_response(FIGURE_REPLY).getvalue()
+                self.send_response(statuses[len(seen) - 1])
+                self.send_header("Content-Length", str(len(reply)))
+                self.end_headers()
+                self.wfile.write(reply)
+
+            def log_message(self, *args):
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever)
+        thread.start()
+        sleeps = []
+        try:
+            ep = LlmEndpoint(f"http://127.0.0.1:{server.server_port}/v1", "m", api_key="k")
+            bundle = decompose([PIKACHU, GIRL], ep, sleep=sleeps.append)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert bundle == parse_decomposition(FIGURE_REPLY)
+        assert sleeps == [prompt_io.RETRY_BACKOFF_S]
+        want = build_decomposition_request([PIKACHU, GIRL], model="m")
+        assert seen == [("application/json", "Bearer k", want)] * 2
 
     def test_bad_url_rejected(self):
         with pytest.raises(ValueError, match="http"):
