@@ -59,6 +59,19 @@ def _load_bundle(path: str, min_entities: int = 1) -> PromptBundle:
     return bundle
 
 
+def _warn_truncated(bundle: PromptBundle, cfg: PipelineConfig) -> None:
+    """One stderr warning per prompt with more whitespace tokens than the
+    text_tokens that embed_prompt keeps, naming the words it drops."""
+    for text in (bundle.background, *bundle.entities):
+        dropped = text.split()[cfg.text_tokens:]
+        if dropped:
+            click.echo(
+                f"warning: --text-tokens {cfg.text_tokens} drops {' '.join(dropped)!r} "
+                f"from {text!r}",
+                err=True,
+            )
+
+
 def _pipeline_options(fn):
     """One --flag per PipelineConfig field, defaulting to the field's default."""
     for f in reversed(fields(PipelineConfig)):
@@ -116,7 +129,9 @@ def main():
 def decompose_cmd(prompts_path, fixture, out_path):
     """Split prompts into a shared background and per-prompt entities."""
     prompts = [ln.strip() for ln in Path(prompts_path).read_text().splitlines() if ln.strip()]
-    endpoint = fixture if fixture is not None else endpoint_from_env()
+    if not prompts:
+        raise click.BadParameter(f"{prompts_path} holds no prompt", param_hint="--prompts")
+    endpoint = fixture if fixture is not None else _checked("--fixture", endpoint_from_env)
     bundle = decompose(prompts, endpoint)
     Path(out_path).write_text(bundle.to_json() + "\n")
     click.echo(f"wrote {out_path}")
@@ -148,14 +163,12 @@ def generate_cmd(bundle_path, schedule_path, out_dir, separate_noise, dump_laten
     """Render per-entity images (PGM) plus auto-threshold masks."""
     bundle = _load_bundle(bundle_path)
     cfg = _config(kw)
-    try:
-        sched = read_schedule_csv(schedule_path)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="--schedule") from exc
+    sched = _checked("--schedule", read_schedule_csv, schedule_path)
     if len(sched) != cfg.steps:
         raise click.BadParameter(
             f"schedule has {len(sched)} steps but --steps is {cfg.steps}", param_hint="--schedule"
         )
+    _warn_truncated(bundle, cfg)
     pipeline = init_pipeline(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -241,6 +254,7 @@ def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
     out = Path(out_dir)
     trace_dir = out / "trace"
     trace_dir.mkdir(parents=True, exist_ok=True)
+    _warn_truncated(bundle, cfg)
     best, value, trace = isotonic.coordinate_search(search, objective)
 
     write_schedule_csv(out / "best_schedule.csv", best)
@@ -274,6 +288,7 @@ def sweep_cmd(family, centers, scale, bundle_path, noise_seeds, out_path, **kw):
         make_schedule(_checked("--centers", ScheduleFamily, family, center, scale), cfg.steps)
         for center in grid
     ]
+    _warn_truncated(bundle, cfg)
     # seeds outermost: every center of one seed shares the pipeline's theta == 0 trunk
     by_seed = [
         [generate_and_score(pipeline, bundle, sched, noise_seed=cfg.noise_seed + s)

@@ -19,33 +19,35 @@ At theta == 0 (theta == 1) a single block runs only the background (entity)
 branch, since the image merge discards the other one.
 
 That theta == 0 trajectory is also the trunk every entity shares until its
-schedule's first nonzero theta.  The pipeline keeps the latest trunk, keyed
-by (background text, noise seed), as the image latents after every step; the
-reference render reads its last latent and an entity whose schedule starts
-with z zeros resumes from latent z.  The trunk is kept whatever its size:
-steps * grid_side**2 * d_model * 8 bytes (80 KB at the default config,
-14.7 MB at d64, 32x32, 28 steps).
+schedule's first nonzero theta.  Trajectories are memoised in one
+TrajectoryMemo per pipeline, as lists of read-only per-step image latents
+keyed by (background text, noise seed, entity text, theta tuple).  The
+trunk is its one pinned entry, with entity text None and theta == 0
+throughout: it is kept whatever its size (steps * grid_side**2 * d_model *
+8 bytes, 80 KB at the default config, 14.7 MB at d64, 32x32, 28 steps)
+until a trunk of another (background, seed) replaces it, and the
+reference render reads its last step.  Entity trajectories sit in one
+least-recently-used map of at most ENTITY_MEMO_BYTES // trajectory bytes
+entries (12 at the default config); a config whose trajectory is larger
+than the 1 MiB budget (1.31 MB at d32, 16x16, 20 steps) stores none and
+keeps no latents unless the caller logs them.
 
-Beside the trunk, the pipeline memoises whole entity trajectories keyed by
-(background text, noise seed, entity text, theta tuple).  An entity render
-resumes from the deepest memoised prefix: the longest common theta prefix
-with an entry that differs only in theta, or the trunk's z leading zeros,
-whichever is deeper.  A coordinate-search proposal that first changes
-theta_i thus recomputes only steps i..N.  Entries live in slots of one
-trajectory each, allocated up to ENTITY_MEMO_BYTES (1 MiB) and otherwise
-reused in least-recently-used order and overwritten in place, never freed.
-The pool grows past one slot per entity of a call only for a render whose
-key differs from an entry's in theta alone, so a pipeline that never
-renders one entity twice holds one render's slots.  A config whose
-trajectory is larger than the budget (1.31 MB at d32, 16x16, 20 steps)
-stores nothing and keeps only the trunk.
+An entity render looks its key up once and resumes from the deepest
+prefix: the longest common theta prefix with a trajectory of the same
+background, seed and entity text, or, on the trunk's background and noise
+stream, the trunk's leading zeros.  A coordinate-search proposal that
+first changes theta_i thus recomputes only steps i..N.  The new trajectory
+shares the prefix's arrays and appends a read-only copy of each step it
+renders, so no stored array is ever written and an eviction cannot take a
+prefix from a render under way.  Every entity of a call is looked up
+before any is stored, and an entry is stored only after its chunk
+renders, so a render that raises stores nothing.
 
 The entities of one call share the weights, the background text and the
 theta of every step, so the entities that resume at the same depth are
 rendered together: their states are stacked on a leading batch axis and go
 through the blocks and the attention core as one (E, tokens, d_model)
-array, each entity's image equal to its one-entity render bit for bit.
-Every step of entity j is still copied into that entity's own slot.  A
+array, each entity's image equal to its one-entity render bit for bit.  A
 group is split into chunks of balanced size whose stacked image-query
 score block, E * image_tokens * (image_tokens + 2 * text_tokens) * 8 bytes,
 stays within CHUNK_SCORE_BYTES (2 MiB, one core's L2 cache on the Xeon
@@ -53,14 +55,11 @@ it was measured on).  That block is the largest the attention core writes
 into its reused workspace, so the budget bounds the workspace of a chunk;
 stacking past it made a d64, 32x32 render use more memory and run no
 faster.  The default config holds up to 51 entities per chunk (40 KiB
-each), d32, 16x16 up to 3 (557 KB each) and d64, 32x32 one (8.5 MB).  A
-slot claimed for a chunk is filed only after the chunk renders, so a render
-that raises corrupts no entry; its slots stay spare for the next call.
+each), d32, 16x16 up to 3 (557 KB each) and d64, 32x32 one (8.5 MB).
 """
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -167,56 +166,43 @@ def _common_prefix(a: tuple, b: tuple) -> int:
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
-class EntityMemo:
-    """Entity trajectories, one per slot, in least-recently-used order.
+class TrajectoryMemo:
+    """Image-latent trajectories: per key, a list of read-only per-step
+    (image_tokens, d_model) arrays, the state after every step.
 
-    A key is (background text, noise seed, entity text, theta tuple) and a
-    slot is a (steps, image_tokens, d_model) array of the image latents after
-    every step.  Slots are allocated while they fit in ENTITY_MEMO_BYTES and
-    the caller asks the pool to grow, and are otherwise overwritten in place,
-    the least recently used first; none is ever freed.
+    A key is (background text, noise seed, entity text, theta tuple).  The
+    theta == 0 trunk is the one pinned entry, with entity text None; the
+    entity trajectories sit in `entries`, least recently used first.
+    Entries share the arrays of the prefixes they were resumed from.
     """
 
     def __init__(self):
-        self.slots: OrderedDict = OrderedDict()  # key -> slot, least recent first
-        self.spare: list[np.ndarray] = []  # claimed slots, not holding an entry
-        self.allocated = 0
+        self.trunk: dict = {}  # at most one entry
+        self.entries: OrderedDict = OrderedDict()
 
-    def lookup(self, key: tuple) -> tuple[int, np.ndarray | None]:
-        """(depth, slot) of the entry that differs from key at most in theta
-        and shares the longest theta prefix with it, depth being that
-        prefix's length; (0, None) when no entry differs only in theta."""
-        depth, best = -1, None
-        for other in self.slots:
-            if other[:3] == key[:3]:
+    def lookup(self, key: tuple) -> tuple[int, list[np.ndarray]]:
+        """(depth, latents) of the trajectory with key's background and seed
+        and key's entity text or None that shares the longest theta prefix
+        with key, depth being that prefix's length; (0, []) when none does."""
+        depth, best = 0, None
+        for other in [*self.entries, *self.trunk]:
+            if other[:2] == key[:2] and other[2] in (key[2], None):
                 n = _common_prefix(other[3], key[3])
                 if n > depth:
                     depth, best = n, other
         if best is None:
-            return 0, None
-        self.slots.move_to_end(best)
-        return depth, self.slots[best]
+            return 0, []
+        if best in self.trunk:
+            return depth, self.trunk[best]
+        self.entries.move_to_end(best)
+        return depth, self.entries[best]
 
-    def claim(self, shape: tuple[int, ...], grow: bool) -> np.ndarray | None:
-        """A slot to render into, held by the caller until it is stored or
-        given back as spare: a spare one; else, if grow is set and the
-        budget allows, a new one; else the least recently used one, whose
-        entry is dropped.  None when the pool has no slot to give."""
-        if self.spare:
-            return self.spare.pop()
-        if grow and (self.allocated + 1) * 8 * math.prod(shape) <= ENTITY_MEMO_BYTES:
-            self.allocated += 1
-            return np.empty(shape)
-        if self.slots:
-            return self.slots.popitem(last=False)[1]
-        return None
-
-    def store(self, key: tuple, slot: np.ndarray) -> None:
-        """File a claimed slot, now holding key's whole trajectory."""
-        displaced = self.slots.pop(key, None)  # two entities of one call with one key
-        if displaced is not None:
-            self.spare.append(displaced)
-        self.slots[key] = slot
+    def store(self, key: tuple, latents: list[np.ndarray], limit: int) -> None:
+        """File key's whole trajectory, keeping the limit most recent entries."""
+        self.entries[key] = latents
+        self.entries.move_to_end(key)
+        while len(self.entries) > limit:
+            self.entries.popitem(last=False)
 
 
 @dataclass(frozen=True)
@@ -226,10 +212,8 @@ class Pipeline:
     single_blocks: tuple[SingleBlockWeights, ...]
     norm_double: NormConst
     norm_single: NormConst
-    # at most one entry: (background text, noise seed) -> read-only trunk latents
-    trunk_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    entity_memo: EntityMemo = field(
-        default_factory=EntityMemo, init=False, repr=False, compare=False
+    memo: TrajectoryMemo = field(
+        default_factory=TrajectoryMemo, init=False, repr=False, compare=False
     )
 
 
@@ -348,38 +332,32 @@ def _trajectory(pipeline: Pipeline, bg_emb, ent_emb, x, thetas, deltas, outs):
     """Euler-integrate the stacked image tokens x (E, image_tokens, d_model)
     over (theta, sigma delta) pairs and return the final stack.
 
-    The state of stack row j after step i is copied to outs[j][i] unless
-    outs[j] is None; outs[j] is a (steps, image_tokens, d_model) array or a
-    list of per-step arrays.
+    Unless outs is None, a read-only copy of stack row j after every step
+    is appended to the list outs[j].
     """
-    for i, (theta, delta) in enumerate(zip(thetas, deltas)):
+    for theta, delta in zip(thetas, deltas):
         state = _run_step(pipeline, LatentState(bg_emb, ent_emb, x), float(theta))
         x = x + delta * state.image
-        for xj, out in zip(x, outs):
-            if out is not None:
-                np.copyto(out[i], xj)
+        for xj, out in zip(x, outs or ()):
+            xj = xj.copy()
+            xj.flags.writeable = False
+            out.append(xj)
     return x
 
 
-def _latents_shape(cfg: PipelineConfig) -> tuple[int, int, int]:
-    return (cfg.steps, cfg.image_tokens, cfg.d_model)
-
-
 def _trunk(pipeline: Pipeline, background: str, noise_seed: int) -> list[np.ndarray]:
-    """Read-only image latents after every step of the theta == 0 trajectory."""
-    key = (background, noise_seed)
-    if key not in pipeline.trunk_memo:
-        cfg = pipeline.config
+    """The pinned theta == 0 trajectory of (background, noise_seed)."""
+    cfg = pipeline.config
+    key = (background, noise_seed, None, (0.0,) * cfg.steps)
+    memo = pipeline.memo
+    if key not in memo.trunk:
         emb = _embed(cfg, background)[None]
-        latents = [np.empty((cfg.image_tokens, cfg.d_model)) for _ in range(cfg.steps)]
+        latents: list = []
         # at theta == 0 the entity stream never reaches the image tokens
         _trajectory(pipeline, emb, emb, _initial_noise(cfg, noise_seed)[None],
                     np.zeros(cfg.steps), _sigma_deltas(cfg.steps), [latents])
-        for x in latents:
-            x.flags.writeable = False
-        pipeline.trunk_memo.clear()
-        pipeline.trunk_memo[key] = latents
-    return pipeline.trunk_memo[key]
+        memo.trunk = {key: latents}
+    return memo.trunk[key]
 
 
 def _chunks(group: list, cfg: PipelineConfig) -> list[list]:
@@ -406,10 +384,12 @@ def sample(
     noise stream seeded with noise_seed + j.  When latent_log is a list it
     receives, per entity, the image token state after every step.
 
-    Each entity resumes from its deepest memoised prefix: an entity
-    trajectory of the pipeline's memo, or, on the base noise stream, the
-    theta == 0 trunk after the schedule's leading zeros.  The entities that
-    resume at the same depth are rendered as stacks (see `_chunks`).
+    Each entity resumes from the one memo lookup of its key: the longest
+    theta prefix of an entity trajectory that differs from it at most in
+    theta, or, on the trunk's noise stream, the theta == 0 trunk's leading
+    zeros.  A schedule that starts at theta == 0 first renders the trunk of
+    the base stream.  The entities that resume at the same depth are
+    rendered as stacks (see `_chunks`).
     """
     cfg = pipeline.config
     if len(schedule) != cfg.steps:
@@ -419,62 +399,40 @@ def sample(
     thetas = schedule.values
     theta_key = tuple(thetas.tolist())
     deltas = _sigma_deltas(cfg.steps)
-    zeros = _common_prefix(theta_key, (0.0,) * cfg.steps)
-    bg_emb = _embed(cfg, bundle.background)
-    memo = pipeline.entity_memo
-    n_entities = len(bundle.entities)
-    images: list = [None] * n_entities
-    outs: list = [None] * n_entities  # per entity: its latents after every step
-    starts, claimed, groups = {}, {}, {}  # claimed: j -> (key, slot) until filed
-    for j, entity in enumerate(bundle.entities):
-        seed = noise_seed if shared_noise else noise_seed + j
-        key = (bundle.background, seed, entity, theta_key)
-        depth, prefix = memo.lookup(key)
-        # past one slot per entity, grow only for a render related to an entry
-        grow = prefix is not None or memo.allocated < n_entities
-        if seed == noise_seed and zeros > depth:
-            depth, prefix = zeros, _trunk(pipeline, bundle.background, noise_seed)
-        if depth == cfg.steps:
-            # read now: a later entity's claim may overwrite this slot
-            images[j] = _readout(cfg, prefix[-1])
-            if latent_log is not None:
-                outs[j] = [latent.copy() for latent in prefix]
-            continue
-        out = slot = memo.claim(_latents_shape(cfg), grow)
-        if slot is not None:
-            claimed[j] = key, slot
-        elif latent_log is not None:
-            out = np.empty(_latents_shape(cfg))
-        if out is not None:
-            for i in range(depth):
-                out[i] = prefix[i]
-        # a prefix slot is copied to this entity's own slot before a later
-        # claim can take it; without a slot the prefix is the read-only trunk
-        outs[j] = out
-        starts[j] = _initial_noise(cfg, seed) if depth == 0 else (
-            prefix if out is None else out)[depth - 1]
+    if theta_key[0] == 0.0:
+        _trunk(pipeline, bundle.background, noise_seed)
+    limit = ENTITY_MEMO_BYTES // (8 * cfg.steps * cfg.image_tokens * cfg.d_model)
+    keep = limit > 0 or latent_log is not None
+    keys = [(bundle.background, noise_seed if shared_noise else noise_seed + j, entity, theta_key)
+            for j, entity in enumerate(bundle.entities)]
+    # every entity is looked up before any store can evict its prefix
+    found = [pipeline.memo.lookup(key) for key in keys]
+    latents = [prefix[:depth] for depth, prefix in found]  # shared, grown by the render
+    groups: dict = {}
+    for j, (depth, _) in enumerate(found):
         groups.setdefault(depth, []).append(j)
-    try:
-        for depth, group in groups.items():
-            for chunk in _chunks(group, cfg):
-                x = _trajectory(
-                    pipeline,
-                    np.repeat(bg_emb[None], len(chunk), axis=0),
-                    np.stack([_embed(cfg, bundle.entities[j]) for j in chunk]),
-                    np.stack([starts[j] for j in chunk]),
-                    thetas[depth:],
-                    deltas[depth:],
-                    [None if outs[j] is None else outs[j][depth:] for j in chunk],
-                )
-                for j, xj in zip(chunk, x):
-                    images[j] = _readout(cfg, xj)
-                    if j in claimed:
-                        memo.store(*claimed.pop(j))
-    finally:
-        # slots of renders that raised hold no entry
-        memo.spare.extend(slot for _, slot in claimed.values())
+    images: list = [None] * len(keys)
+    for j in groups.pop(cfg.steps, []):
+        images[j] = _readout(cfg, latents[j][-1])
+    bg_emb = _embed(cfg, bundle.background)
+    for depth, group in groups.items():
+        for chunk in _chunks(group, cfg):
+            x = _trajectory(
+                pipeline,
+                np.repeat(bg_emb[None], len(chunk), axis=0),
+                np.stack([_embed(cfg, keys[j][2]) for j in chunk]),
+                np.stack([latents[j][-1] if depth else _initial_noise(cfg, keys[j][1])
+                          for j in chunk]),
+                thetas[depth:],
+                deltas[depth:],
+                [latents[j] for j in chunk] if keep else None,
+            )
+            for j, xj in zip(chunk, x):
+                images[j] = _readout(cfg, xj)
+                if limit:
+                    pipeline.memo.store(keys[j], latents[j], limit)
     if latent_log is not None:
-        latent_log.extend([latent.copy() for latent in out] for out in outs)
+        latent_log.extend([latent.copy() for latent in steps] for steps in latents)
     return images
 
 

@@ -2,6 +2,7 @@
 deterministic re-runs, and exit codes."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -267,6 +268,33 @@ class TestDecomposeCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize("url", [None, "ftp://x"], ids=["unset", "not_http"])
+    def test_no_usable_endpoint_exit_1(self, tmp_path, capsys, monkeypatch, url):
+        if url is None:
+            monkeypatch.delenv("COUPLEGEN_LLM_URL", raising=False)
+        else:
+            monkeypatch.setenv("COUPLEGEN_LLM_URL", url)
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("one\ntwo\n")
+        out = tmp_path / "b.json"
+        capsys.readouterr()
+        assert run(["decompose", "--prompts", str(prompts), "--out", str(out)]) == 1
+        assert "Invalid value for --fixture:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_prompts_exit_1(self, tmp_path, capsys):
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("\n  \n")
+        fixture = tmp_path / "reply.txt"
+        fixture.write_text(FIXTURE_REPLY)
+        out = tmp_path / "b.json"
+        capsys.readouterr()
+        assert run(["decompose", "--prompts", str(prompts), "--fixture", str(fixture),
+                    "--out", str(out)]) == 1
+        assert "Invalid value for --prompts:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweepCommand:
     def test_table(self, tmp_path, bundle_file):
         out = tmp_path / "sweep.csv"
@@ -439,3 +467,51 @@ class TestBundleEdge:
         out = tmp_path / "out"
         assert run(_bundle_argv("generate", str(bundle), str(schedule_file), str(out))) == 0
         assert (out / "entity_1.pgm").exists()
+
+
+LONG_BACKGROUND = "an old stone library in autumn busy with muted colors"  # 10 tokens
+
+
+def _outputs(out) -> dict:
+    """Name -> bytes of every file under out (or of out itself), then removes them."""
+    if out.is_file():
+        files = {out.name: out.read_bytes()}
+        out.unlink()
+        return files
+    files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    shutil.rmtree(out)
+    return files
+
+
+class TestTruncationWarning:
+    @pytest.mark.parametrize("command", ["generate", "optimize", "sweep"])
+    def test_warns_and_leaves_outputs_unchanged(self, tmp_path, schedule_file, capsys, command):
+        # the bundle cut to the 8 tokens embed_prompt keeps renders the same
+        runs = []
+        for background in (LONG_BACKGROUND, " ".join(LONG_BACKGROUND.split()[:8])):
+            bundle = tmp_path / "bundle.json"
+            bundle.write_text(PromptBundle(background, ("a small red fox", "an old robot")).to_json())
+            out = tmp_path / "out"
+            capsys.readouterr()
+            assert run(_bundle_argv(command, str(bundle), str(schedule_file), str(out))) == 0
+            runs.append((capsys.readouterr(), _outputs(out)))
+        (long_io, long_files), (cut_io, cut_files) = runs
+        assert long_io.out == cut_io.out
+        assert long_files == cut_files
+        assert long_io.err.splitlines() == [
+            f"warning: --text-tokens 8 drops 'muted colors' from '{LONG_BACKGROUND}'"
+        ]
+        assert cut_io.err == ""
+
+    def test_one_warning_per_long_prompt(self, tmp_path, schedule_file, capsys):
+        entity = "a tall girl stands on a wooden floor by the window"  # 11 tokens
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(PromptBundle(LONG_BACKGROUND, ("a fox", entity, entity)).to_json())
+        capsys.readouterr()
+        assert run(["generate", "--bundle", str(bundle), "--schedule", str(schedule_file),
+                    "--out-dir", str(tmp_path / "out"), "--text-tokens", "9"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: --text-tokens 9 drops 'colors' from '{LONG_BACKGROUND}'",
+            f"warning: --text-tokens 9 drops 'the window' from '{entity}'",
+            f"warning: --text-tokens 9 drops 'the window' from '{entity}'",
+        ]

@@ -7,12 +7,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from couplegen import isotonic
 from couplegen.attention import StreamState, branch_attention, joint_attention, merge_image_states
 from couplegen.metric import background_similarity, jer
 from couplegen.numerics import Rng
 from couplegen.pipeline import (
+    ENTITY_MEMO_BYTES,
     LatentState,
     Pipeline,
     PipelineConfig,
@@ -402,7 +405,7 @@ class TestEntityMemo:
         p = small_pipeline(d_model=32, grid_side=16, steps=20)
         sched = make_schedule(ScheduleFamily("step01", center=17.0), 20)
         sample(p, BUNDLE, sched)
-        assert not p.entity_memo.slots and not p.entity_memo.spare
+        assert not p.memo.entries
 
     def test_latent_log_matches_fresh_and_never_reaches_a_slot(self):
         p = small_pipeline()
@@ -464,13 +467,11 @@ class TestBatchedSample:
         assert (len({id(args) for args in calls}) < len(calls)) == stacked
 
     def test_mixed_resume_depths(self, monkeypatch):
-        # the last entity's slot is evicted: it restarts from step 0 while
+        # the last entity's entry is evicted: it restarts from step 0 while
         # the others resume from the incumbent's first 6 steps
         p = small_pipeline()
         sample(p, FIVE, ramp())
-        memo = p.entity_memo
-        key = (FIVE.background, 0, FIVE.entities[-1], tuple(ramp().values.tolist()))
-        memo.spare.append(memo.slots.pop(key))
+        del p.memo.entries[(FIVE.background, 0, FIVE.entities[-1], tuple(ramp().values.tolist()))]
         proposal = nudged(ramp(), 6)
         calls = counted_double_blocks(monkeypatch)
         got_log: list = []
@@ -483,34 +484,112 @@ class TestBatchedSample:
         assert same_renders(got, want)
         assert same_logs(got_log, want_log)
 
+    @pytest.mark.parametrize("held", [5, 12])
+    def test_every_entity_resumes_before_any_store(self, held, monkeypatch):
+        # the middle entity's entry is gone, so it renders from step 0; its
+        # store must not evict the entries the 4th and 5th entities resume
+        # from, even when the memo holds only one entry per entity
+        p = small_pipeline()
+        cfg = p.config
+        monkeypatch.setattr("couplegen.pipeline.ENTITY_MEMO_BYTES",
+                            held * 8 * cfg.steps * cfg.image_tokens * cfg.d_model)
+        sample(p, FIVE, ramp())
+        del p.memo.entries[(FIVE.background, 0, FIVE.entities[2], tuple(ramp().values.tolist()))]
+        proposal = nudged(ramp(), 6)
+        calls = counted_double_blocks(monkeypatch)
+        got = sample(p, FIVE, proposal)
+        assert len(calls) == (4 * (cfg.steps - 6) + cfg.steps) * cfg.double_blocks  # 52
+        assert same_renders(got, sample(small_pipeline(), FIVE, proposal))
+
     def test_repeated_entity_keeps_every_slot(self):
         # two entities of one call with one key both render and store; the
-        # slot the second store displaces goes back to the pool
+        # entry the second store replaces holds the same trajectory
         p = small_pipeline()
         twice = PromptBundle(BUNDLE.background, (BUNDLE.entities[0],) * 2)
         for sched in (ramp(), nudged(ramp(), 2), ramp()):
             got = sample(p, twice, sched)
             assert np.array_equal(got[0], got[1])
-            memo = p.entity_memo
-            assert len(memo.slots) + len(memo.spare) == memo.allocated
+            want_log: list = []
+            sample(small_pipeline(), twice, sched, latent_log=want_log)
+            key = (twice.background, 0, twice.entities[0], tuple(sched.values.tolist()))
+            assert same_renders(p.memo.entries[key], want_log[0])
 
     def test_failed_chunk_leaves_memo_intact(self):
         # theta 1.5 at step 5 raises inside a 3-entity chunk resumed from step 5
         p = small_pipeline()
         first = sample(p, OTHER, ramp())
-        memo = p.entity_memo
-        entries = {key: slot.copy() for key, slot in memo.slots.items()}
+        memo = p.memo
+        entries = {key: [latent.copy() for latent in steps] for key, steps in memo.entries.items()}
         bad = ramp().values.copy()
         bad[5] = 1.5
         with pytest.raises(ValueError, match="theta"):
             sample(p, OTHER, ThetaSchedule(bad))
-        assert list(memo.slots) == list(entries)
-        assert all(np.array_equal(memo.slots[key], slot) for key, slot in entries.items())
-        assert len(memo.spare) == len(OTHER.entities)
+        assert list(memo.entries) == list(entries)
+        assert all(same_renders(memo.entries[key], steps) for key, steps in entries.items())
         assert same_renders(sample(p, OTHER, ramp()), first)
         proposal = nudged(ramp(), 5)
         assert same_renders(sample(p, OTHER, proposal), sample(small_pipeline(), OTHER, proposal))
-        assert not memo.spare
+
+
+TINY = PipelineConfig(d_model=4, text_tokens=4, grid_side=3, double_blocks=1,
+                      single_blocks=1, steps=4)
+TINY_BYTES = 8 * TINY.steps * TINY.image_tokens * TINY.d_model
+POOL = [
+    BUNDLE,
+    OTHER,
+    PromptBundle(OTHER.background, BUNDLE.entities),
+    PromptBundle(BUNDLE.background, (OTHER.entities[0],) * 2),
+]
+# few theta values over few steps, so schedules share prefixes and leading zeros
+renders = st.tuples(
+    st.just("sample"),
+    st.sampled_from(POOL),
+    st.lists(st.sampled_from([0.0, 0.4, 1.0]), min_size=TINY.steps, max_size=TINY.steps),
+    st.sampled_from([None, 0, 1, 3]),  # separate noise puts entity 1 of seed 0 on stream 1
+    st.booleans(),  # shared noise
+    st.booleans(),  # latent log
+)
+references = st.tuples(
+    st.just("single"), st.sampled_from(POOL), st.sampled_from([None, 0, 1, 3])
+)
+
+
+class TestTrajectoryMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        held=st.sampled_from([0, 1, 3, None]),  # entries the budget holds; None: the default
+        calls=st.lists(st.one_of(renders, references), min_size=1, max_size=8),
+    )
+    def test_reused_pipeline_matches_fresh(self, held, calls):
+        with pytest.MonkeyPatch.context() as m:
+            if held is not None:
+                m.setattr("couplegen.pipeline.ENTITY_MEMO_BYTES", held * TINY_BYTES)
+            reused = init_pipeline(TINY)
+            for call in calls:
+                if call[0] == "single":
+                    _, bundle, seed = call
+                    assert np.array_equal(
+                        sample_single_prompt(reused, bundle.background, seed),
+                        sample_single_prompt(init_pipeline(TINY), bundle.background, seed),
+                    )
+                else:
+                    _, bundle, values, seed, shared, logged = call
+                    sched = ThetaSchedule(np.array(values))
+                    got_log, want_log = ([], []) if logged else (None, None)
+                    got = sample(reused, bundle, sched, seed, shared, got_log)
+                    want = sample(init_pipeline(TINY), bundle, sched, seed, shared, want_log)
+                    assert same_renders(got, want)
+                    if logged:
+                        assert same_logs(got_log, want_log)
+                        for steps in got_log:  # the log is the caller's to write
+                            for latent in steps:
+                                latent += 1.0
+                memo = reused.memo
+                assert len(memo.trunk) <= 1
+                assert len(memo.entries) <= (ENTITY_MEMO_BYTES // TINY_BYTES if held is None else held)
+                held_steps = [*memo.trunk.values(), *memo.entries.values()]
+                assert all(len(steps) == TINY.steps for steps in held_steps)
+                assert not any(latent.flags.writeable for steps in held_steps for latent in steps)
 
 
 class TestChunks:
