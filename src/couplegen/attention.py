@@ -10,13 +10,28 @@ Two mechanisms are implemented:
   with the two branch image outputs merged by interpolation
   (``merge_image_states``).
 
-Every mechanism runs through one core: the keys and values of the live
-streams are concatenated and each query stream gets
-``softmax_rows(Q K^T / norm) V``.  A key stream whose scale factor is exactly
-0 is dropped rather than scaled (a literal 0-scaled key would still receive
-weight proportional to e^0), which makes the theta in {0, 1} reductions exact:
-the surviving streams go through the same calls on the same operands as the
-plain two-stream path.
+Every mechanism runs through one core, which gives all the query streams
+of a call one score block, (..., all query tokens, live key tokens), and
+one ``softmax_rows(Q K^T / norm)`` over it; each stream's output is the
+product of its rows of that block with the concatenated values.  A key
+stream whose scale factor is exactly 0 is dropped rather than scaled (a
+literal 0-scaled key would still receive weight proportional to e^0), which
+makes the theta in {0, 1} reductions exact: the surviving streams go
+through the same calls on the same operands as the plain two-stream path.
+
+The matrix products stay one per stream: each stream's Q, K and V
+projection, its rows of ``Q K^T`` and its rows of ``P V``.  The bits of a
+product's row can depend on how many rows the product has (numpy takes
+gemv for a one-row operand, and BLAS picks its kernel by size), so one
+product over all query rows is not exact.  Measured with OpenBLAS 0.3.31
+on an AVX-512 Xeon, one ``Q K^T`` changed text rows at d32 and d64 with
+64 or 100 image tokens, a one-token stream's rows at
+every d, and the theta == 0 reduction to ``joint_attention`` at d64 with 2
+text tokens; one ``P V`` changed text rows from about 520 keys.  Per
+stream, every product is the call the stream would get alone, so the
+reductions hold whatever the BLAS; the elementwise passes (the division by
+the norm and the softmax), which cost more than the products at the
+default config, run once per call.
 
 Streams are (tokens, d) matrices or (E, tokens, d) stacks with a leading
 batch axis, every stream of a call having the same E and d.  The sampler
@@ -25,18 +40,20 @@ the theta of every step, so theta stays one float per call.  Keys and values
 are concatenated on axis -2 and scored against their last two axes swapped,
 the softmax reduces over the last axis, and numpy runs the matrix products
 of a stack slice by slice, so each slice of a stacked call equals the 2-D
-call on that slice bit for bit.
+call on that slice bit for bit.  The state dataclasses check their streams
+once, when they are built, and hold the float64 arrays the check returns;
+the core takes them as given.
 
-The score block of each query stream, (..., query tokens, live key tokens),
-is computed into one flat float64 workspace owned by this module and scaled
-and softmaxed there in place: ``Q K^T`` goes into a view of the workspace
-through ``np.matmul(..., out=)``, ``np.divide(..., out=)`` divides it by the
-norm and ``softmax_rows(..., out=)`` normalises it, the same calls on the
-same operands in the same order as with fresh temporaries, so every output
-is bit-identical.  The workspace grows to the largest block seen and never
-shrinks (1.67 MB for 3 stacked entities at d32, 16x16; 8.5 MB for one
+The score block is computed into one flat float64 workspace owned by this
+module and scaled and softmaxed there in place: each stream's ``Q K^T``
+goes into its rows of a view of the workspace through
+``np.matmul(..., out=)``, ``np.divide(..., out=)`` divides the block by the
+norm and ``softmax_rows(..., out=)`` normalises it, so no score temporary
+is allocated and every output is bit-identical to the same calls with
+fresh temporaries.  The workspace grows to the largest block seen and never
+shrinks (1.78 MB for 3 stacked entities at d32, 16x16; 8.65 MB for one
 entity at d64, 32x32).  No result aliases it, since each output is the
-fresh product of the softmaxed block and V.  The package runs
+fresh product of a view of the softmaxed block and V.  The package runs
 single-threaded; two threads in this module at once would share the
 workspace.
 """
@@ -44,7 +61,8 @@ workspace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -108,7 +126,7 @@ class StreamState:
     image: np.ndarray
 
     def __post_init__(self):
-        _check_streams(text=self.text, image=self.image)
+        _hold_checked(self)
 
 
 @dataclass(frozen=True)
@@ -118,9 +136,15 @@ class CoupledStreamState:
     image: np.ndarray
 
     def __post_init__(self):
-        _check_streams(
-            background=self.background, entity=self.entity, image=self.image
-        )
+        _hold_checked(self)
+
+
+def _hold_checked(state) -> None:
+    """Replace the fields of a state by the arrays _check_streams returns."""
+    names = [f.name for f in fields(state)]
+    checked = _check_streams(**{name: getattr(state, name) for name in names})
+    for name, m in zip(names, checked):
+        object.__setattr__(state, name, m)
 
 
 def _check_streams(**streams) -> list[np.ndarray]:
@@ -156,34 +180,36 @@ def _score_block(shape) -> np.ndarray:
     return _workspace[:n].reshape(shape)
 
 
-def _multi_stream_attention(streams: dict, w: AttentionWeights, key_scales, norm: NormConst):
-    """Shared attention core.
+def _multi_stream_attention(streams, w: AttentionWeights, key_scales, norm: NormConst):
+    """Shared attention core over streams that _check_streams accepted.
 
-    Returns one output per named input stream (the rows whose queries came
-    from that stream), in order.  ``key_scales[j] == 0.0`` drops stream j's
-    keys and values; any other scale multiplies its key vectors literally.
+    Returns one output per input stream (the rows whose queries came from
+    that stream), in order.  ``key_scales[j] == 0.0`` drops stream j's keys
+    and values; any other scale multiplies its key vectors literally.
     """
-    streams = _check_streams(**streams)
     d = streams[0].shape[-1]
     if w.d_model != d:
         raise ShapeError(f"weights are {w.d_model}x{w.d_model}, streams have d={d}")
-
+    ends = list(accumulate(s.shape[-2] for s in streams))
+    spans = list(zip([0, *ends], ends))
     live = [(s, scale) for s, scale in zip(streams, key_scales) if scale != 0.0]
-    k = np.concatenate([scale * (s @ w.w_k) for s, scale in live], axis=-2)
+    k = np.concatenate(
+        [s @ w.w_k if scale == 1.0 else scale * (s @ w.w_k) for s, scale in live], axis=-2
+    )
     v = np.concatenate([s @ w.w_v for s, _ in live], axis=-2)
     k_t = k.swapaxes(-1, -2)
-    outs = []
-    for s in streams:
-        p = np.matmul(s @ w.w_q, k_t, out=_score_block(s.shape[:-1] + k_t.shape[-1:]))
-        np.divide(p, norm.value, out=p)
-        outs.append(softmax_rows(p, out=p) @ v)
-    return outs
+    p = _score_block(streams[0].shape[:-2] + (ends[-1], k.shape[-2]))
+    for s, (start, stop) in zip(streams, spans):
+        np.matmul(s @ w.w_q, k_t, out=p[..., start:stop, :])
+    np.divide(p, norm.value, out=p)
+    softmax_rows(p, out=p)
+    return [p[..., start:stop, :] @ v for start, stop in spans]
 
 
 def joint_attention(state: StreamState, w: AttentionWeights, norm: NormConst) -> StreamState:
     """Token-axis QKV concatenation over (text, image), one softmax, split back."""
     text_out, image_out = _multi_stream_attention(
-        {"text": state.text, "image": state.image}, w, (1.0, 1.0), norm
+        (state.text, state.image), w, (1.0, 1.0), norm
     )
     return StreamState(text=text_out, image=image_out)
 
@@ -205,7 +231,7 @@ def coupled_qkv_attention(
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must be in [0, 1], got {theta}")
     bg_out, ent_out, img_out = _multi_stream_attention(
-        {"background": state.background, "entity": state.entity, "image": state.image},
+        (state.background, state.entity, state.image),
         w,
         (1.0 - theta, theta, 1.0),
         norm,
@@ -216,12 +242,10 @@ def coupled_qkv_attention(
 def branch_attention(text, image, w: AttentionWeights, norm: NormConst):
     """Self-attention over the unified [text; image] sequence, split back.
 
-    Projections are linear, so projecting the concatenated sequence equals
-    concatenating per-stream projections; the block core exploits that.
+    The streams are checked here, since they come as bare arrays.
     """
-    text_out, image_out = _multi_stream_attention(
-        {"text": text, "image": image}, w, (1.0, 1.0), norm
-    )
+    streams = _check_streams(text=text, image=image)
+    text_out, image_out = _multi_stream_attention(streams, w, (1.0, 1.0), norm)
     return text_out, image_out
 
 

@@ -129,8 +129,11 @@ def main():
 def decompose_cmd(prompts_path, fixture, out_path):
     """Split prompts into a shared background and per-prompt entities."""
     prompts = [ln.strip() for ln in Path(prompts_path).read_text().splitlines() if ln.strip()]
-    if not prompts:
-        raise click.BadParameter(f"{prompts_path} holds no prompt", param_hint="--prompts")
+    if len(prompts) < 2:
+        raise click.BadParameter(
+            f"decompose needs at least 2 prompts, {prompts_path} holds {len(prompts)}",
+            param_hint="--prompts",
+        )
     endpoint = fixture if fixture is not None else _checked("--fixture", endpoint_from_env)
     bundle = decompose(prompts, endpoint)
     Path(out_path).write_text(bundle.to_json() + "\n")

@@ -135,9 +135,10 @@ def softmax_rows(m, out=None) -> np.ndarray:
     is given: a float64 array of m's shape, which may be m itself.
     """
     m = as_matrices(m)
-    row_max = np.max(m, axis=-1)
-    if np.any(np.isneginf(row_max)):
-        bad = int(np.argmax(np.isneginf(row_max)))
+    row_max = m.max(axis=-1)
+    masked = row_max == -np.inf
+    if masked.any():
+        bad = int(masked.argmax())
         raise DegenerateRowError(f"row {bad} is entirely masked")
     z = np.subtract(m, row_max[..., None], out=out)
     np.exp(z, out=z)

@@ -48,14 +48,15 @@ theta of every step, so the entities that resume at the same depth are
 rendered together: their states are stacked on a leading batch axis and go
 through the blocks and the attention core as one (E, tokens, d_model)
 array, each entity's image equal to its one-entity render bit for bit.  A
-group is split into chunks of balanced size whose stacked image-query
-score block, E * image_tokens * (image_tokens + 2 * text_tokens) * 8 bytes,
-stays within CHUNK_SCORE_BYTES (2 MiB, one core's L2 cache on the Xeon
-it was measured on).  That block is the largest the attention core writes
-into its reused workspace, so the budget bounds the workspace of a chunk;
-stacking past it made a d64, 32x32 render use more memory and run no
-faster.  The default config holds up to 51 entities per chunk (40 KiB
-each), d32, 16x16 up to 3 (557 KB each) and d64, 32x32 one (8.5 MB).
+group is split into chunks of balanced size whose stacked score block,
+E * T * T * 8 bytes with T = image_tokens + 2 * text_tokens (every query
+row of a coupled call against every key), stays within CHUNK_SCORE_BYTES
+(2 MiB, one core's L2 cache on the Xeon it was measured on).  That block
+is the largest the attention core writes into its reused workspace, so
+the budget bounds the workspace of a chunk; stacking past it made a d64,
+32x32 render use more memory and run no faster.  The default config holds
+up to 40 entities per chunk (50 KiB each), d32, 16x16 up to 3 (592 KB
+each) and d64, 32x32 one (8.65 MB).
 """
 
 from __future__ import annotations
@@ -361,10 +362,11 @@ def _trunk(pipeline: Pipeline, background: str, noise_seed: int) -> list[np.ndar
 
 
 def _chunks(group: list, cfg: PipelineConfig) -> list[list]:
-    """group split into runs of balanced sizes whose stacked image-query
-    score block fits CHUNK_SCORE_BYTES, or into single entities when even
+    """group split into runs of balanced sizes whose stacked score block
+    fits CHUNK_SCORE_BYTES, or into single entities when even
     one entity's block does not fit."""
-    entity_bytes = 8 * cfg.image_tokens * (cfg.image_tokens + 2 * cfg.text_tokens)
+    tokens = cfg.image_tokens + 2 * cfg.text_tokens
+    entity_bytes = 8 * tokens * tokens
     n = -(-len(group) // max(1, CHUNK_SCORE_BYTES // entity_bytes))
     return [group[i * len(group) // n:(i + 1) * len(group) // n] for i in range(n)]
 

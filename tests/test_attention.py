@@ -20,7 +20,7 @@ from couplegen.attention import (
     merge_image_states,
     norm_for,
 )
-from couplegen.numerics import Rng, ShapeError
+from couplegen.numerics import Rng, ShapeError, softmax_rows
 
 from oracles import (
     oracle_branch_attention,
@@ -264,7 +264,7 @@ def stacks(draw):
     e, d = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     bg, ent, img = (
         rng.fill(e * n, d, -2.0, 2.0).reshape(e, n, d)
-        for n in (draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 9)))
+        for n in (draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(1, 9)))
     )
     theta = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0, exclude_min=True,
                                                             exclude_max=True))
@@ -358,5 +358,82 @@ class TestWorkspace:
             outs = [out.background, out.entity, out.image]
             outs += branch_attention(out.background, out.image, w, norm)
             assert not any(np.shares_memory(a, attention._workspace) for a in held + outs)
-        assert attention._workspace.size == 3 * 64 * (3 + 4 + 64) > small.size
+        assert attention._workspace.size == 3 * 71 * 71 > small.size
         assert all(np.array_equal(a, b) for a, b in zip(held, want, strict=True))
+
+
+def per_stream_attention(streams, w, key_scales, norm):
+    """The attention core with one score block and one softmax per query
+    stream, as it was before the streams of a call shared one block."""
+    live = [(s, scale) for s, scale in zip(streams, key_scales) if scale != 0.0]
+    k = np.concatenate([scale * (s @ w.w_k) for s, scale in live], axis=-2)
+    v = np.concatenate([s @ w.w_v for s, _ in live], axis=-2)
+    k_t = k.swapaxes(-1, -2)
+    outs = []
+    for s in streams:
+        p = np.matmul(s @ w.w_q, k_t)
+        np.divide(p, norm.value, out=p)
+        outs.append(softmax_rows(p, out=p) @ v)
+    return outs
+
+
+class TestSharedScoreBlock:
+    """All query streams of a call share one score block and one softmax,
+    and every output equals the one-block-per-stream core bit for bit."""
+
+    def check(self, w, bg, ent, img, theta):
+        d = bg.shape[-1]
+        out = coupled_qkv_attention(CoupledStreamState(bg, ent, img), w, theta, norm_for(d, d))
+        want = per_stream_attention((bg, ent, img), w, (1.0 - theta, theta, 1.0), norm_for(d, d))
+        assert all(np.array_equal(a, b) for a, b in
+                   zip((out.background, out.entity, out.image), want, strict=True))
+        got = branch_attention(ent, img, w, norm_for(d, 0))
+        want = per_stream_attention((ent, img), w, (1.0, 1.0), norm_for(d, 0))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+    @settings(max_examples=80, deadline=None)
+    @given(stacks())
+    def test_matches_per_stream_blocks(self, case):
+        w, bg, ent, img, theta = case
+        self.check(w, bg, ent, img, theta)
+        self.check(w, bg[0], ent[0], img[0], theta)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.37, 1.0])
+    def test_matches_per_stream_blocks_with_many_keys(self, theta):
+        # 616 keys at d32: here one P V product over all query rows rounds
+        # some text rows differently from the per-stream products
+        rng = Rng(9)
+        d = 32
+        bg, ent, img = (rng.fill(n, d, -1.0, 1.0) for n in (8, 8, 600))
+        self.check(random_weights(rng, d), bg, ent, img, theta)
+
+    def test_boundaries_equal_joint_attention_at_d64(self):
+        # a size at which one Q K^T product over all query rows broke the
+        # reduction: its row count differs from joint_attention's
+        rng = Rng(11)
+        d = 64
+        w, norm = random_weights(rng, d), norm_for(d, d)
+        bg, ent, img = (rng.fill(n, d, -1.0, 1.0) for n in (2, 2, 256))
+        for theta, text in ((0.0, bg), (1.0, ent)):
+            out = coupled_qkv_attention(CoupledStreamState(bg, ent, img), w, theta, norm)
+            ref = joint_attention(StreamState(text, img), w, norm)
+            assert np.array_equal(out.background if theta == 0.0 else out.entity, ref.text)
+            assert np.array_equal(out.image, ref.image)
+
+    def test_one_softmax_per_call(self, monkeypatch):
+        blocks = []
+
+        def counted(m, out=None):
+            blocks.append(m.shape)
+            return softmax_rows(m, out=out)
+
+        monkeypatch.setattr(attention, "softmax_rows", counted)
+        rng = Rng(10)
+        d = 4
+        w = random_weights(rng, d)
+        state = coupled_state(rng, d, 2, (3, 4, 5))
+        for theta in (0.0, 0.5, 1.0):
+            coupled_qkv_attention(state, w, theta, norm_for(d, d))
+        branch_attention(state.entity, state.image, w, norm_for(d, 0))
+        # every query row against the live keys: 3 + 5, 3 + 4 + 5, 4 + 5
+        assert blocks == [(2, 12, 8), (2, 12, 12), (2, 12, 9), (2, 9, 9)]

@@ -2,11 +2,16 @@
 deterministic re-runs, and exit codes."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from couplegen import prompt_io
 from couplegen.cli import run
 from couplegen.numerics import load_f32t
 from couplegen.pipeline import PipelineConfig, generate_and_score, init_pipeline, sample
@@ -293,6 +298,54 @@ class TestDecomposeCommand:
                     "--out", str(out)]) == 1
         assert "Invalid value for --prompts:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_one_prompt_with_fixture_exit_1(self, tmp_path, capsys):
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("A cute Pikachu sits in a cozy room.\n")
+        fixture = tmp_path / "reply.txt"
+        fixture.write_text("Background: A cozy room.\nEntity 1: A cute Pikachu sits.\n")
+        out = tmp_path / "b.json"
+        capsys.readouterr()
+        assert run(["decompose", "--prompts", str(prompts), "--fixture", str(fixture),
+                    "--out", str(out)]) == 1
+        assert "Invalid value for --prompts:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_prompt_with_endpoint_exit_1_before_any_request(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_request(*args, **kwargs):
+            raise AssertionError("decompose sent a request")
+
+        monkeypatch.setattr(prompt_io, "urlopen", no_request)
+        monkeypatch.setenv("COUPLEGEN_LLM_URL", "http://localhost:9")
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("A cute Pikachu sits in a cozy room.\n")
+        out = tmp_path / "b.json"
+        capsys.readouterr()
+        assert run(["decompose", "--prompts", str(prompts), "--out", str(out)]) == 1
+        assert "Invalid value for --prompts:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestModuleEntry:
+    """python -m couplegen runs the CLI from a checkout, without an install."""
+
+    def _run(self, *args):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        return subprocess.run([sys.executable, "-m", "couplegen", *args],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    def test_help_exit_0(self):
+        done = self._run("--help")
+        assert done.returncode == 0
+        assert "decompose" in done.stdout
+
+    def test_schedule_without_options_exit_1(self):
+        done = self._run("schedule")
+        assert done.returncode == 1
+        assert "usage error" in done.stderr
 
 
 class TestSweepCommand:

@@ -593,17 +593,19 @@ class TestTrajectoryMemo:
 
 
 class TestChunks:
-    """A chunk's image-query score block stays within 2 MiB."""
+    """A chunk's score block stays within 2 MiB."""
 
     @pytest.mark.parametrize(
         "overrides, n, sizes",
         [
-            ({"d_model": 32, "grid_side": 16}, 9, [3, 3, 3]),  # 557 KB per entity
+            ({"d_model": 32, "grid_side": 16}, 9, [3, 3, 3]),  # 592 KB per entity
             ({"d_model": 32, "grid_side": 16}, 4, [2, 2]),
-            ({}, 5, [5]),  # 40 KiB per entity
-            ({}, 51, [51]),
+            ({}, 5, [5]),  # 50 KiB per entity
+            ({}, 51, [25, 26]),
             ({}, 52, [26, 26]),
-            ({"d_model": 64, "grid_side": 32}, 3, [1, 1, 1]),  # 8.5 MB per entity
+            ({"d_model": 64, "grid_side": 32}, 3, [1, 1, 1]),  # 8.65 MB per entity
+            ({}, 40, [40]),
+            ({}, 41, [20, 21]),
         ],
     )
     def test_balanced_sizes(self, overrides, n, sizes):
