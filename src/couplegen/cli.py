@@ -243,9 +243,6 @@ def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
     bundle = _load_bundle(bundle_path, min_entities=2)
     cfg = _config(kw)
     pipeline = init_pipeline(cfg)
-    objective = isotonic.CountingObjective(
-        lambda sched: generate_and_score(pipeline, bundle, sched).f_c
-    )
     init = make_schedule(
         ScheduleFamily(kind="arctan", center=cfg.steps / 5.0, scale=0.5), cfg.steps
     )
@@ -258,7 +255,9 @@ def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
     trace_dir = out / "trace"
     trace_dir.mkdir(parents=True, exist_ok=True)
     _warn_truncated(bundle, cfg)
-    best, value, trace = isotonic.coordinate_search(search, objective)
+    best, value, trace = isotonic.coordinate_search(
+        search, lambda sched: generate_and_score(pipeline, bundle, sched).f_c
+    )
 
     write_schedule_csv(out / "best_schedule.csv", best)
     schedule_paths = []
@@ -267,7 +266,7 @@ def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
         write_schedule_csv(path, entry.schedule)
         schedule_paths.append(str(path))
     isotonic.write_trace_csv(out / "trace.csv", trace, schedule_paths)
-    click.echo(f"best value {value:.6g} after {objective.count} evaluations")
+    click.echo(f"best value {value:.6g} after {len(trace)} evaluations")
 
 
 @main.command("sweep")
@@ -285,36 +284,30 @@ def sweep_cmd(family, centers, scale, bundle_path, noise_seeds, out_path, **kw):
     bundle = _load_bundle(bundle_path, min_entities=2)
     cfg = _config(kw)
     pipeline = init_pipeline(cfg)
-    grid = _checked("--centers", _parse_centers, centers)
+    grid_centers = _checked("--centers", _parse_centers, centers)
     _checked("--scale", ScheduleFamily, family, 0.0, scale)
-    schedules = [
-        make_schedule(_checked("--centers", ScheduleFamily, family, center, scale), cfg.steps)
-        for center in grid
-    ]
+    grid = [_checked("--centers", ScheduleFamily, family, c, scale) for c in grid_centers]
     _warn_truncated(bundle, cfg)
     # seeds outermost: every center of one seed shares the pipeline's theta == 0 trunk
     by_seed = [
-        [generate_and_score(pipeline, bundle, sched, noise_seed=cfg.noise_seed + s)
-         for sched in schedules]
+        isotonic.grid_values(
+            grid, cfg.steps,
+            lambda sched: generate_and_score(pipeline, bundle, sched, noise_seed=cfg.noise_seed + s),
+        )
         for s in range(noise_seeds)
     ]
-    rows = []
-    for center, reports in zip(grid, zip(*by_seed)):
-        rows.append(
-            {
+    with open(out_path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=["family", "center", "scale", "f_bg", "f_ti_mean", "f_c"])
+        writer.writeheader()
+        for fam, reports in zip(grid, zip(*by_seed)):
+            writer.writerow({
                 "family": family,
-                "center": center,
+                "center": fam.center,
                 "scale": scale,
                 "f_bg": float(np.mean([r.f_bg for r in reports])),
                 "f_ti_mean": float(np.mean([np.mean(r.f_ti) for r in reports])),
                 "f_c": float(np.mean([r.f_c for r in reports])),
-            }
-        )
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["family", "center", "scale", "f_bg", "f_ti_mean", "f_c"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+            })
     click.echo(f"wrote {out_path}")
 
 
@@ -341,3 +334,7 @@ def run(argv) -> int:
 
 def entrypoint() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -25,6 +25,7 @@ __all__ = [
     "ObjectiveEvaluationError",
     "NonFiniteObjectiveError",
     "pava_project",
+    "grid_values",
     "grid_search",
     "coordinate_search",
 ]
@@ -107,6 +108,20 @@ def _family_key(fam: ScheduleFamily):
     return (fam.center, fam.scale, FAMILY_ORDER[fam.kind])
 
 
+def grid_values(grid: Sequence[ScheduleFamily], n_steps: int, objective: Callable) -> list:
+    """objective(make_schedule(fam, n_steps)) for each grid point, in the given
+    order; an objective that raises is an ObjectiveEvaluationError naming the
+    point and the cause."""
+    values = []
+    for fam in grid:
+        schedule = make_schedule(fam, n_steps)
+        try:
+            values.append(objective(schedule))
+        except Exception as exc:
+            raise ObjectiveEvaluationError(f"objective failed at grid point {fam}: {exc}") from exc
+    return values
+
+
 def grid_search(
     grid: Sequence[ScheduleFamily],
     n_steps: int,
@@ -119,16 +134,10 @@ def grid_search(
     """
     if not grid:
         raise ValueError("grid must be non-empty")
-    best = None
-    for fam in sorted(grid, key=_family_key):
-        schedule = make_schedule(fam, n_steps)
-        try:
-            value = float(objective(schedule))
-        except Exception as exc:
-            raise ObjectiveEvaluationError(f"objective failed at grid point {fam}") from exc
-        if best is None or value > best[2]:
-            best = (fam, schedule, value)
-    return best
+    ordered = sorted(grid, key=_family_key)
+    values = grid_values(ordered, n_steps, lambda s: float(objective(s)))
+    best = max(range(len(values)), key=values.__getitem__)  # the first strict maximum
+    return ordered[best], make_schedule(ordered[best], n_steps), values[best]
 
 
 def coordinate_search(cfg: SearchConfig, objective: Callable[[ThetaSchedule], float]):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import couplegen.cli
 from couplegen import prompt_io
 from couplegen.cli import run
 from couplegen.numerics import load_f32t
@@ -328,22 +329,24 @@ class TestDecomposeCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("module", ["couplegen", "couplegen.cli"])
 class TestModuleEntry:
-    """python -m couplegen runs the CLI from a checkout, without an install."""
+    """python -m couplegen and python -m couplegen.cli run the CLI from a
+    checkout, without an install."""
 
-    def _run(self, *args):
+    def _run(self, module, *args):
         src = Path(__file__).resolve().parent.parent / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
-        return subprocess.run([sys.executable, "-m", "couplegen", *args],
+        return subprocess.run([sys.executable, "-m", module, *args],
                               env=env, capture_output=True, text=True, timeout=60)
 
-    def test_help_exit_0(self):
-        done = self._run("--help")
+    def test_help_exit_0(self, module):
+        done = self._run(module, "--help")
         assert done.returncode == 0
         assert "decompose" in done.stdout
 
-    def test_schedule_without_options_exit_1(self):
-        done = self._run("schedule")
+    def test_schedule_without_options_exit_1(self, module):
+        done = self._run(module, "schedule")
         assert done.returncode == 1
         assert "usage error" in done.stderr
 
@@ -359,14 +362,16 @@ class TestSweepCommand:
         assert len(lines) == 4
         assert all(ln.startswith("step01,") for ln in lines[1:])
 
-    def test_noise_seeds_rows_match_library(self, tmp_path, bundle_file):
+    @pytest.mark.parametrize("centers", ["3,6,11", "11,3,6,3"], ids=["sorted", "unsorted_repeat"])
+    def test_noise_seeds_rows_match_library(self, tmp_path, bundle_file, centers):
+        # rows keep the given order, and a repeated center is evaluated again
         out = tmp_path / "sweep.csv"
-        code = run(["sweep", "--family", "step01", "--centers", "3,6,11",
+        code = run(["sweep", "--family", "step01", "--centers", centers,
                     "--bundle", str(bundle_file), "--noise-seeds", "2", "--out", str(out)])
         assert code == 0
         bundle = PromptBundle.from_dict(json.loads(bundle_file.read_text()))
         expected = [["family", "center", "scale", "f_bg", "f_ti_mean", "f_c"]]
-        for center in (3.0, 6.0, 11.0):
+        for center in (float(c) for c in centers.split(",")):
             sched = make_schedule(ScheduleFamily("step01", center=center), 10)
             reports = [
                 generate_and_score(init_pipeline(PipelineConfig()), bundle, sched, noise_seed=s)
@@ -377,6 +382,27 @@ class TestSweepCommand:
                              str(float(np.mean([np.mean(r.f_ti) for r in reports]))),
                              str(float(np.mean([r.f_c for r in reports])))])
         assert [line.split(",") for line in out.read_text().splitlines()] == expected
+
+    def test_failing_center_exit_2_without_csv(self, tmp_path, bundle_file, capsys, monkeypatch):
+        calls = []
+
+        def failing(pipeline, bundle, sched, **kwargs):
+            calls.append(sched)
+            if len(calls) == 2:
+                raise RuntimeError("pipeline exploded")
+            return generate_and_score(pipeline, bundle, sched, **kwargs)
+
+        monkeypatch.setattr(couplegen.cli, "generate_and_score", failing)
+        out = tmp_path / "sweep.csv"
+        capsys.readouterr()
+        code = run(["sweep", "--family", "step01", "--centers", "3,6,9",
+                    "--bundle", str(bundle_file), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "center=6.0" in err
+        assert "pipeline exploded" in err
+        assert len(calls) == 2
+        assert not out.exists()
 
     def test_zero_noise_seeds_exit_1(self, tmp_path, bundle_file):
         code = run(["sweep", "--family", "step01", "--centers", "3", "--bundle",

@@ -106,8 +106,9 @@ class TestGridSearch:
         def boom(s):
             raise RuntimeError("pipeline exploded")
 
-        with pytest.raises(ObjectiveEvaluationError, match="center=5.0"):
+        with pytest.raises(ObjectiveEvaluationError, match="center=5.0") as caught:
             grid_search(grid, 10, boom)
+        assert "pipeline exploded" in str(caught.value)
 
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="non-empty"):

@@ -147,3 +147,25 @@ def test_stacking_keeps_attention_work(monkeypatch):
     assert flops == flops_one
     assert calls * len(BUNDLE.entities) == calls_one
     assert all(np.array_equal(a, b) for a, b in zip(images, images_one, strict=True))
+
+
+def test_sweep_times_one_call_per_row_seeds_outermost(tmp_path, monkeypatch):
+    # the workloads time a sweep row by wrapping couplegen.cli.generate_and_score,
+    # and seeds outermost keep every center of one seed on the same theta == 0 trunk
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(BUNDLE.to_json())
+    calls = []
+    original = couplegen.cli.generate_and_score
+
+    def recorded(*args, **kwargs):
+        given = inspect.signature(original).bind(*args, **kwargs).arguments
+        calls.append((given["noise_seed"], given["schedule"].values.tolist()))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(couplegen.cli, "generate_and_score", recorded)
+    code = run(["sweep", "--family", "step01", "--centers", "7,2,5", "--noise-seeds", "2",
+                "--bundle", str(bundle), "--out", str(tmp_path / "sweep.csv"),
+                "--noise-seed", "4"])
+    assert code == 0
+    rows = [make_schedule(ScheduleFamily("step01", c), 10).values.tolist() for c in (7.0, 2.0, 5.0)]
+    assert calls == [(seed, values) for seed in (4, 5) for values in rows]
