@@ -40,9 +40,10 @@ the theta of every step, so theta stays one float per call.  Keys and values
 are concatenated on axis -2 and scored against their last two axes swapped,
 the softmax reduces over the last axis, and numpy runs the matrix products
 of a stack slice by slice, so each slice of a stacked call equals the 2-D
-call on that slice bit for bit.  The state dataclasses check their streams
-once, when they are built, and hold the float64 arrays the check returns;
-the core takes them as given.
+call on that slice bit for bit.  A state a caller builds checks its
+streams once and holds the float64 arrays the check returns.  The states
+computed from checked streams (attention results, block outputs, the
+sampler's step state) are built by ``_computed`` and not checked again.
 
 The score block is computed into one flat float64 workspace owned by this
 module and scaled and softmaxed there in place: each stream's ``Q K^T``
@@ -131,6 +132,9 @@ class StreamState:
 
 @dataclass(frozen=True)
 class CoupledStreamState:
+    """The streams of a coupled attention call, and also the sampler's
+    state through the blocks of a step."""
+
     background: np.ndarray
     entity: np.ndarray
     image: np.ndarray
@@ -141,10 +145,20 @@ class CoupledStreamState:
 
 def _hold_checked(state) -> None:
     """Replace the fields of a state by the arrays _check_streams returns."""
-    names = [f.name for f in fields(state)]
-    checked = _check_streams(**{name: getattr(state, name) for name in names})
-    for name, m in zip(names, checked):
-        object.__setattr__(state, name, m)
+    _hold(state, _check_streams(**{f.name: getattr(state, f.name) for f in fields(state)}))
+
+
+def _computed(cls, *streams):
+    """A cls state over streams computed from checked ones, built without
+    __post_init__, so they are not checked again."""
+    state = object.__new__(cls)
+    _hold(state, streams)
+    return state
+
+
+def _hold(state, arrays) -> None:
+    for f, m in zip(fields(state), arrays):
+        object.__setattr__(state, f.name, m)
 
 
 def _check_streams(**streams) -> list[np.ndarray]:
@@ -208,10 +222,9 @@ def _multi_stream_attention(streams, w: AttentionWeights, key_scales, norm: Norm
 
 def joint_attention(state: StreamState, w: AttentionWeights, norm: NormConst) -> StreamState:
     """Token-axis QKV concatenation over (text, image), one softmax, split back."""
-    text_out, image_out = _multi_stream_attention(
+    return _computed(StreamState, *_multi_stream_attention(
         (state.text, state.image), w, (1.0, 1.0), norm
-    )
-    return StreamState(text=text_out, image=image_out)
+    ))
 
 
 def coupled_qkv_attention(
@@ -230,13 +243,9 @@ def coupled_qkv_attention(
     """
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must be in [0, 1], got {theta}")
-    bg_out, ent_out, img_out = _multi_stream_attention(
-        (state.background, state.entity, state.image),
-        w,
-        (1.0 - theta, theta, 1.0),
-        norm,
-    )
-    return CoupledStreamState(background=bg_out, entity=ent_out, image=img_out)
+    return _computed(CoupledStreamState, *_multi_stream_attention(
+        (state.background, state.entity, state.image), w, (1.0 - theta, theta, 1.0), norm
+    ))
 
 
 def branch_attention(text, image, w: AttentionWeights, norm: NormConst):

@@ -87,11 +87,11 @@ def _checked(hint: str, build, *args, **kwargs):
         raise click.BadParameter(str(exc), param_hint=hint) from exc
 
 
-def _config(kw) -> PipelineConfig:
-    """The PipelineConfig of the --flags in kw, each checked on its own."""
+def _from_flags(cls, **kw):
+    """The cls of the --flags in kw, each checked on its own."""
     for name, value in kw.items():
-        _checked("--" + name.replace("_", "-"), PipelineConfig, **{name: value})
-    return PipelineConfig(**kw)
+        _checked("--" + name.replace("_", "-"), cls, **{name: value})
+    return cls(**kw)
 
 
 def _read_files(reader, paths, hint: str) -> list:
@@ -165,7 +165,7 @@ def schedule_cmd(family, center, scale, steps, out_path):
 def generate_cmd(bundle_path, schedule_path, out_dir, separate_noise, dump_latents, **kw):
     """Render per-entity images (PGM) plus auto-threshold masks."""
     bundle = _load_bundle(bundle_path)
-    cfg = _config(kw)
+    cfg = _from_flags(PipelineConfig, **kw)
     sched = _checked("--schedule", read_schedule_csv, schedule_path)
     if len(sched) != cfg.steps:
         raise click.BadParameter(
@@ -209,6 +209,7 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
     if len(image_paths) != len(mask_paths):
         raise click.UsageError("need one --mask per --image")
     bundle = _load_bundle(bundle_path, min_entities=2)
+    lambdas = _from_flags(Lambdas, lambda_bg=lambda_bg, lambda_ti=lambda_ti)
     if len(image_paths) != len(bundle.entities):
         raise click.UsageError(
             f"bundle has {len(bundle.entities)} entities but {len(image_paths)} images given"
@@ -224,7 +225,7 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
                     param_hint=hint,
                 )
     try:
-        report = score_images(images, masks, bundle.entities, Lambdas(lambda_bg, lambda_ti))
+        report = score_images(images, masks, bundle.entities, lambdas)
     except DegenerateMaskError as exc:
         raise click.BadParameter(str(exc), param_hint="--mask") from exc
     Path(out_path).write_text(report.to_json() + "\n")
@@ -241,7 +242,7 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
 def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
     """Pattern-search the schedule against the combined metric."""
     bundle = _load_bundle(bundle_path, min_entities=2)
-    cfg = _config(kw)
+    cfg = _from_flags(PipelineConfig, **kw)
     pipeline = init_pipeline(cfg)
     init = make_schedule(
         ScheduleFamily(kind="arctan", center=cfg.steps / 5.0, scale=0.5), cfg.steps
@@ -282,7 +283,7 @@ def sweep_cmd(family, centers, scale, bundle_path, noise_seeds, out_path, **kw):
     if noise_seeds < 1:
         raise click.BadParameter(f"must be >= 1, got {noise_seeds}", param_hint="--noise-seeds")
     bundle = _load_bundle(bundle_path, min_entities=2)
-    cfg = _config(kw)
+    cfg = _from_flags(PipelineConfig, **kw)
     pipeline = init_pipeline(cfg)
     grid_centers = _checked("--centers", _parse_centers, centers)
     _checked("--scale", ScheduleFamily, family, 0.0, scale)

@@ -19,7 +19,6 @@ from .numerics import Rng
 from .schedule import FAMILY_ORDER, ScheduleFamily, ThetaSchedule, make_schedule, validate
 
 __all__ = [
-    "CountingObjective",
     "SearchConfig",
     "TraceEntry",
     "ObjectiveEvaluationError",
@@ -43,18 +42,6 @@ class NonFiniteObjectiveError(RuntimeError):
         self.trace = trace
 
 
-class CountingObjective:
-    """Wraps a schedule -> value callable and counts evaluations."""
-
-    def __init__(self, fn: Callable[[ThetaSchedule], float]):
-        self.fn = fn
-        self.count = 0
-
-    def __call__(self, schedule: ThetaSchedule) -> float:
-        self.count += 1
-        return float(self.fn(schedule))
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     max_evals: int
@@ -65,8 +52,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_evals < 1:
             raise ValueError(f"max_evals must be >= 1, got {self.max_evals}")
-        if not (self.step > 0.0):
-            raise ValueError(f"step must be positive, got {self.step}")
+        if not (0.0 < self.step < math.inf):
+            raise ValueError(f"step must be positive and finite, got {self.step}")
 
 
 @dataclass(frozen=True)

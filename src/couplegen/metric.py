@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -51,8 +52,10 @@ class Lambdas:
     lambda_ti: float = DEFAULT_LAMBDA_TI
 
     def __post_init__(self):
-        if self.lambda_bg < 0 or self.lambda_ti < 0:
-            raise ValueError("lambda weights must be nonnegative")
+        for name in ("lambda_bg", "lambda_ti"):
+            value = getattr(self, name)
+            if not (0.0 <= value < math.inf):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def as_image(img) -> np.ndarray:
@@ -147,12 +150,6 @@ class HashAlignmentScorer:
 
     def add_prompt(self, key: str, text: str) -> None:
         self._embeddings[key] = self.text_embedding(text)
-
-    def add_embedding(self, key: str, vector) -> None:
-        v = np.asarray(vector, dtype=np.float64)
-        if v.shape != (self.dim,):
-            raise ShapeError(f"embedding must have shape ({self.dim},), got {v.shape}")
-        self._embeddings[key] = v.copy()
 
     def text_embedding(self, text: str) -> np.ndarray:
         digest = hashlib.blake2b(

@@ -70,6 +70,7 @@ from .attention import (
     AttentionWeights,
     CoupledStreamState,
     NormConst,
+    _computed,
     branch_attention,
     coupled_qkv_attention,
     joint_attention,  # noqa: F401 - not called; perfbench/tracer.py wraps it
@@ -96,7 +97,6 @@ __all__ = [
     "DoubleBlockWeights",
     "SingleBlockWeights",
     "Pipeline",
-    "LatentState",
     "init_pipeline",
     "run_double_block",
     "run_single_block",
@@ -154,13 +154,6 @@ class DoubleBlockWeights:
 class SingleBlockWeights:
     attn: AttentionWeights
     ff: FeedForward
-
-
-@dataclass(frozen=True)
-class LatentState:
-    background: np.ndarray
-    entity: np.ndarray
-    image: np.ndarray
 
 
 def _common_prefix(a: tuple, b: tuple) -> int:
@@ -258,22 +251,15 @@ def init_pipeline(cfg: PipelineConfig) -> Pipeline:
 
 
 def run_double_block(
-    state: LatentState, w: DoubleBlockWeights, theta: float, norm: NormConst
-) -> LatentState:
+    state: CoupledStreamState, w: DoubleBlockWeights, theta: float, norm: NormConst
+) -> CoupledStreamState:
     """Coupled attention, per-stream output projection and feed-forward, residuals."""
-    attn = coupled_qkv_attention(
-        CoupledStreamState(state.background, state.entity, state.image),
-        w.attn,
-        theta,
-        norm,
-    )
+    attn = coupled_qkv_attention(state, w.attn, theta, norm)
     bg = state.background + attn.background @ w.attn.w_o
     ent = state.entity + attn.entity @ w.attn.w_o
     img = state.image + attn.image @ w.attn.w_o
-    return LatentState(
-        background=bg + w.text_ff(bg),
-        entity=ent + w.text_ff(ent),
-        image=img + w.image_ff(img),
+    return _computed(
+        CoupledStreamState, bg + w.text_ff(bg), ent + w.text_ff(ent), img + w.image_ff(img)
     )
 
 
@@ -285,8 +271,8 @@ def _single_branch(text, image, w: SingleBlockWeights, norm: NormConst):
 
 
 def run_single_block(
-    state: LatentState, w: SingleBlockWeights, theta: float, norm: NormConst
-) -> LatentState:
+    state: CoupledStreamState, w: SingleBlockWeights, theta: float, norm: NormConst
+) -> CoupledStreamState:
     """Two branch passes (bg-img, ent-img); image parts merged by interpolation.
 
     At theta == 0 (theta == 1) the merge keeps only the background (entity)
@@ -300,10 +286,10 @@ def run_single_block(
     if theta != 0.0:
         ent_out, img_ent = _single_branch(state.entity, state.image, w, norm)
     merged = merge_image_states(img_ent, img_bg, theta)
-    return LatentState(background=bg_out, entity=ent_out, image=merged)
+    return _computed(CoupledStreamState, bg_out, ent_out, merged)
 
 
-def _run_step(pipeline: Pipeline, state: LatentState, theta: float) -> LatentState:
+def _run_step(pipeline: Pipeline, state: CoupledStreamState, theta: float) -> CoupledStreamState:
     for blk in pipeline.double_blocks:
         state = run_double_block(state, blk, theta, pipeline.norm_double)
     for blk in pipeline.single_blocks:
@@ -337,7 +323,7 @@ def _trajectory(pipeline: Pipeline, bg_emb, ent_emb, x, thetas, deltas, outs):
     is appended to the list outs[j].
     """
     for theta, delta in zip(thetas, deltas):
-        state = _run_step(pipeline, LatentState(bg_emb, ent_emb, x), float(theta))
+        state = _run_step(pipeline, _computed(CoupledStreamState, bg_emb, ent_emb, x), float(theta))
         x = x + delta * state.image
         for xj, out in zip(x, outs or ()):
             xj = xj.copy()

@@ -79,11 +79,14 @@ class PromptBundle:
     entities: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.background:
-            raise ValueError("background prompt must be non-empty")
+        if not self.background.strip():
+            raise ValueError(f"background prompt is blank: {self.background!r}")
         if len(self.entities) < 1:
             raise ValueError("at least one entity prompt is required")
         object.__setattr__(self, "entities", tuple(self.entities))
+        for j, text in enumerate(self.entities, start=1):
+            if not text.strip():
+                raise ValueError(f"entity prompt {j} is blank: {text!r}")
 
     def to_dict(self) -> dict:
         return {"background": self.background, "entities": list(self.entities)}
@@ -91,14 +94,14 @@ class PromptBundle:
     @classmethod
     def from_dict(cls, d) -> "PromptBundle":
         """The bundle of a decoded JSON object; ValueError unless it has a
-        non-empty string background and a list of non-empty string entities."""
+        string background and a list of string entities that make a bundle."""
         if not isinstance(d, dict):
             raise ValueError(f"bundle must be a JSON object, got {type(d).__name__}")
         background, entities = d.get("background"), d.get("entities")
-        if not isinstance(background, str) or not background:
-            raise ValueError(f"background must be a non-empty string, got {background!r}")
-        if not isinstance(entities, list) or not all(isinstance(e, str) and e for e in entities):
-            raise ValueError(f"entities must be a list of non-empty strings, got {entities!r}")
+        if not isinstance(background, str):
+            raise ValueError(f"background must be a string, got {background!r}")
+        if not isinstance(entities, list) or not all(isinstance(e, str) for e in entities):
+            raise ValueError(f"entities must be a list of strings, got {entities!r}")
         return cls(background=background, entities=tuple(entities))
 
     def to_json(self) -> str:

@@ -1,6 +1,7 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and the
+test-only helpers `CountingObjective` and `add_embedding`.
 
-Everything here is deliberately written with scalar loops and none of the
+Every oracle is deliberately written with scalar loops and none of the
 package's own linear algebra, so agreement is meaningful.
 """
 
@@ -202,3 +203,22 @@ def oracle_embed_prompt(text, d_model, n_tokens, seed=0):
 def oracle_text_embedding(text, seed, dim):
     """Alignment-scorer text vector: one reference stream seeded by the text's hash."""
     return np.array(_uniforms_reference(_keyed_hash64(text, seed), dim, -1.0, 1.0))
+
+
+class CountingObjective:
+    """Wraps a schedule -> value callable and counts evaluations."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.count = 0
+
+    def __call__(self, schedule) -> float:
+        self.count += 1
+        return float(self.fn(schedule))
+
+
+def add_embedding(scorer, key: str, vector) -> None:
+    """Register vector as the text embedding of scorer's prompt key."""
+    v = np.asarray(vector, dtype=np.float64)
+    assert v.shape == (scorer.dim,), v.shape
+    scorer._embeddings[key] = v.copy()

@@ -22,7 +22,7 @@ from couplegen.attention import (
     merge_image_states,
     norm_for,
 )
-from couplegen.isotonic import CountingObjective, SearchConfig, coordinate_search, grid_search, pava_project
+from couplegen.isotonic import SearchConfig, coordinate_search, grid_search, pava_project
 from couplegen.metric import Lambdas, background_similarity, combined_metric, jer
 from couplegen.numerics import Rng
 from couplegen.pipeline import PipelineConfig, generate_and_score, init_pipeline, sample, sample_single_prompt
@@ -30,6 +30,7 @@ from couplegen.prompt_io import ParseError, PromptBundle, parse_decomposition
 from couplegen.schedule import ScheduleFamily, ThetaSchedule, eval_family, make_schedule
 
 from oracles import (
+    CountingObjective,
     brute_force_monotone_projection,
     oracle_branch_attention,
     oracle_coupled_attention,

@@ -231,6 +231,29 @@ class TestEvaluateCommand:
         assert run(args) == 1
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--lambda-bg", "-1"), ("--lambda-bg", "nan"), ("--lambda-ti", "inf"),
+         ("--lambda-ti", "-inf")],
+        ids=["negative", "nan", "inf", "minus_inf"],
+    )
+    def test_bad_lambda_exit_1_names_flag(self, tmp_path, bundle_file, capsys, flag, value):
+        # parent: -1 exits 2 as a runtime error, nan and inf exit 0 and write
+        # a non-finite f_c
+        from couplegen import pnm
+
+        out = tmp_path / "r.json"
+        args = ["evaluate", "--bundle", str(bundle_file), "--out", str(out), flag, value]
+        for j in (1, 2):
+            pnm.write_pgm(tmp_path / f"img_{j}.pgm", np.full((8, 8), 0.25 * j))
+            pnm.write_mask(tmp_path / f"mask_{j}.pgm", np.zeros((8, 8), dtype=bool))
+            args += ["--image", str(tmp_path / f"img_{j}.pgm"),
+                     "--mask", str(tmp_path / f"mask_{j}.pgm")]
+        capsys.readouterr()
+        assert run(args) == 1
+        assert f"Invalid value for {flag}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_count_mismatch_exit_1(self, tmp_path, bundle_file):
         code = run(["evaluate", "--image", "a.pgm", "--mask", "m1.pgm",
                     "--mask", "m2.pgm", "--bundle", str(bundle_file),
@@ -456,6 +479,8 @@ class TestExitCodes:
              "--max-evals"),
             (["optimize", "--bundle", "{bundle}", "--out-dir", "{out}", "--step-size", "0"],
              "--step-size"),
+            (["optimize", "--bundle", "{bundle}", "--out-dir", "{out}", "--step-size", "inf"],
+             "--step-size"),
             (["optimize", "--bundle", "{bundle}", "--out-dir", "{out}", "--d-model", "0"],
              "--d-model"),
             (["generate", "--bundle", "{bundle}", "--schedule", "{schedule}", "--out-dir",
@@ -477,7 +502,7 @@ class TestExitCodes:
             (["schedule", "--family", "arctan", "--center", "3", "--steps", "0", "--out",
               "{out}"], "--steps"),
         ],
-        ids=["max_evals", "step_size", "optimize_d_model", "generate_steps",
+        ids=["max_evals", "step_size", "step_size_inf", "optimize_d_model", "generate_steps",
              "generate_grid_side", "sweep_d_model", "sweep_steps", "sweep_scale",
              "sweep_centers", "arctan_scale", "sin_scale", "schedule_steps"],
     )
@@ -502,6 +527,8 @@ BAD_BUNDLES = {
     "string_entities": '{"background": "a room", "entities": "ab"}',
     "numeric_entities": '{"background": "a room", "entities": [1, 2]}',
     "empty_entity": '{"background": "a room", "entities": ["a cat", ""]}',
+    "blank_background": '{"background": "   ", "entities": ["a cat", "a dog"]}',
+    "blank_entity": '{"background": "a room", "entities": ["a cat", " \\t\\n"]}',
     "no_entity": '{"background": "a room", "entities": []}',
 }
 ONE_ENTITY = '{"background": "a room", "entities": ["a cat"]}'

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from couplegen.isotonic import (
-    CountingObjective,
     NonFiniteObjectiveError,
     ObjectiveEvaluationError,
     SearchConfig,
@@ -17,7 +16,7 @@ from couplegen.isotonic import (
 )
 from couplegen.schedule import ScheduleFamily, ThetaSchedule, make_schedule, validate
 
-from oracles import brute_force_monotone_projection
+from oracles import CountingObjective, brute_force_monotone_projection
 
 
 class TestPavaProject:
@@ -185,3 +184,9 @@ class TestCoordinateSearch:
             SearchConfig(max_evals=0, init=init)
         with pytest.raises(ValueError):
             SearchConfig(max_evals=5, init=init, step=0.0)
+
+    @pytest.mark.parametrize("step", [float("inf"), float("nan")])
+    def test_non_finite_step_rejected(self, step):
+        # an infinite step clamps every proposal to the box
+        with pytest.raises(ValueError, match="step"):
+            SearchConfig(max_evals=5, init=ThetaSchedule(np.array([0.5])), step=step)

@@ -19,7 +19,7 @@ from couplegen.metric import (
 )
 from couplegen.numerics import ShapeError
 
-from oracles import oracle_text_embedding, pixelwise_union, scalar_background_score
+from oracles import add_embedding, oracle_text_embedding, pixelwise_union, scalar_background_score
 
 
 def half_mask(h=32, w=32, left=True):
@@ -154,7 +154,7 @@ class TestAlignmentStub:
     def test_own_embedding_scores_100(self):
         img1, _ = self.fixture_images()
         scorer = HashAlignmentScorer(seed=0)
-        scorer.add_embedding("self", scorer.image_embedding(img1))
+        add_embedding(scorer, "self", scorer.image_embedding(img1))
         assert scorer.score("self", img1) == 100.0
 
     def test_golden_fixture_scores(self):
@@ -243,3 +243,10 @@ class TestReport:
     def test_negative_lambdas_rejected(self):
         with pytest.raises(ValueError):
             Lambdas(-1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_lambdas_rejected(self, bad):
+        with pytest.raises(ValueError, match="lambda_bg"):
+            Lambdas(bad, 1.0)
+        with pytest.raises(ValueError, match="lambda_ti"):
+            Lambdas(1.0, bad)

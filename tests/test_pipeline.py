@@ -10,13 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from couplegen import isotonic
-from couplegen.attention import StreamState, branch_attention, joint_attention, merge_image_states
+from couplegen import attention, isotonic
+from couplegen.attention import (
+    CoupledStreamState,
+    StreamState,
+    branch_attention,
+    coupled_qkv_attention,
+    joint_attention,
+    merge_image_states,
+)
 from couplegen.metric import background_similarity, jer
 from couplegen.numerics import Rng
 from couplegen.pipeline import (
     ENTITY_MEMO_BYTES,
-    LatentState,
     Pipeline,
     PipelineConfig,
     auto_masks,
@@ -108,7 +114,7 @@ class TestInit:
 class TestBlocks:
     def _state(self, d=6, seed=3):
         rng = Rng(seed)
-        return LatentState(
+        return CoupledStreamState(
             background=rng.fill(4, d, -1, 1),
             entity=rng.fill(4, d, -1, 1),
             image=rng.fill(9, d, -1, 1),
@@ -117,7 +123,7 @@ class TestBlocks:
     def test_double_block_theta_zero_ignores_entity(self):
         p = small_pipeline(d_model=6)
         state = self._state()
-        perturbed = LatentState(state.background, state.entity + 0.5, state.image)
+        perturbed = CoupledStreamState(state.background, state.entity + 0.5, state.image)
         blk = p.double_blocks[0]
         out_a = run_double_block(state, blk, 0.0, p.norm_double)
         out_b = run_double_block(perturbed, blk, 0.0, p.norm_double)
@@ -178,6 +184,36 @@ class TestBlocks:
             live, dead, dead_out = state.entity, state.background, out.background
         assert len(calls) == 1 and calls[0][0] is live
         assert dead_out is dead
+
+    def test_checked_state_is_not_checked_again(self, monkeypatch):
+        # a state is checked where a caller builds it; the blocks and the
+        # core pass it on and build their results without a check
+        p = small_pipeline(d_model=6)
+        state = self._state()
+        blk = p.double_blocks[0]
+        calls = []
+        check = attention._check_streams
+
+        def counting(**streams):
+            calls.append(list(streams))
+            return check(**streams)
+
+        monkeypatch.setattr(attention, "_check_streams", counting)
+        out = run_double_block(state, blk, 0.5, p.norm_double)
+        assert calls == []
+        attn = coupled_qkv_attention(state, blk.attn, 0.5, p.norm_double)
+        assert calls == []
+        assert isinstance(out, CoupledStreamState) and isinstance(attn, CoupledStreamState)
+        # the sampler's only checks are those of the bare-array branch calls
+        branch_calls = []
+
+        def counting_branch(*args):
+            branch_calls.append(args)
+            return branch_attention(*args)
+
+        monkeypatch.setattr("couplegen.pipeline.branch_attention", counting_branch)
+        sample(small_pipeline(), OTHER, constant_schedule(0.5))
+        assert len(calls) == len(branch_calls) == 10 * 2 * 2
 
     def test_residual_structure(self):
         # output stays near the input when attention/FF products are tiny

@@ -304,6 +304,19 @@ class TestPromptBundle:
         with pytest.raises(ValueError):
             PromptBundle("bg", ())
 
+    @pytest.mark.parametrize(
+        "background, entities, name",
+        [("   ", ("e1", "e2"), "background prompt"), ("\u3000\t", ("e1",), "background prompt"),
+         ("bg", ("e1", " "), "entity prompt 2"), ("bg", ("\n", "e2", "\u00a0"), "entity prompt 1")],
+        ids=["spaces", "unicode_blank", "one_entity", "two_entities"],
+    )
+    def test_blank_prompt_rejected(self, background, entities, name):
+        # a blank prompt embeds to padding alone, the same for every blank text
+        with pytest.raises(ValueError, match=f"{name} is blank"):
+            PromptBundle(background, entities)
+        with pytest.raises(ValueError, match=f"{name} is blank"):
+            PromptBundle.from_dict({"background": background, "entities": list(entities)})
+
 
 class TestEmbedPrompt:
     def test_deterministic(self):
