@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import isotonic, pnm
-from .metric import DegenerateMaskError, Lambdas
+from .metric import DegenerateMaskError, Lambdas, WeightOverflowError
 from .metric import background_similarity  # noqa: F401 - not called; perfbench/tracer.py wraps it
 from .pipeline import (
     PipelineConfig,
@@ -228,6 +228,8 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
         report = score_images(images, masks, bundle.entities, lambdas)
     except DegenerateMaskError as exc:
         raise click.BadParameter(str(exc), param_hint="--mask") from exc
+    except WeightOverflowError as exc:
+        raise click.BadParameter(str(exc), param_hint="--" + exc.weight.replace("_", "-")) from exc
     Path(out_path).write_text(report.to_json() + "\n")
     click.echo(f"wrote {out_path}")
 

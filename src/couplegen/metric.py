@@ -22,6 +22,7 @@ from .numerics import Rng, ShapeError, uniform_rows
 __all__ = [
     "DegenerateMaskError",
     "PromptKeyError",
+    "WeightOverflowError",
     "Lambdas",
     "MetricReport",
     "HashAlignmentScorer",
@@ -44,6 +45,15 @@ class DegenerateMaskError(ValueError):
 
 class PromptKeyError(KeyError):
     """Raised when a scorer is asked about an unregistered prompt key."""
+
+
+class WeightOverflowError(ValueError):
+    """Raised when a finite lambda weight makes the combined metric overflow;
+    `weight` names it ("lambda_bg" or "lambda_ti")."""
+
+    def __init__(self, weight: str, message: str):
+        super().__init__(message)
+        self.weight = weight
 
 
 @dataclass(frozen=True)
@@ -217,10 +227,18 @@ class MetricReport:
 
 
 def build_report(f_bg: float, f_ti: Sequence[float], ratio: float, lambdas: Lambdas) -> MetricReport:
+    """The report of finite scores; an f_c that overflows to +-inf raises
+    WeightOverflowError naming lambda_bg if its term overflowed, else lambda_ti."""
+    f_c = combined_metric(f_bg, f_ti, lambdas)
+    if not math.isfinite(f_c):
+        weight = "lambda_ti" if math.isfinite(lambdas.lambda_bg * float(f_bg)) else "lambda_bg"
+        raise WeightOverflowError(
+            weight, f"{weight} = {getattr(lambdas, weight)} makes f_c overflow to {f_c}"
+        )
     return MetricReport(
         f_bg=float(f_bg),
         f_ti=tuple(float(x) for x in f_ti),
         validity_ratio=float(ratio),
-        f_c=combined_metric(f_bg, f_ti, lambdas),
+        f_c=f_c,
         lambdas=lambdas,
     )

@@ -11,12 +11,19 @@ step; only the image token state carries across steps.  Pixel readout takes
 channel 0 of each image token, and the final grid is squashed into [0, 1]
 with a tanh map.
 
-The single-prompt reference render is the theta == 0 trajectory of the same
-step function, with the prompt as the background stream: boundary reduction
-drops the entity stream's keys and values and keeps the background branch's
-image, so the image tokens follow the plain single-text pipeline exactly.
-At theta == 0 (theta == 1) a single block runs only the background (entity)
-branch, since the image merge discards the other one.
+The background and entity text of a step travel as one (2, E,
+text_tokens, d_model) stack, whose members are the state's background and
+entity streams.  At 0 < theta < 1 a double block projects, output-mixes
+and feeds forward that stack by one product per weight, and a single block
+runs both branches as one branch_attention call over the stack and the
+image.  At theta == 0 (theta == 1) only the background (entity) text
+reaches the image tokens: a double block runs joint_attention on that live
+stream and the image, a single block runs only that branch, since the
+image merge discards the other one, and the dead stream passes through
+unchanged.  The single-prompt reference render is the theta == 0
+trajectory of the same step function, with the prompt as the background
+stream, so the image tokens follow the plain single-text pipeline by
+construction.
 
 That theta == 0 trajectory is also the trunk every entity shares until its
 schedule's first nonzero theta.  Trajectories are memoised in one
@@ -51,12 +58,16 @@ array, each entity's image equal to its one-entity render bit for bit.  A
 group is split into chunks of balanced size whose stacked score block,
 E * T * T * 8 bytes with T = image_tokens + 2 * text_tokens (every query
 row of a coupled call against every key), stays within CHUNK_SCORE_BYTES
-(2 MiB, one core's L2 cache on the Xeon it was measured on).  That block
-is the largest the attention core writes into its reused workspace, so
-the budget bounds the workspace of a chunk; stacking past it made a d64,
-32x32 render use more memory and run no faster.  The default config holds
-up to 40 entities per chunk (50 KiB each), d32, 16x16 up to 3 (592 KB
-each) and d64, 32x32 one (8.65 MB).
+(2 MiB, one core's L2 cache on the Xeon it was measured on); stacking past
+it made a d64, 32x32 render use more memory and run no faster.  The
+default config holds up to 40 entities per chunk (50 KiB each), d32,
+16x16 up to 3 (592 KB each) and d64, 32x32 one (8.65 MB).  The budget
+bounds the coupled block and every block at theta in {0, 1}.  The stacked
+branches of a single block at 0 < theta < 1 score up to
+2 * (image_tokens + text_tokens)**2 * 8 bytes per entity, 1.62x the
+coupled block at the default config and 1.97x at d64, 32x32 (17.0 MB);
+_chunks still budgets the coupled block, which keeps a d32, 16x16 sweep's
+chunks of 3 entities.
 """
 
 from __future__ import annotations
@@ -70,10 +81,12 @@ from .attention import (
     AttentionWeights,
     CoupledStreamState,
     NormConst,
+    StreamState,
     _computed,
+    _coupled,
     branch_attention,
     coupled_qkv_attention,
-    joint_attention,  # noqa: F401 - not called; perfbench/tracer.py wraps it
+    joint_attention,
     merge_image_states,
     norm_for,
 )
@@ -250,24 +263,50 @@ def init_pipeline(cfg: PipelineConfig) -> Pipeline:
     )
 
 
+def _residual(x, attn, w_o, ff):
+    """x plus its output-mixed attention, then plus the feed-forward of that."""
+    x = x + attn @ w_o
+    return x + ff(x)
+
+
+def _live_text(state: CoupledStreamState, theta: float):
+    """The text that reaches the image tokens: the background stream at
+    theta == 0, the entity stream at theta == 1, else both as one stack."""
+    if theta == 0.0:
+        return state.background
+    return state.entity if theta == 1.0 else state.text
+
+
+def _with_live_text(state: CoupledStreamState, theta: float, text, image):
+    """The state of image and of text in place of _live_text(state, theta);
+    at theta in {0, 1} the other text stream passes through unchanged."""
+    if theta == 0.0:
+        return _computed(CoupledStreamState, text, state.entity, image)
+    if theta == 1.0:
+        return _computed(CoupledStreamState, state.background, text, image)
+    return _coupled(text, image)
+
+
 def run_double_block(
     state: CoupledStreamState, w: DoubleBlockWeights, theta: float, norm: NormConst
 ) -> CoupledStreamState:
-    """Coupled attention, per-stream output projection and feed-forward, residuals."""
-    attn = coupled_qkv_attention(state, w.attn, theta, norm)
-    bg = state.background + attn.background @ w.attn.w_o
-    ent = state.entity + attn.entity @ w.attn.w_o
-    img = state.image + attn.image @ w.attn.w_o
-    return _computed(
-        CoupledStreamState, bg + w.text_ff(bg), ent + w.text_ff(ent), img + w.image_ff(img)
+    """Coupled attention, output projection and feed-forward, residuals.
+
+    At 0 < theta < 1 the background and entity text go through every
+    product as one stack.  At theta == 0 (theta == 1) the entity
+    (background) keys are dropped, so the block runs joint_attention on the
+    live text stream and the image, and the dead one passes through.
+    """
+    text = _live_text(state, theta)
+    if theta in (0.0, 1.0):
+        attn = joint_attention(_computed(StreamState, text, state.image), w.attn, norm)
+    else:
+        attn = coupled_qkv_attention(state, w.attn, theta, norm)
+    return _with_live_text(
+        state, theta,
+        _residual(text, attn.text, w.attn.w_o, w.text_ff),
+        _residual(state.image, attn.image, w.attn.w_o, w.image_ff),
     )
-
-
-def _single_branch(text, image, w: SingleBlockWeights, norm: NormConst):
-    text_a, image_a = branch_attention(text, image, w.attn, norm)
-    text1 = text + text_a @ w.attn.w_o
-    image1 = image + image_a @ w.attn.w_o
-    return text1 + w.ff(text1), image1 + w.ff(image1)
 
 
 def run_single_block(
@@ -275,18 +314,19 @@ def run_single_block(
 ) -> CoupledStreamState:
     """Two branch passes (bg-img, ent-img); image parts merged by interpolation.
 
-    At theta == 0 (theta == 1) the merge keeps only the background (entity)
-    branch's image, so the other branch is not run and its text stream
-    passes through unchanged.
+    At 0 < theta < 1 both branches run as one stack through one
+    branch_attention call.  At theta == 0 (theta == 1) the merge would keep
+    only the background (entity) branch's image, so only that branch runs
+    and the other text stream passes through unchanged.
     """
-    bg_out, img_bg = state.background, state.image
-    if theta != 1.0:
-        bg_out, img_bg = _single_branch(state.background, state.image, w, norm)
-    ent_out, img_ent = state.entity, state.image
-    if theta != 0.0:
-        ent_out, img_ent = _single_branch(state.entity, state.image, w, norm)
-    merged = merge_image_states(img_ent, img_bg, theta)
-    return _computed(CoupledStreamState, bg_out, ent_out, merged)
+    text = _live_text(state, theta)
+    text_a, image_a = branch_attention(text, state.image, w.attn, norm)
+    text = _residual(text, text_a, w.attn.w_o, w.ff)
+    image = _residual(state.image, image_a, w.attn.w_o, w.ff)
+    if theta not in (0.0, 1.0):
+        img_bg, img_ent = image
+        image = merge_image_states(img_ent, img_bg, theta)
+    return _with_live_text(state, theta, text, image)
 
 
 def _run_step(pipeline: Pipeline, state: CoupledStreamState, theta: float) -> CoupledStreamState:
@@ -315,15 +355,16 @@ def _embed(cfg: PipelineConfig, text: str) -> np.ndarray:
     return embed_prompt(text, cfg.d_model, cfg.text_tokens, seed=cfg.weight_seed)
 
 
-def _trajectory(pipeline: Pipeline, bg_emb, ent_emb, x, thetas, deltas, outs):
+def _trajectory(pipeline: Pipeline, text, x, thetas, deltas, outs):
     """Euler-integrate the stacked image tokens x (E, image_tokens, d_model)
-    over (theta, sigma delta) pairs and return the final stack.
+    with the (2, E, text_tokens, d_model) stack of background and entity
+    text over (theta, sigma delta) pairs and return the final stack.
 
     Unless outs is None, a read-only copy of stack row j after every step
     is appended to the list outs[j].
     """
     for theta, delta in zip(thetas, deltas):
-        state = _run_step(pipeline, _computed(CoupledStreamState, bg_emb, ent_emb, x), float(theta))
+        state = _run_step(pipeline, _coupled(text, x), float(theta))
         x = x + delta * state.image
         for xj, out in zip(x, outs or ()):
             xj = xj.copy()
@@ -341,7 +382,7 @@ def _trunk(pipeline: Pipeline, background: str, noise_seed: int) -> list[np.ndar
         emb = _embed(cfg, background)[None]
         latents: list = []
         # at theta == 0 the entity stream never reaches the image tokens
-        _trajectory(pipeline, emb, emb, _initial_noise(cfg, noise_seed)[None],
+        _trajectory(pipeline, np.stack((emb, emb)), _initial_noise(cfg, noise_seed)[None],
                     np.zeros(cfg.steps), _sigma_deltas(cfg.steps), [latents])
         memo.trunk = {key: latents}
     return memo.trunk[key]
@@ -407,8 +448,8 @@ def sample(
         for chunk in _chunks(group, cfg):
             x = _trajectory(
                 pipeline,
-                np.repeat(bg_emb[None], len(chunk), axis=0),
-                np.stack([_embed(cfg, keys[j][2]) for j in chunk]),
+                np.stack((np.repeat(bg_emb[None], len(chunk), axis=0),
+                          np.stack([_embed(cfg, keys[j][2]) for j in chunk]))),
                 np.stack([latents[j][-1] if depth else _initial_noise(cfg, keys[j][1])
                           for j in chunk]),
                 thetas[depth:],

@@ -1,8 +1,13 @@
 """Independent reference implementations used as test oracles, and the
 test-only helpers `CountingObjective` and `add_embedding`.
 
-Every oracle is deliberately written with scalar loops and none of the
-package's own linear algebra, so agreement is meaningful.
+Every value oracle is deliberately written with scalar loops and none of
+the package's own linear algebra, so agreement is meaningful.  The exactness
+oracles (`per_stream_attention` and the per-stream sampler `exact_latents`)
+are the other kind: numpy code that makes, for each stream and branch, the
+same products on the same operands as the package made before it stacked
+streams and branches, so that the stacked sampler can be compared with them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +16,9 @@ import hashlib
 import math
 
 import numpy as np
+
+from couplegen.numerics import Rng, softmax_rows
+from couplegen.prompt_io import embed_prompt
 
 
 def matmul_loops(a, b):
@@ -222,3 +230,75 @@ def add_embedding(scorer, key: str, vector) -> None:
     v = np.asarray(vector, dtype=np.float64)
     assert v.shape == (scorer.dim,), v.shape
     scorer._embeddings[key] = v.copy()
+
+
+def per_stream_attention(streams, w, key_scales, norm):
+    """The attention core with one score block and one softmax per query
+    stream and one product per stream and weight, as it was before the
+    streams of a call shared one block."""
+    live = [(s, scale) for s, scale in zip(streams, key_scales) if scale != 0.0]
+    k = np.concatenate([scale * (s @ w.w_k) for s, scale in live], axis=-2)
+    v = np.concatenate([s @ w.w_v for s, _ in live], axis=-2)
+    k_t = k.swapaxes(-1, -2)
+    outs = []
+    for s in streams:
+        p = np.matmul(s @ w.w_q, k_t)
+        np.divide(p, norm.value, out=p)
+        outs.append(softmax_rows(p, out=p) @ v)
+    return outs
+
+
+def _residual(x, attn, w_o, ff):
+    x = x + attn @ w_o
+    return x + np.tanh(x @ ff.w1) @ ff.w2
+
+
+def exact_double_block(streams, w, theta, norm):
+    """(background, entity, image) through a double block stream by stream:
+    one coupled attention, then each stream's own output mix and
+    feed-forward."""
+    outs = per_stream_attention(streams, w.attn, (1.0 - theta, theta, 1.0), norm)
+    ffs = (w.text_ff, w.text_ff, w.image_ff)
+    return [_residual(x, a, w.attn.w_o, ff) for x, a, ff in zip(streams, outs, ffs)]
+
+
+def exact_single_block(streams, w, theta, norm):
+    """(background, entity, image) through a single block branch by branch:
+    the background and the entity branch each attend over [text; image]; the
+    image is theta * entity branch + (1 - theta) * background branch, and
+    only the kept branch runs at theta in {0, 1}."""
+    bg, ent, img = streams
+
+    def branch(text):
+        text_a, img_a = per_stream_attention((text, img), w.attn, (1.0, 1.0), norm)
+        return _residual(text, text_a, w.attn.w_o, w.ff), _residual(img, img_a, w.attn.w_o, w.ff)
+
+    bg_out, img_bg = branch(bg) if theta != 1.0 else (bg, img)
+    ent_out, img_ent = branch(ent) if theta != 0.0 else (ent, img)
+    if theta in (0.0, 1.0):
+        return bg_out, ent_out, img_ent if theta == 1.0 else img_bg
+    return bg_out, ent_out, theta * img_ent + (1.0 - theta) * img_bg
+
+
+def exact_latents(pipeline, bundle, schedule, noise_seed, shared_noise=True):
+    """Per entity, the image latent after every step of a fresh render of
+    that entity alone through the per-stream blocks: no stacking, no memo."""
+    cfg = pipeline.config
+    deltas = np.diff(np.linspace(1.0, 0.0, cfg.steps + 1))
+    bg = embed_prompt(bundle.background, cfg.d_model, cfg.text_tokens, seed=cfg.weight_seed)
+    logs = []
+    for j, entity in enumerate(bundle.entities):
+        ent = embed_prompt(entity, cfg.d_model, cfg.text_tokens, seed=cfg.weight_seed)
+        seed = noise_seed if shared_noise else noise_seed + j
+        x = Rng(seed).fill(cfg.image_tokens, cfg.d_model, -1.0, 1.0)
+        log = []
+        for theta, delta in zip(schedule.values.tolist(), deltas):
+            streams = (bg, ent, x)
+            for blk in pipeline.double_blocks:
+                streams = exact_double_block(streams, blk, theta, pipeline.norm_double)
+            for blk in pipeline.single_blocks:
+                streams = exact_single_block(streams, blk, theta, pipeline.norm_single)
+            x = x + delta * streams[2]
+            log.append(x)
+        logs.append(log)
+    return logs

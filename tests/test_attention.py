@@ -26,6 +26,7 @@ from oracles import (
     oracle_branch_attention,
     oracle_coupled_attention,
     oracle_joint_attention,
+    per_stream_attention,
 )
 
 
@@ -362,21 +363,6 @@ class TestWorkspace:
         assert all(np.array_equal(a, b) for a, b in zip(held, want, strict=True))
 
 
-def per_stream_attention(streams, w, key_scales, norm):
-    """The attention core with one score block and one softmax per query
-    stream, as it was before the streams of a call shared one block."""
-    live = [(s, scale) for s, scale in zip(streams, key_scales) if scale != 0.0]
-    k = np.concatenate([scale * (s @ w.w_k) for s, scale in live], axis=-2)
-    v = np.concatenate([s @ w.w_v for s, _ in live], axis=-2)
-    k_t = k.swapaxes(-1, -2)
-    outs = []
-    for s in streams:
-        p = np.matmul(s @ w.w_q, k_t)
-        np.divide(p, norm.value, out=p)
-        outs.append(softmax_rows(p, out=p) @ v)
-    return outs
-
-
 class TestSharedScoreBlock:
     """All query streams of a call share one score block and one softmax,
     and every output equals the one-block-per-stream core bit for bit."""
@@ -390,6 +376,12 @@ class TestSharedScoreBlock:
         got = branch_attention(ent, img, w, norm_for(d, 0))
         want = per_stream_attention((ent, img), w, (1.0, 1.0), norm_for(d, 0))
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+        if bg.shape == ent.shape:
+            # the two texts as the branches of one call over the image
+            got = branch_attention(np.stack((bg, ent)), img, w, norm_for(d, 0))
+            for j, text in enumerate((bg, ent)):
+                want = per_stream_attention((text, img), w, (1.0, 1.0), norm_for(d, 0))
+                assert all(np.array_equal(a[j], b) for a, b in zip(got, want, strict=True))
 
     @settings(max_examples=80, deadline=None)
     @given(stacks())
@@ -397,6 +389,9 @@ class TestSharedScoreBlock:
         w, bg, ent, img, theta = case
         self.check(w, bg, ent, img, theta)
         self.check(w, bg[0], ent[0], img[0], theta)
+        # texts of one shape go through the core as one stack
+        self.check(w, bg, -0.5 * bg, img, theta)
+        self.check(w, bg[0], -0.5 * bg[0], img[0], theta)
 
     @pytest.mark.parametrize("theta", [0.0, 0.37, 1.0])
     def test_matches_per_stream_blocks_with_many_keys(self, theta):
@@ -435,5 +430,6 @@ class TestSharedScoreBlock:
         for theta in (0.0, 0.5, 1.0):
             coupled_qkv_attention(state, w, theta, norm_for(d, d))
         branch_attention(state.entity, state.image, w, norm_for(d, 0))
-        # every query row against the live keys: 3 + 5, 3 + 4 + 5, 4 + 5
-        assert blocks == [(2, 12, 8), (2, 12, 12), (2, 12, 9), (2, 9, 9)]
+        # every query row of the 2 stacked matrices, as flat rows, against the
+        # live keys: 3 + 5, 3 + 4 + 5, 4 + 5
+        assert blocks == [(24, 8), (24, 12), (24, 9), (18, 9)]

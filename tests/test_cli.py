@@ -234,12 +234,12 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize(
         "flag, value",
         [("--lambda-bg", "-1"), ("--lambda-bg", "nan"), ("--lambda-ti", "inf"),
-         ("--lambda-ti", "-inf")],
-        ids=["negative", "nan", "inf", "minus_inf"],
+         ("--lambda-ti", "-inf"), ("--lambda-ti", "1e308")],
+        ids=["negative", "nan", "inf", "minus_inf", "overflow"],
     )
     def test_bad_lambda_exit_1_names_flag(self, tmp_path, bundle_file, capsys, flag, value):
-        # parent: -1 exits 2 as a runtime error, nan and inf exit 0 and write
-        # a non-finite f_c
+        # -1 once exited 2 as a runtime error; nan, inf and a finite weight
+        # whose term overflows (1e308 * f_ti) exited 0 and wrote a non-finite f_c
         from couplegen import pnm
 
         out = tmp_path / "r.json"
@@ -481,6 +481,8 @@ class TestExitCodes:
              "--step-size"),
             (["optimize", "--bundle", "{bundle}", "--out-dir", "{out}", "--step-size", "inf"],
              "--step-size"),
+            (["optimize", "--bundle", "{bundle}", "--out-dir", "{out}", "--step-size", "1e308"],
+             "--step-size"),
             (["optimize", "--bundle", "{bundle}", "--out-dir", "{out}", "--d-model", "0"],
              "--d-model"),
             (["generate", "--bundle", "{bundle}", "--schedule", "{schedule}", "--out-dir",
@@ -502,7 +504,7 @@ class TestExitCodes:
             (["schedule", "--family", "arctan", "--center", "3", "--steps", "0", "--out",
               "{out}"], "--steps"),
         ],
-        ids=["max_evals", "step_size", "step_size_inf", "optimize_d_model", "generate_steps",
+        ids=["max_evals", "step_size", "step_size_inf", "step_size_wide", "optimize_d_model", "generate_steps",
              "generate_grid_side", "sweep_d_model", "sweep_steps", "sweep_scale",
              "sweep_centers", "arctan_scale", "sin_scale", "schedule_steps"],
     )

@@ -190,3 +190,10 @@ class TestCoordinateSearch:
         # an infinite step clamps every proposal to the box
         with pytest.raises(ValueError, match="step"):
             SearchConfig(max_evals=5, init=ThetaSchedule(np.array([0.5])), step=step)
+
+    @pytest.mark.parametrize("step", [1.0 + 2.0**-52, 2.0, 1e308])
+    def test_step_wider_than_box_rejected(self, step):
+        # a step wider than the [0, 1] theta box clamps every proposal to it
+        with pytest.raises(ValueError, match="step"):
+            SearchConfig(max_evals=5, init=ThetaSchedule(np.array([0.5])), step=step)
+        assert SearchConfig(max_evals=5, init=ThetaSchedule(np.array([0.5])), step=1.0).step == 1.0

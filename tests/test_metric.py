@@ -11,6 +11,7 @@ from couplegen.metric import (
     HashAlignmentScorer,
     Lambdas,
     PromptKeyError,
+    WeightOverflowError,
     background_similarity,
     build_report,
     combined_metric,
@@ -250,3 +251,14 @@ class TestReport:
             Lambdas(bad, 1.0)
         with pytest.raises(ValueError, match="lambda_ti"):
             Lambdas(1.0, bad)
+
+    @pytest.mark.parametrize(
+        "lambdas, f_bg, name",
+        [(Lambdas(300.0, 1e308), -0.06, "lambda_ti"), (Lambdas(1e308, 1.0), -1e10, "lambda_bg")],
+    )
+    def test_overflowing_weight_rejected(self, lambdas, f_bg, name):
+        # both weights are finite, but a term of f_c overflows to +-inf,
+        # which the JSON report cannot hold
+        with pytest.raises(WeightOverflowError, match=name) as info:
+            build_report(f_bg, [41.0, 51.0], 1.0, lambdas)
+        assert info.value.weight == name

@@ -7,6 +7,7 @@ bind the wrapped function's arguments crashes it at the first call.
 """
 
 import inspect
+import math
 import sys
 from pathlib import Path
 
@@ -105,8 +106,9 @@ def test_traced_generate_records_attention(tmp_path):
 
 def _attention_flops(streams, key_scales) -> int:
     """Useful FLOPs of one attention call over 2-D or stacked streams: Q for
-    every stream, K and V for live key streams, scores and weighted values."""
-    batch = 1 if streams[0].ndim == 2 else streams[0].shape[0]
+    every stream, K and V for live key streams, scores and weighted values,
+    over the broadcast batch (a branch call stacks two texts over one image)."""
+    batch = math.prod(np.broadcast_shapes(*(s.shape[:-2] for s in streams)))
     d = streams[0].shape[-1]
     n_q = sum(s.shape[-2] for s in streams)
     n_k = sum(s.shape[-2] for s, scale in zip(streams, key_scales) if scale != 0.0)

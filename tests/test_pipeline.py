@@ -38,6 +38,8 @@ from couplegen.pipeline import (
 from couplegen.prompt_io import PromptBundle
 from couplegen.schedule import ScheduleFamily, ThetaSchedule, make_schedule
 
+from oracles import exact_latents
+
 BUNDLE = PromptBundle(
     "a cozy room with wooden flooring",
     ("a cute pikachu sits", "a beautiful girl stands"),
@@ -204,7 +206,8 @@ class TestBlocks:
         attn = coupled_qkv_attention(state, blk.attn, 0.5, p.norm_double)
         assert calls == []
         assert isinstance(out, CoupledStreamState) and isinstance(attn, CoupledStreamState)
-        # the sampler's only checks are those of the bare-array branch calls
+        # the sampler's only checks are those of the bare-array branch calls,
+        # one per single block of a step, its two branches stacked
         branch_calls = []
 
         def counting_branch(*args):
@@ -213,7 +216,52 @@ class TestBlocks:
 
         monkeypatch.setattr("couplegen.pipeline.branch_attention", counting_branch)
         sample(small_pipeline(), OTHER, constant_schedule(0.5))
-        assert len(calls) == len(branch_calls) == 10 * 2 * 2
+        assert len(calls) == len(branch_calls) == 10 * 2
+
+    def test_interior_single_block_stacks_branches(self, monkeypatch):
+        # both branches go through one branch_attention call as the (2, ...)
+        # text stack over the one image
+        p = small_pipeline(d_model=6)
+        state = self._state()
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return branch_attention(*args)
+
+        monkeypatch.setattr("couplegen.pipeline.branch_attention", counting)
+        run_single_block(state, p.single_blocks[0], 0.5, p.norm_single)
+        assert len(calls) == 1
+        text, image = calls[0][:2]
+        assert np.array_equal(text, np.stack((state.background, state.entity)))
+        assert image is state.image
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    def test_boundary_double_block_runs_live_stream(self, theta, monkeypatch):
+        # one joint_attention call on the live text stream and the image; the
+        # dead text stream passes through as the same object
+        p = small_pipeline(d_model=6)
+        state = self._state()
+        joint, coupled = [], []
+
+        def counting_joint(*args):
+            joint.append(args)
+            return joint_attention(*args)
+
+        def counting_coupled(*args):
+            coupled.append(args)
+            return coupled_qkv_attention(*args)
+
+        monkeypatch.setattr("couplegen.pipeline.joint_attention", counting_joint)
+        monkeypatch.setattr("couplegen.pipeline.coupled_qkv_attention", counting_coupled)
+        out = run_double_block(state, p.double_blocks[0], theta, p.norm_double)
+        if theta == 0.0:
+            live, dead, dead_out = state.background, state.entity, out.entity
+        else:
+            live, dead, dead_out = state.entity, state.background, out.background
+        assert coupled == [] and len(joint) == 1
+        assert joint[0][0].text is live and joint[0][0].image is state.image
+        assert dead_out is dead
 
     def test_residual_structure(self):
         # output stays near the input when attention/FF products are tiny
@@ -221,6 +269,40 @@ class TestBlocks:
         state = self._state()
         out = run_double_block(state, p.double_blocks[0], 0.5, p.norm_double)
         assert np.max(np.abs(out.image - state.image)) < 0.5
+
+
+def mixed_schedule(steps: int) -> ThetaSchedule:
+    """Two steps at theta 0, interior steps, then theta 1 to the end."""
+    values = np.ones(steps)
+    values[:2] = 0.0
+    values[2:steps - 2] = np.linspace(0.2, 0.8, steps - 4)
+    return ThetaSchedule(values)
+
+
+class TestExactness:
+    """The sampler, which stacks the entities of a chunk, the background and
+    entity text and the two single-block branches, renders the latents of
+    the per-stream, per-branch, one-entity blocks bit for bit."""
+
+    @pytest.mark.parametrize("cfg", [PipelineConfig(),
+                                     PipelineConfig(d_model=32, grid_side=8, steps=6)],
+                             ids=["default", "d32"])
+    @pytest.mark.parametrize("family", ["arctan", "mixed"])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_latents_match_per_stream_blocks(self, cfg, family, shared):
+        p = init_pipeline(cfg)
+        if family == "mixed":
+            sched = mixed_schedule(cfg.steps)
+        else:
+            sched = make_schedule(ScheduleFamily("arctan", cfg.steps / 2.0, 0.8), cfg.steps)
+        # the second render resumes from the first one's prefixes in the memo
+        for sched in (sched, nudged(sched, cfg.steps - 3)):
+            log: list = []
+            sample(p, OTHER, sched, noise_seed=3, shared_noise=shared, latent_log=log)
+            want = exact_latents(p, OTHER, sched, 3, shared)
+            assert all(np.array_equal(a, b)
+                       for got, exp in zip(log, want, strict=True)
+                       for a, b in zip(got, exp, strict=True))
 
 
 class TestSample:
