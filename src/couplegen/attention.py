@@ -52,26 +52,29 @@ once and holds the float64 arrays the check returns.  The states computed
 from checked streams (attention results, block outputs, the sampler's step
 state) are built by ``_computed`` or ``_coupled`` and not checked again.
 
-The score block is computed into one flat float64 workspace owned by this
-module and scaled and softmaxed there in place: the block is laid out as
-rows, one contiguous run per query stream, each stream's ``Q K^T`` goes
-into its run through ``np.matmul(..., out=)``, ``np.divide(..., out=)``
-divides the block by the norm and ``softmax_rows(..., out=)`` normalises
-it, so no score temporary is allocated and every output is bit-identical
-to the same calls with fresh temporaries.  The workspace grows to the
-largest block seen and never shrinks.  A coupled call's block is
-(N + 2T)^2 * 8 bytes per entity for N image and T text tokens (1.78 MB for
-3 stacked entities at d32, 16x16; 8.65 MB for one entity at d64, 32x32);
-a single block's stacked branches at 0 < theta < 1 take up to
-2 (N + T)^2 * 8 bytes per entity (3.35 MB and 17.0 MB there).  No result
+The score block is computed into one flat float64 workspace per thread,
+owned by this module, and scaled and softmaxed there in place: the block is
+laid out as rows, one contiguous run per query stream, each stream's
+``Q K^T`` goes into its run through ``np.matmul(..., out=)``,
+``np.divide(..., out=)`` divides the block by the norm and
+``softmax_rows(..., out=)`` normalises it, so no score temporary is
+allocated and every output is bit-identical to the same calls with fresh
+temporaries.  A thread's workspace grows to the largest block it has seen
+and never shrinks.  A coupled call's block is (N + 2T)^2 * 8 bytes per
+entity for N image and T text tokens (592 KB at d32, 16x16; 8.65 MB at
+d64, 32x32); a single block's stacked branches at 0 < theta < 1 take up to
+2 (N + T)^2 * 8 bytes per entity (1.12 MB and 17.0 MB there).  No result
 aliases it, since each output is the fresh product of a view of the
-softmaxed block and V.  The package runs single-threaded; two threads in
-this module at once would share the workspace.
+softmaxed block and V.  Since each thread has its own workspace, threads
+may run attention calls at once, as the sampler's pool does with the chunks
+of a call (see ``pipeline``); numpy releases the GIL inside the products
+and the elementwise passes.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -218,17 +221,23 @@ def _check_streams(branches: bool = False, **streams) -> list[np.ndarray]:
     return arrays
 
 
-_workspace = np.empty(0)  # the score blocks; see the module docstring
+class _Workspace(threading.local):
+    """The score blocks of the calling thread; see the module docstring."""
+
+    def __init__(self):
+        self.scores = np.empty(0)
+
+
+_workspace = _Workspace()
 
 
 def _score_block(shape) -> np.ndarray:
-    """A view of the given shape over the start of the workspace, which is
-    first grown to hold it if it is smaller."""
-    global _workspace
+    """A view of the given shape over the start of this thread's workspace,
+    which is first grown to hold it if it is smaller."""
     n = math.prod(shape)
-    if _workspace.size < n:
-        _workspace = np.empty(n)
-    return _workspace[:n].reshape(shape)
+    if _workspace.scores.size < n:
+        _workspace.scores = np.empty(n)
+    return _workspace.scores[:n].reshape(shape)
 
 
 def _multi_stream_attention(streams, w: AttentionWeights, key_scales, norm: NormConst):

@@ -33,6 +33,7 @@ from .pipeline import (
 from .pnm import quantize
 from .prompt_io import PromptBundle, decompose, endpoint_from_env
 from .schedule import (
+    MAX_STEPS,
     ScheduleFamily,
     ThetaSchedule,
     make_schedule,
@@ -41,6 +42,8 @@ from .schedule import (
 )
 
 __all__ = ["main", "run", "entrypoint"]
+
+STEPS_HELP = f"Sampling steps, at most {MAX_STEPS}."
 
 
 def _load_bundle(path: str, min_entities: int = 1) -> PromptBundle:
@@ -75,7 +78,8 @@ def _warn_truncated(bundle: PromptBundle, cfg: PipelineConfig) -> None:
 def _pipeline_options(fn):
     """One --flag per PipelineConfig field, defaulting to the field's default."""
     for f in reversed(fields(PipelineConfig)):
-        fn = click.option("--" + f.name.replace("_", "-"), default=f.default, show_default=True)(fn)
+        fn = click.option("--" + f.name.replace("_", "-"), default=f.default, show_default=True,
+                          help=STEPS_HELP if f.name == "steps" else None)(fn)
     return fn
 
 
@@ -144,7 +148,7 @@ def decompose_cmd(prompts_path, fixture, out_path):
 @click.option("--family", type=click.Choice(["step01", "arctan", "sin"]), required=True)
 @click.option("--center", type=float, required=True)
 @click.option("--scale", type=float, default=1.0, show_default=True)
-@click.option("--steps", type=int, default=50, show_default=True)
+@click.option("--steps", type=int, default=50, show_default=True, help=STEPS_HELP)
 @click.option("--out", "out_path", required=True)
 def schedule_cmd(family, center, scale, steps, out_path):
     """Write a theta schedule CSV for a parameterized family."""

@@ -47,33 +47,45 @@ first changes theta_i thus recomputes only steps i..N.  The new trajectory
 shares the prefix's arrays and appends a read-only copy of each step it
 renders, so no stored array is ever written and an eviction cannot take a
 prefix from a render under way.  Every entity of a call is looked up
-before any is stored, and an entry is stored only after its chunk
-renders, so a render that raises stores nothing.
+before any is stored, and entries are stored only after every chunk of
+the call has rendered, so a render that raises stores nothing.
 
 The entities of one call share the weights, the background text and the
 theta of every step, so the entities that resume at the same depth are
 rendered together: their states are stacked on a leading batch axis and go
 through the blocks and the attention core as one (E, tokens, d_model)
 array, each entity's image equal to its one-entity render bit for bit.  A
-group is split into chunks of balanced size whose stacked score block,
-E * T * T * 8 bytes with T = image_tokens + 2 * text_tokens (every query
-row of a coupled call against every key), stays within CHUNK_SCORE_BYTES
-(2 MiB, one core's L2 cache on the Xeon it was measured on); stacking past
-it made a d64, 32x32 render use more memory and run no faster.  The
-default config holds up to 40 entities per chunk (50 KiB each), d32,
-16x16 up to 3 (592 KB each) and d64, 32x32 one (8.65 MB).  The budget
-bounds the coupled block and every block at theta in {0, 1}.  The stacked
-branches of a single block at 0 < theta < 1 score up to
-2 * (image_tokens + text_tokens)**2 * 8 bytes per entity, 1.62x the
-coupled block at the default config and 1.97x at d64, 32x32 (17.0 MB);
-_chunks still budgets the coupled block, which keeps a d32, 16x16 sweep's
-chunks of 3 entities.
+group is split into chunks of balanced size whose largest score block
+stays within CHUNK_SCORE_BYTES (2 MiB, one core's L2 cache on the Xeon it
+was measured on); stacking past it made a d64, 32x32 render use more
+memory and run no faster.  Per entity, the largest block is
+8 * max((N + 2T)**2, 2 * (N + T)**2) bytes for N image and T text tokens:
+a coupled call scores every query row against every key, and a single
+block at 0 < theta < 1 scores both branches of its text stack.  The
+default config holds up to 25 entities per chunk (81 KiB each), and d32,
+16x16 (1.12 MB) and d64, 32x32 (17.0 MB) one.
+
+Once an entity leaves the trunk its trajectory depends only on its own
+text, so the chunks of a call are independent work.  The calling thread
+builds every chunk's inputs (text stack, noise or resume latents); a call
+with one chunk renders it inline, and a call with more renders them on one
+module-level thread pool with a worker per CPU the process may run on.
+numpy releases the GIL inside the products and elementwise passes, which
+make up most of a render from d32 up.  Each chunk makes the same numpy
+calls on the same operands either way, so the bits do not depend on the
+pool.  When every chunk has returned, the calling thread reads out the
+images and stores the entries in chunk order, so the memo ends as a serial
+render leaves it.  When a chunk raises, the chunks not yet started are
+cancelled, the running ones finish, the first error in chunk order
+propagates and nothing is stored.
 """
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -102,7 +114,7 @@ from .metric import (
 from .numerics import Rng
 from .pnm import quantize
 from .prompt_io import PromptBundle, embed_prompt
-from .schedule import ThetaSchedule
+from .schedule import MAX_STEPS, ThetaSchedule
 
 __all__ = [
     "PipelineConfig",
@@ -141,6 +153,8 @@ class PipelineConfig:
         for name in ("d_model", "text_tokens", "grid_side", "double_blocks", "single_blocks", "steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be <= {MAX_STEPS}, got {self.steps}")
 
     @property
     def image_tokens(self) -> int:
@@ -389,13 +403,50 @@ def _trunk(pipeline: Pipeline, background: str, noise_seed: int) -> list[np.ndar
 
 
 def _chunks(group: list, cfg: PipelineConfig) -> list[list]:
-    """group split into runs of balanced sizes whose stacked score block
-    fits CHUNK_SCORE_BYTES, or into single entities when even
-    one entity's block does not fit."""
-    tokens = cfg.image_tokens + 2 * cfg.text_tokens
-    entity_bytes = 8 * tokens * tokens
+    """group split into runs of balanced sizes whose largest stacked score
+    block fits CHUNK_SCORE_BYTES, or into single entities when even one
+    entity's block does not fit."""
+    n_img, n_txt = cfg.image_tokens, cfg.text_tokens
+    # a coupled call's block, or an interior single block's two branches
+    entity_bytes = 8 * max((n_img + 2 * n_txt) ** 2, 2 * (n_img + n_txt) ** 2)
     n = -(-len(group) // max(1, CHUNK_SCORE_BYTES // entity_bytes))
     return [group[i * len(group) // n:(i + 1) * len(group) // n] for i in range(n)]
+
+
+# concurrent.futures and the logging it imports (about 6 ms of start-up on
+# a 2-core Xeon VM) are imported by the first call with more than one chunk
+@cache
+def _executor():
+    """The pool that renders the chunks of a call, one worker per CPU this
+    process may run on; created on first use."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(workers, thread_name_prefix="couplegen-chunk")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_executor.cache_clear)
+
+
+def _render(pipeline: Pipeline, work: list) -> list:
+    """The final stacks of _trajectory(pipeline, *inputs) for each inputs in
+    work, in order: one inline, more on the pool.  When one raises, the
+    ones not yet started are cancelled and the running ones finish before
+    the first error in order propagates."""
+    if len(work) < 2:
+        return [_trajectory(pipeline, *inputs) for inputs in work]
+    from concurrent.futures import FIRST_EXCEPTION, wait
+
+    futures = [_executor().submit(_trajectory, pipeline, *inputs) for inputs in work]
+    try:
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        wait([future for future in futures if not future.cancel()])
+    return [future.result() for future in futures]
 
 
 def sample(
@@ -418,7 +469,8 @@ def sample(
     theta, or, on the trunk's noise stream, the theta == 0 trunk's leading
     zeros.  A schedule that starts at theta == 0 first renders the trunk of
     the base stream.  The entities that resume at the same depth are
-    rendered as stacks (see `_chunks`).
+    rendered as stacks (see `_chunks`), and the chunks of a call on the
+    pool (see `_render`).
     """
     cfg = pipeline.config
     if len(schedule) != cfg.steps:
@@ -444,22 +496,25 @@ def sample(
     for j in groups.pop(cfg.steps, []):
         images[j] = _readout(cfg, latents[j][-1])
     bg_emb = _embed(cfg, bundle.background)
-    for depth, group in groups.items():
-        for chunk in _chunks(group, cfg):
-            x = _trajectory(
-                pipeline,
-                np.stack((np.repeat(bg_emb[None], len(chunk), axis=0),
-                          np.stack([_embed(cfg, keys[j][2]) for j in chunk]))),
-                np.stack([latents[j][-1] if depth else _initial_noise(cfg, keys[j][1])
-                          for j in chunk]),
-                thetas[depth:],
-                deltas[depth:],
-                [latents[j] for j in chunk] if keep else None,
-            )
-            for j, xj in zip(chunk, x):
-                images[j] = _readout(cfg, xj)
-                if limit:
-                    pipeline.memo.store(keys[j], latents[j], limit)
+    chunks = [(depth, chunk) for depth, group in groups.items() for chunk in _chunks(group, cfg)]
+    work = [
+        (
+            np.stack((np.repeat(bg_emb[None], len(chunk), axis=0),
+                      np.stack([_embed(cfg, keys[j][2]) for j in chunk]))),
+            np.stack([latents[j][-1] if depth else _initial_noise(cfg, keys[j][1])
+                      for j in chunk]),
+            thetas[depth:],
+            deltas[depth:],
+            [latents[j] for j in chunk] if keep else None,
+        )
+        for depth, chunk in chunks
+    ]
+    # stored here, in chunk order, once every chunk has rendered
+    for (_, chunk), x in zip(chunks, _render(pipeline, work)):
+        for j, xj in zip(chunk, x):
+            images[j] = _readout(cfg, xj)
+            if limit:
+                pipeline.memo.store(keys[j], latents[j], limit)
     if latent_log is not None:
         latent_log.extend([latent.copy() for latent in steps] for steps in latents)
     return images

@@ -21,6 +21,7 @@ __all__ = [
     "ThetaSchedule",
     "ScheduleViolation",
     "FAMILY_ORDER",
+    "MAX_STEPS",
     "eval_family",
     "make_schedule",
     "validate",
@@ -32,6 +33,10 @@ FamilyKind = Literal["step01", "arctan", "sin"]
 
 # Tie-break ordering used by the grid search.
 FAMILY_ORDER = {"step01": 0, "arctan": 1, "sin": 2}
+
+# The most sampling steps a schedule or a pipeline takes: 1000 is the step
+# count of the DDPM chain, and every step is a Python-level loop iteration.
+MAX_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -97,8 +102,8 @@ def eval_family(fam: ScheduleFamily, t: float) -> float:
 
 def make_schedule(fam: ScheduleFamily, n_steps: int) -> ThetaSchedule:
     """Sample the family at 1-based step indices 1..n_steps."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if not 1 <= n_steps <= MAX_STEPS:
+        raise ValueError(f"n_steps must be in 1..{MAX_STEPS}, got {n_steps}")
     values = np.array([eval_family(fam, float(i)) for i in range(1, n_steps + 1)])
     if not np.all(np.isfinite(values)):
         raise ValueError(f"family {fam} produced non-finite values")

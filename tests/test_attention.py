@@ -1,7 +1,10 @@
 """Attention mechanism tests: trivial identities, scalar-loop oracle
 agreement, and the exact theta boundary reductions."""
 
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -344,7 +347,7 @@ class TestWorkspace:
         assert peak < 256 * 272 * 8
 
     def test_held_outputs_survive_grow_and_shrink(self, monkeypatch):
-        monkeypatch.setattr(attention, "_workspace", np.empty(0))
+        monkeypatch.setattr(attention._workspace, "scores", np.empty(0))
         rng = Rng(6)
         d = 8
         w, norm = random_weights(rng, d), norm_for(d, d)
@@ -352,15 +355,42 @@ class TestWorkspace:
         held = [first.background, first.entity, first.image]
         held += branch_attention(first.background, first.image, w, norm)
         want = [a.copy() for a in held]
-        small = attention._workspace
+        small = attention._workspace.scores
         # a larger block grows the workspace, a smaller one reuses it
         for e, n_img in ((3, 64), (1, 4)):
             out = coupled_qkv_attention(coupled_state(rng, d, e, (3, 4, n_img)), w, 0.5, norm)
             outs = [out.background, out.entity, out.image]
             outs += branch_attention(out.background, out.image, w, norm)
-            assert not any(np.shares_memory(a, attention._workspace) for a in held + outs)
-        assert attention._workspace.size == 3 * 71 * 71 > small.size
+            assert not any(np.shares_memory(a, attention._workspace.scores) for a in held + outs)
+        assert attention._workspace.scores.size == 3 * 71 * 71 > small.size
         assert all(np.array_equal(a, b) for a, b in zip(held, want, strict=True))
+
+
+    def test_threads_at_once_keep_their_own_blocks(self):
+        # more threads than cores score blocks of different shapes at the
+        # same time, switching often; a shared workspace would let one
+        # thread's block overwrite another's
+        rng = Rng(7)
+        d = 32
+        w, norm = random_weights(rng, d), norm_for(d, d)
+        states = [coupled_state(rng, d, e, (8, 8, n)) for e, n in ((1, 256), (3, 64), (2, 9), (1, 100))]
+        want = [coupled_qkv_attention(state, w, 0.5, norm) for state in states]
+        start = threading.Barrier(len(states))
+
+        def repeat(state, ref) -> bool:
+            start.wait(timeout=10)
+            outs = [coupled_qkv_attention(state, w, 0.5, norm) for _ in range(30)]
+            return all(np.array_equal(getattr(out, f), getattr(ref, f))
+                       for out in outs for f in ("background", "entity", "image"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(states)) as pool:
+                done = [pool.submit(repeat, state, ref) for state, ref in zip(states, want)]
+                assert [future.result(timeout=60) for future in done] == [True] * len(states)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSharedScoreBlock:

@@ -503,10 +503,18 @@ class TestExitCodes:
               "{out}"], "--scale"),
             (["schedule", "--family", "arctan", "--center", "3", "--steps", "0", "--out",
               "{out}"], "--steps"),
+            # one step over the bound, rejected before any step is computed
+            (["schedule", "--family", "arctan", "--center", "3", "--steps", "1001", "--out",
+              "{out}"], "--steps"),
+            (["generate", "--bundle", "{bundle}", "--schedule", "{schedule}", "--out-dir",
+              "{out}", "--steps", "1001"], "--steps"),
+            (["sweep", "--family", "step01", "--centers", "3", "--bundle", "{bundle}",
+              "--out", "{out}", "--steps", "1001"], "--steps"),
         ],
         ids=["max_evals", "step_size", "step_size_inf", "step_size_wide", "optimize_d_model", "generate_steps",
              "generate_grid_side", "sweep_d_model", "sweep_steps", "sweep_scale",
-             "sweep_centers", "arctan_scale", "sin_scale", "schedule_steps"],
+             "sweep_centers", "arctan_scale", "sin_scale", "schedule_steps",
+             "schedule_steps_bound", "generate_steps_bound", "sweep_steps_bound"],
     )
     def test_bad_number_exit_1_names_flag(
         self, tmp_path, bundle_file, schedule_file, capsys, argv, flag

@@ -9,6 +9,7 @@ bind the wrapped function's arguments crashes it at the first call.
 import inspect
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,42 @@ def test_stacking_keeps_attention_work(monkeypatch):
     assert flops == flops_one
     assert calls * len(BUNDLE.entities) == calls_one
     assert all(np.array_equal(a, b) for a, b in zip(images, images_one, strict=True))
+
+
+def _traced_chunks(monkeypatch, pool) -> tuple[dict, list]:
+    """(span stats, images) of a traced 3-entity sample at d32, 16x16,
+    whose one-entity chunks render on pool."""
+    sched = make_schedule(ScheduleFamily("arctan", 2.0, 0.8), 4)
+    p = init_pipeline(PipelineConfig(d_model=32, grid_side=16, steps=4))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(couplegen.pipeline, "_executor", lambda: pool)
+            t.enabled = True
+            images = couplegen.pipeline.sample(p, BUNDLE, sched)
+    finally:
+        t.enabled = False
+        t.uninstall()
+    return t.span_stats(), images
+
+
+def test_traced_concurrent_chunks_count_like_one_worker(monkeypatch):
+    # the tracer keeps one span stack, so self times interleave when chunks
+    # render at once, but every call is still counted once
+    with ThreadPoolExecutor(3) as pool:
+        stats, images = _traced_chunks(monkeypatch, pool)
+    with ThreadPoolExecutor(1) as pool:
+        serial, serial_images = _traced_chunks(monkeypatch, pool)
+    assert stats["pipeline.sample"][0] == 1
+
+    def counted(s):
+        return {name: entry[0] for name, entry in s.items()
+                if name.startswith("attention.") or name.endswith("_block")}
+
+    assert counted(stats) == counted(serial)
+    assert counted(stats)["pipeline.double_block"] == 3 * 4 * 2  # entities x steps x blocks
+    assert all(np.array_equal(a, b) for a, b in zip(images, serial_images, strict=True))
 
 
 def test_sweep_times_one_call_per_row_seeds_outermost(tmp_path, monkeypatch):

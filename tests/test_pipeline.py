@@ -4,6 +4,8 @@ import contextlib
 import dataclasses
 import hashlib
 import itertools
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from couplegen import attention, isotonic
+from couplegen import pipeline as pipeline_module
 from couplegen.attention import (
     CoupledStreamState,
     StreamState,
@@ -22,6 +25,7 @@ from couplegen.attention import (
 from couplegen.metric import background_similarity, jer
 from couplegen.numerics import Rng
 from couplegen.pipeline import (
+    CHUNK_SCORE_BYTES,
     ENTITY_MEMO_BYTES,
     Pipeline,
     PipelineConfig,
@@ -35,7 +39,7 @@ from couplegen.pipeline import (
     _initial_noise,
     sample_single_prompt,
 )
-from couplegen.prompt_io import PromptBundle
+from couplegen.prompt_io import PromptBundle, embed_prompt
 from couplegen.schedule import ScheduleFamily, ThetaSchedule, make_schedule
 
 from oracles import exact_latents
@@ -649,6 +653,139 @@ class TestBatchedSample:
         assert same_renders(sample(p, OTHER, proposal), sample(small_pipeline(), OTHER, proposal))
 
 
+@contextlib.contextmanager
+def three_chunks(monkeypatch):
+    """Inside, a default-config call's 5 entities of one depth split into
+    chunks of 1, 2 and 2 entities, which render on the pool."""
+    cfg = PipelineConfig()
+    with monkeypatch.context() as m:
+        m.setattr("couplegen.pipeline.CHUNK_SCORE_BYTES",
+                  2 * 2 * 8 * (cfg.image_tokens + cfg.text_tokens) ** 2)
+        assert [len(c) for c in _chunks(list(range(5)), cfg)] == [1, 2, 2]
+        yield m
+
+
+class RunsFirstOnly:
+    """An executor that runs the first task it is given at once, in the
+    calling thread, and leaves every later one pending."""
+
+    def __init__(self):
+        self.futures: list = []
+
+    def submit(self, fn, *args):
+        future = Future()
+        if not self.futures:
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:  # noqa: BLE001 - handed to the future, as a pool does
+                future.set_exception(exc)
+        self.futures.append(future)
+        return future
+
+
+class TestConcurrentChunks:
+    """The chunks of a call render on the pool with the bits of one chunk;
+    the calling thread stores their entries in chunk order once all have
+    rendered, and stores nothing when one raises."""
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "separate"])
+    @pytest.mark.parametrize("family", ["ramp", "mixed"])
+    def test_matches_one_chunk_and_per_stream_blocks(self, shared, family, monkeypatch):
+        # mixed starts at theta 0, so with separate noise entity 0 resumes
+        # from the trunk in a chunk of its own; the nudged render resumes
+        # every entity from the first one's entries
+        first = mixed_schedule(10) if family == "mixed" else ramp()
+        p = small_pipeline()
+        for sched in (first, nudged(first, 6)):
+            want_log: list = []
+            want = sample(small_pipeline(), FIVE, sched, 3, shared, want_log)  # one chunk
+            off_main: list = []
+            trajectory = pipeline_module._trajectory
+
+            def recorded(pipeline, text, x, *rest):
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.append(len(x))
+                return trajectory(pipeline, text, x, *rest)
+
+            got_log: list = []
+            with three_chunks(monkeypatch) as m:
+                m.setattr(pipeline_module, "_trajectory", recorded)
+                got = sample(p, FIVE, sched, 3, shared, got_log)
+            assert len(off_main) == 3 and sum(off_main) == 5
+            assert same_renders(got, want)
+            assert same_logs(got_log, want_log)
+            assert same_logs(got_log, exact_latents(p, FIVE, sched, 3, shared))
+
+    def test_entries_stored_in_chunk_order(self, monkeypatch):
+        # the first chunk finishes last, and its entry is still stored first
+        serial = small_pipeline()
+        want = sample(serial, FIVE, ramp())
+        trajectory = pipeline_module._trajectory
+        finished: list = []
+        others_done = threading.Event()
+
+        def first_last(pipeline, text, x, *rest):
+            if len(x) == 1:
+                assert others_done.wait(10)
+            out = trajectory(pipeline, text, x, *rest)
+            finished.append(len(x))
+            if finished == [2, 2]:
+                others_done.set()
+            return out
+
+        p = small_pipeline()
+        with ThreadPoolExecutor(3) as pool, three_chunks(monkeypatch) as m:
+            m.setattr(pipeline_module, "_executor", lambda: pool)
+            m.setattr(pipeline_module, "_trajectory", first_last)
+            got = sample(p, FIVE, ramp())
+        assert finished == [2, 2, 1]
+        assert same_renders(got, want)
+        assert list(p.memo.entries) == list(serial.memo.entries)
+        for key, steps in serial.memo.entries.items():
+            assert same_renders(p.memo.entries[key], steps)
+
+    def test_failed_chunk_raises_first_error_and_stores_nothing(self, monkeypatch):
+        p = small_pipeline()
+        sample(p, OTHER, ramp())
+        held = list(p.memo.entries)
+        cfg = p.config
+        embedded = [embed_prompt(e, cfg.d_model, cfg.text_tokens, seed=cfg.weight_seed)
+                    for e in FIVE.entities]
+        trajectory = pipeline_module._trajectory
+
+        def failing(pipeline, text, x, *rest):
+            first = next(j for j, emb in enumerate(embedded) if np.array_equal(text[1, 0], emb))
+            if len(x) == 2:  # both chunks of 2 raise; the first in chunk order propagates
+                raise RuntimeError(f"chunk from entity {first} failed")
+            return trajectory(pipeline, text, x, *rest)
+
+        with three_chunks(monkeypatch) as m:
+            m.setattr(pipeline_module, "_trajectory", failing)
+            with pytest.raises(RuntimeError, match="chunk from entity 1 failed"):
+                sample(p, FIVE, ramp())
+        assert list(p.memo.entries) == held
+        with three_chunks(monkeypatch):
+            assert same_renders(sample(p, FIVE, ramp()), sample(small_pipeline(), FIVE, ramp()))
+
+    def test_pending_chunks_cancelled_when_one_raises(self, monkeypatch):
+        pool = RunsFirstOnly()
+        ran: list = []
+
+        def failing(pipeline, text, x, *rest):
+            ran.append(len(x))
+            raise RuntimeError("first chunk failed")
+
+        p = small_pipeline()
+        with three_chunks(monkeypatch) as m:
+            m.setattr(pipeline_module, "_executor", lambda: pool)
+            m.setattr(pipeline_module, "_trajectory", failing)
+            with pytest.raises(RuntimeError, match="first chunk failed"):
+                sample(p, FIVE, ramp())
+        assert ran == [1]
+        assert [f.cancelled() for f in pool.futures] == [False, True, True]
+        assert not p.memo.entries
+
+
 TINY = PipelineConfig(d_model=4, text_tokens=4, grid_side=3, double_blocks=1,
                       single_blocks=1, steps=4)
 TINY_BYTES = 8 * TINY.steps * TINY.image_tokens * TINY.d_model
@@ -711,25 +848,29 @@ class TestTrajectoryMemo:
 
 
 class TestChunks:
-    """A chunk's score block stays within 2 MiB."""
+    """A chunk's largest score block stays within 2 MiB."""
 
     @pytest.mark.parametrize(
         "overrides, n, sizes",
         [
-            ({"d_model": 32, "grid_side": 16}, 9, [3, 3, 3]),  # 592 KB per entity
-            ({"d_model": 32, "grid_side": 16}, 4, [2, 2]),
-            ({}, 5, [5]),  # 50 KiB per entity
-            ({}, 51, [25, 26]),
-            ({}, 52, [26, 26]),
-            ({"d_model": 64, "grid_side": 32}, 3, [1, 1, 1]),  # 8.65 MB per entity
-            ({}, 40, [40]),
+            ({"d_model": 32, "grid_side": 16}, 9, [1] * 9),  # 1.12 MB per entity
+            ({"d_model": 32, "grid_side": 16}, 4, [1, 1, 1, 1]),
+            ({}, 5, [5]),  # 81 KiB per entity
+            ({}, 51, [17, 17, 17]),
+            ({}, 52, [17, 17, 18]),
+            ({"d_model": 64, "grid_side": 32}, 3, [1, 1, 1]),  # 17.0 MB per entity
+            ({}, 40, [20, 20]),
             ({}, 41, [20, 21]),
         ],
     )
     def test_balanced_sizes(self, overrides, n, sizes):
-        chunks = _chunks(list(range(n)), PipelineConfig(**overrides))
+        cfg = PipelineConfig(**overrides)
+        chunks = _chunks(list(range(n)), cfg)
         assert [len(c) for c in chunks] == sizes
         assert sum(chunks, []) == list(range(n))
+        # the stacked branches of an interior single block fit the budget too
+        branch_bytes = 2 * 8 * (cfg.image_tokens + cfg.text_tokens) ** 2
+        assert all(len(c) * branch_bytes <= CHUNK_SCORE_BYTES for c in chunks if len(c) > 1)
 
 
 class TestAutoMasks:

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from couplegen import schedule
+from couplegen.pipeline import PipelineConfig
 from couplegen.schedule import (
+    MAX_STEPS,
     ScheduleFamily,
     ThetaSchedule,
     eval_family,
@@ -100,6 +103,16 @@ class TestMakeSchedule:
     def test_bad_steps(self):
         with pytest.raises(ValueError):
             make_schedule(ScheduleFamily("step01", 1.0), 0)
+
+    def test_steps_bound_checked_before_any_step(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(schedule, "eval_family", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=f"1..{MAX_STEPS}, got {MAX_STEPS + 1}"):
+            make_schedule(ScheduleFamily("arctan", 3.0), MAX_STEPS + 1)
+        assert calls == []
+        with pytest.raises(ValueError, match=f"steps must be <= {MAX_STEPS}"):
+            PipelineConfig(steps=MAX_STEPS + 1)
+        assert PipelineConfig(steps=MAX_STEPS).steps == MAX_STEPS
 
     @settings(max_examples=100, deadline=None)
     @given(
