@@ -10,23 +10,24 @@ Two mechanisms are implemented:
   with the two branch image outputs merged by interpolation
   (``merge_image_states``).
 
-Every mechanism runs through one core, which gives all the query streams
-of a call one score block of flat rows, (all query rows, live key tokens),
-and one ``softmax_rows(Q K^T / norm)`` over it; each stream's output is
-the product of its run of rows with the concatenated values.  A key
-stream whose scale factor is exactly 0 is dropped rather than scaled (a
-literal 0-scaled key would still receive weight proportional to e^0), which
-makes the theta in {0, 1} reductions exact: the surviving streams go
-through the same calls on the same operands as the plain two-stream path.
+Every mechanism runs through one core, which attends one text against one
+image: their query rows share one score block of flat rows, (all query
+rows, live key tokens), and one ``softmax_rows(Q K^T / norm)``; each
+output is the product of its run of rows with the concatenated values.
+A coupled call's text stacks the background and entity as members whose
+keys are scaled by 1 - theta and theta, and a member of scale exactly 0 is
+dropped rather than scaled (a literal 0-scaled key would still receive
+weight proportional to e^0), so the theta in {0, 1} reductions are exact:
+the surviving keys go through the same calls as ``joint_attention``'s.
 
-The matrix products stay one per stream and weight: each stream's Q, K and
-V projection, its rows of ``Q K^T`` and its rows of ``P V``.  The bits of a
-product's row can depend on how many rows the product has (numpy takes
-gemv for a one-row operand, and BLAS picks its kernel by size), so one
-product over all query rows is not exact.  Measured with OpenBLAS 0.3.31
-on an AVX-512 Xeon, one ``Q K^T`` changed text rows at d32 and d64 with
-64 or 100 image tokens, a one-token stream's rows at
-every d, and the theta == 0 reduction to ``joint_attention`` at d64 with 2
+The matrix products stay one per stream and weight: the text's and the
+image's Q, K and V projections, their rows of ``Q K^T`` and of ``P V``.
+The bits of a product's row can depend on how many rows the product has
+(numpy takes gemv for a one-row operand, and BLAS picks its kernel by
+size), so one product over all query rows is not exact.  Measured with
+OpenBLAS 0.3.31 on an AVX-512 Xeon, one ``Q K^T`` changed text rows at d32
+and d64 with 64 or 100 image tokens, a one-token stream's rows at every d,
+and the theta == 0 reduction to ``joint_attention`` at d64 with 2
 text tokens; one ``P V`` changed text rows from about 520 keys.  Per
 stream, every product is the call the stream would get alone, so the
 reductions hold whatever the BLAS; the elementwise passes (the division by
@@ -54,8 +55,8 @@ state) are built by ``_computed`` or ``_coupled`` and not checked again.
 
 The score block is computed into one flat float64 workspace per thread,
 owned by this module, and scaled and softmaxed there in place: the block is
-laid out as rows, one contiguous run per query stream, each stream's
-``Q K^T`` goes into its run through ``np.matmul(..., out=)``,
+laid out as rows, one contiguous run each for the text's and the image's
+queries, whose ``Q K^T`` goes into it through ``np.matmul(..., out=)``,
 ``np.divide(..., out=)`` divides the block by the norm and
 ``softmax_rows(..., out=)`` normalises it, so no score temporary is
 allocated and every output is bit-identical to the same calls with fresh
@@ -77,7 +78,6 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -146,8 +146,8 @@ class StreamState:
 
 @dataclass(frozen=True)
 class CoupledStreamState:
-    """The streams of a coupled attention call, and also the sampler's
-    state through the blocks of a step."""
+    """The streams of a coupled attention call and the sampler's step state:
+    a background and an entity text of one shape over an image."""
 
     background: np.ndarray
     entity: np.ndarray
@@ -155,44 +155,39 @@ class CoupledStreamState:
 
     def __post_init__(self):
         _hold_checked(self)
-
-    @cached_property
-    def text(self) -> np.ndarray:
-        """The background and entity streams as one (2, ...) stack; a state
-        built by _coupled holds the stack its two streams are members of."""
         if self.background.shape != self.entity.shape:
             raise ShapeError(
                 f"background {self.background.shape} and entity {self.entity.shape} "
                 "streams do not stack"
             )
+
+    @cached_property
+    def text(self) -> np.ndarray:
+        """The background and entity streams as one (2, ...) stack; a state
+        built by _coupled holds the stack its two streams are members of."""
         return np.stack((self.background, self.entity))
 
 
 def _hold_checked(state) -> None:
     """Replace the fields of a state by the arrays _check_streams returns."""
-    _hold(state, _check_streams(**{name: getattr(state, name) for name in state.__match_args__}))
+    # __match_args__ names the fields in order; a frozen dataclass keeps
+    # them in its __dict__
+    names = state.__match_args__
+    state.__dict__.update(zip(names, _check_streams(**{n: getattr(state, n) for n in names})))
 
 
-def _computed(cls, *streams):
-    """A cls state over streams computed from checked ones, built without
-    __post_init__, so they are not checked again."""
+def _computed(cls, *streams, **cached):
+    """A cls state, with any cached property values, over streams computed
+    from checked ones, built without __post_init__: they are not checked again."""
     state = object.__new__(cls)
-    _hold(state, streams)
+    state.__dict__.update(zip(cls.__match_args__, streams), **cached)
     return state
 
 
 def _coupled(text, image) -> CoupledStreamState:
     """A computed state whose background and entity are the two members of
     the (2, ...) text stack, which it holds as its text."""
-    state = object.__new__(CoupledStreamState)
-    state.__dict__.update(background=text[0], entity=text[1], image=image, text=text)
-    return state
-
-
-def _hold(state, arrays) -> None:
-    # __match_args__ names the fields in order; a frozen dataclass keeps
-    # them in its __dict__
-    state.__dict__.update(zip(state.__match_args__, arrays))
+    return _computed(CoupledStreamState, text[0], text[1], image, text=text)
 
 
 def _check_streams(branches: bool = False, **streams) -> list[np.ndarray]:
@@ -240,46 +235,41 @@ def _score_block(shape) -> np.ndarray:
     return _workspace.scores[:n].reshape(shape)
 
 
-def _multi_stream_attention(streams, w: AttentionWeights, key_scales, norm: NormConst):
-    """Shared attention core over streams that _check_streams accepted.
+def _attention(text, image, w: AttentionWeights, norm: NormConst, members=None):
+    """Shared attention core over a text and an image that _check_streams
+    accepted; returns the text's and the image's outputs.
 
-    Returns one output per input stream (the rows whose queries came from
-    that stream), in order.  A key scale is a float, or a tuple of one float
-    per member for a stream that stacks member streams on its leading axis;
-    each stream is projected by one product per weight, and the members'
-    keys and values are then concatenated on the token axis like streams.
-    A scale of 0.0 drops the keys and values of its stream or member; any
-    other scale multiplies its key vectors literally.  The key parts (a stream's
-    keys, or each member's) have the first part's batch shape, except that
-    the last, the image's, may have fewer axes and is then broadcast over
-    the first's leading ones; each stream's run of scores has the longer of
-    its own and the keys' batch shape.
+    Without members, the text's leading axes are batch axes: the image has
+    the text's batch shape or fewer axes, and is then broadcast over the
+    text's leading ones.  With members, one float per member, the text's
+    leading axis stacks member texts of the image's batch shape: the text is
+    projected by one product per weight, and each member's keys and values
+    go onto the token axis ahead of the image's.  A member whose scale is
+    0.0 is dropped; any other scale multiplies its key vectors literally.
     """
-    d = streams[0].shape[-1]
+    d = text.shape[-1]
     if w.d_model != d:
         raise ShapeError(f"weights are {w.d_model}x{w.d_model}, streams have d={d}")
-    keys, values = [], []
-    for s, scale in zip(streams, key_scales):
-        if scale != 0.0:
-            k, v = s @ w.w_k, s @ w.w_v
-            parts = ([(k[i], v[i], c) for i, c in enumerate(scale)]
-                     if isinstance(scale, tuple) else [(k, v, scale)])
-            for k, v, c in parts:
-                if c != 0.0:
-                    keys.append(k if c == 1.0 else c * k)
-                    values.append(v)
+    k, v = text @ w.w_k, text @ w.w_v
+    if members is None:
+        keys, values = [k], [v]
+    else:
+        keys = [k[i] if c == 1.0 else c * k[i] for i, c in enumerate(members) if c != 0.0]
+        values = [v[i] for i, c in enumerate(members) if c != 0.0]
+    keys.append(image @ w.w_k)
+    values.append(image @ w.w_v)
     k, v = _concatenated(keys), _concatenated(values)
+    n_keys = k.shape[-2]
+    rows = math.prod(text.shape[:-1])
+    image_shape = k.shape[:-2] + (image.shape[-2], n_keys)
+    p = _score_block((rows + math.prod(image_shape[:-1]), n_keys))
+    runs = p[:rows].reshape(text.shape[:-1] + (n_keys,)), p[rows:].reshape(image_shape)
     k_t = k.swapaxes(-1, -2)
-    shapes = [(s if s.ndim > k.ndim else k).shape[:-2] + (s.shape[-2], k.shape[-2])
-              for s in streams]
-    ends = list(accumulate(math.prod(shape[:-1]) for shape in shapes))
-    p = _score_block((ends[-1], k.shape[-2]))
-    runs = [p[start:stop].reshape(shape) for start, stop, shape in zip([0, *ends], ends, shapes)]
-    for s, run in zip(streams, runs):
-        np.matmul(s @ w.w_q, k_t, out=run)
+    np.matmul(text @ w.w_q, k_t, out=runs[0])
+    np.matmul(image @ w.w_q, k_t, out=runs[1])
     np.divide(p, norm.value, out=p)
     softmax_rows(p, out=p)
-    return [run @ v for run in runs]
+    return runs[0] @ v, runs[1] @ v
 
 
 def _concatenated(parts) -> np.ndarray:
@@ -299,9 +289,7 @@ def _concatenated(parts) -> np.ndarray:
 
 def joint_attention(state: StreamState, w: AttentionWeights, norm: NormConst) -> StreamState:
     """Token-axis QKV concatenation over (text, image), one softmax, split back."""
-    return _computed(StreamState, *_multi_stream_attention(
-        (state.text, state.image), w, (1.0, 1.0), norm
-    ))
+    return _computed(StreamState, *_attention(state.text, state.image, w, norm))
 
 
 def coupled_qkv_attention(
@@ -320,13 +308,7 @@ def coupled_qkv_attention(
     """
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must be in [0, 1], got {theta}")
-    if state.background.shape == state.entity.shape:
-        return _coupled(*_multi_stream_attention(
-            (state.text, state.image), w, ((1.0 - theta, theta), 1.0), norm
-        ))
-    return _computed(CoupledStreamState, *_multi_stream_attention(
-        (state.background, state.entity, state.image), w, (1.0 - theta, theta, 1.0), norm
-    ))
+    return _coupled(*_attention(state.text, state.image, w, norm, members=(1.0 - theta, theta)))
 
 
 def branch_attention(text, image, w: AttentionWeights, norm: NormConst):
@@ -338,9 +320,7 @@ def branch_attention(text, image, w: AttentionWeights, norm: NormConst):
     the branch axis.  The streams are checked here, since they come as bare
     arrays.
     """
-    streams = _check_streams(branches=True, text=text, image=image)
-    text_out, image_out = _multi_stream_attention(streams, w, (1.0, 1.0), norm)
-    return text_out, image_out
+    return _attention(*_check_streams(branches=True, text=text, image=image), w, norm)
 
 
 def merge_image_states(img_ent, img_bg, theta: float) -> np.ndarray:

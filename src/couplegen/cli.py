@@ -110,15 +110,20 @@ def _read_files(reader, paths, hint: str) -> list:
 
 
 def _parse_centers(spec: str) -> list[float]:
-    """'3..12' expands to integer centers; otherwise a comma-separated list."""
+    """'3..12' expands to integer centers, counted from its ends first;
+    otherwise a comma-separated list.  Either names 1 to MAX_STEPS centers."""
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        centers = [float(c) for c in range(int(lo), int(hi) + 1)]
+        centers = range(int(lo), int(hi) + 1)
+        count = max(0, centers.stop - centers.start)
     else:
         centers = [float(tok) for tok in spec.split(",") if tok.strip()]
-    if not centers:
+        count = len(centers)
+    if count < 1:
         raise ValueError(f"{spec!r} names no center")
-    return centers
+    if count > MAX_STEPS:
+        raise ValueError(f"{spec!r} names {count} centers, at most {MAX_STEPS}")
+    return [float(c) for c in centers]
 
 
 @click.group()
@@ -278,7 +283,8 @@ def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
 
 @main.command("sweep")
 @click.option("--family", type=click.Choice(["step01", "arctan", "sin"]), required=True)
-@click.option("--centers", required=True, help="Comma list or 'lo..hi' integer range.")
+@click.option("--centers", required=True,
+              help=f"Comma list or 'lo..hi' integer range, at most {MAX_STEPS} centers.")
 @click.option("--scale", type=float, default=1.0, show_default=True)
 @click.option("--bundle", "bundle_path", required=True)
 @click.option("--noise-seeds", default=1, show_default=True, help="Noise seeds averaged per point.")

@@ -11,16 +11,16 @@ step; only the image token state carries across steps.  Pixel readout takes
 channel 0 of each image token, and the final grid is squashed into [0, 1]
 with a tanh map.
 
-The background and entity text of a step travel as one (2, E,
-text_tokens, d_model) stack, whose members are the state's background and
-entity streams.  At 0 < theta < 1 a double block projects, output-mixes
-and feeds forward that stack by one product per weight, and a single block
-runs both branches as one branch_attention call over the stack and the
-image.  At theta == 0 (theta == 1) only the background (entity) text
-reaches the image tokens: a double block runs joint_attention on that live
-stream and the image, a single block runs only that branch, since the
-image merge discards the other one, and the dead stream passes through
-unchanged.  The single-prompt reference render is the theta == 0
+The background and entity text of a step, both embedded at text_tokens,
+travel as one (2, E, text_tokens, d_model) stack, whose members are the
+state's background and entity streams.  At 0 < theta < 1 a double block
+projects, output-mixes and feeds forward that stack by one product per
+weight, and a single block runs both branches as one branch_attention
+call over the stack and the image.  At theta == 0 (theta == 1) only the
+background (entity) text reaches the image tokens: a double block runs
+joint_attention on that live stream and the image, a single block runs
+only that branch, since the image merge discards the other one, and the
+dead stream passes through unchanged.  The single-prompt reference render is the theta == 0
 trajectory of the same step function, with the prompt as the background
 stream, so the image tokens follow the plain single-text pipeline by
 construction.

@@ -55,6 +55,8 @@ class ScheduleFamily:
                 raise ValueError(
                     f"{self.kind} requires a positive finite scale, got {self.scale}"
                 )
+        elif not math.isfinite(self.scale):
+            raise ValueError(f"scale must be finite, got {self.scale}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Attention mechanism tests: trivial identities, scalar-loop oracle
 agreement, and the exact theta boundary reductions."""
 
+import re
 import sys
 import threading
 import tracemalloc
@@ -113,7 +114,7 @@ class TestCoupledAttention:
         d = 4
         w = random_weights(rng, d)
         bg = rng.fill(2, d, -1.0, 1.0)
-        ent = rng.fill(1, d, -1.0, 1.0)
+        ent = rng.fill(2, d, -1.0, 1.0)
         img = rng.fill(2, d, -1.0, 1.0)
         norm = norm_for(d, d)
         out = coupled_qkv_attention(CoupledStreamState(bg, ent, img), w, 0.0, norm)
@@ -126,8 +127,9 @@ class TestCoupledAttention:
         for _ in range(25):
             d = 2 + rng.next_u64() % 3
             w = random_weights(rng, d)
-            bg = rng.fill(1 + rng.next_u64() % 2, d, -1.0, 1.0)
-            ent = rng.fill(1 + rng.next_u64() % 2, d, -1.0, 1.0)
+            n_txt = 1 + rng.next_u64() % 2
+            bg = rng.fill(n_txt, d, -1.0, 1.0)
+            ent = rng.fill(n_txt, d, -1.0, 1.0)
             img = rng.fill(1 + rng.next_u64() % 3, d, -1.0, 1.0)
             theta = rng.next_unit_real()
             norm = norm_for(d, d)
@@ -148,6 +150,11 @@ class TestCoupledAttention:
         out = coupled_qkv_attention(CoupledStreamState(bg, ent, img), w, 0.5, norm)
         ref = oracle_coupled_attention(bg, ent, img, w, 0.5, norm.value)
         np.testing.assert_allclose(out.image, ref[2], atol=1e-10)
+
+    def test_unequal_texts_rejected(self):
+        for bg, ent in (((2, 4), (1, 4)), ((3, 1, 4), (3, 2, 4))):
+            with pytest.raises(ShapeError, match=re.escape(f"background {bg} and entity {ent}")):
+                CoupledStreamState(np.zeros(bg), np.zeros(ent), np.zeros(bg[:-2] + (3, 4)))
 
     def test_theta_out_of_range(self):
         w = random_weights(Rng(1), 2)
@@ -263,13 +270,12 @@ class TestMergeImageStates:
 @st.composite
 def stacks(draw):
     """(weights, background, entity, image stacks, theta): E in 1..4 stacked
-    matrices per stream with their own token counts, theta 0, 1 or interior."""
+    matrices per stream, one token count for both texts and one for the
+    image, theta 0, 1 or interior."""
     rng = Rng(draw(st.integers(0, 2**64 - 1)))
     e, d = draw(st.integers(1, 4)), draw(st.integers(1, 6))
-    bg, ent, img = (
-        rng.fill(e * n, d, -2.0, 2.0).reshape(e, n, d)
-        for n in (draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(1, 9)))
-    )
+    n_txt, n_img = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    bg, ent, img = (rng.fill(e * n, d, -2.0, 2.0).reshape(e, n, d) for n in (n_txt, n_txt, n_img))
     theta = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0, exclude_min=True,
                                                             exclude_max=True))
     return random_weights(rng, d), bg, ent, img, theta
@@ -351,18 +357,18 @@ class TestWorkspace:
         rng = Rng(6)
         d = 8
         w, norm = random_weights(rng, d), norm_for(d, d)
-        first = coupled_qkv_attention(coupled_state(rng, d, 1, (3, 4, 16)), w, 0.5, norm)
+        first = coupled_qkv_attention(coupled_state(rng, d, 1, (4, 4, 16)), w, 0.5, norm)
         held = [first.background, first.entity, first.image]
         held += branch_attention(first.background, first.image, w, norm)
         want = [a.copy() for a in held]
         small = attention._workspace.scores
         # a larger block grows the workspace, a smaller one reuses it
         for e, n_img in ((3, 64), (1, 4)):
-            out = coupled_qkv_attention(coupled_state(rng, d, e, (3, 4, n_img)), w, 0.5, norm)
+            out = coupled_qkv_attention(coupled_state(rng, d, e, (4, 4, n_img)), w, 0.5, norm)
             outs = [out.background, out.entity, out.image]
             outs += branch_attention(out.background, out.image, w, norm)
             assert not any(np.shares_memory(a, attention._workspace.scores) for a in held + outs)
-        assert attention._workspace.scores.size == 3 * 71 * 71 > small.size
+        assert attention._workspace.scores.size == 3 * 72 * 72 > small.size
         assert all(np.array_equal(a, b) for a, b in zip(held, want, strict=True))
 
 
@@ -406,12 +412,11 @@ class TestSharedScoreBlock:
         got = branch_attention(ent, img, w, norm_for(d, 0))
         want = per_stream_attention((ent, img), w, (1.0, 1.0), norm_for(d, 0))
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-        if bg.shape == ent.shape:
-            # the two texts as the branches of one call over the image
-            got = branch_attention(np.stack((bg, ent)), img, w, norm_for(d, 0))
-            for j, text in enumerate((bg, ent)):
-                want = per_stream_attention((text, img), w, (1.0, 1.0), norm_for(d, 0))
-                assert all(np.array_equal(a[j], b) for a, b in zip(got, want, strict=True))
+        # the two texts as the branches of one call over the image
+        got = branch_attention(np.stack((bg, ent)), img, w, norm_for(d, 0))
+        for j, text in enumerate((bg, ent)):
+            want = per_stream_attention((text, img), w, (1.0, 1.0), norm_for(d, 0))
+            assert all(np.array_equal(a[j], b) for a, b in zip(got, want, strict=True))
 
     @settings(max_examples=80, deadline=None)
     @given(stacks())
@@ -419,7 +424,7 @@ class TestSharedScoreBlock:
         w, bg, ent, img, theta = case
         self.check(w, bg, ent, img, theta)
         self.check(w, bg[0], ent[0], img[0], theta)
-        # texts of one shape go through the core as one stack
+        # an entity text that is a multiple of the background text
         self.check(w, bg, -0.5 * bg, img, theta)
         self.check(w, bg[0], -0.5 * bg[0], img[0], theta)
 
@@ -456,10 +461,10 @@ class TestSharedScoreBlock:
         rng = Rng(10)
         d = 4
         w = random_weights(rng, d)
-        state = coupled_state(rng, d, 2, (3, 4, 5))
+        state = coupled_state(rng, d, 2, (3, 3, 5))
         for theta in (0.0, 0.5, 1.0):
             coupled_qkv_attention(state, w, theta, norm_for(d, d))
         branch_attention(state.entity, state.image, w, norm_for(d, 0))
         # every query row of the 2 stacked matrices, as flat rows, against the
-        # live keys: 3 + 5, 3 + 4 + 5, 4 + 5
-        assert blocks == [(24, 8), (24, 12), (24, 9), (18, 9)]
+        # live keys: 3 + 5, 3 + 3 + 5, 3 + 5
+        assert blocks == [(22, 8), (22, 11), (22, 8), (16, 8)]

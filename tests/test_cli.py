@@ -447,6 +447,49 @@ class TestSweepCommand:
         assert code == 0
         assert len(out.read_text().splitlines()) == 4
 
+    def test_centers_bound(self):
+        assert couplegen.cli._parse_centers("1..1000") == [float(c) for c in range(1, 1001)]
+        assert len(couplegen.cli._parse_centers(",".join(["3"] * 1000))) == 1000
+        for spec in ("1..1001", ",".join(["3"] * 1001)):
+            with pytest.raises(ValueError, match="names 1001 centers, at most 1000"):
+                couplegen.cli._parse_centers(spec)
+
+    def test_huge_range_exit_1_at_once(self, tmp_path, bundle_file):
+        # counted from its ends, so the range is never built; the child's
+        # 1 GiB address space keeps a range that were built from taking
+        # the machine's memory
+        out = tmp_path / "sweep.csv"
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from couplegen.cli import run\n"
+            "sys.exit(run(sys.argv[1:]))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script, "sweep", "--family", "step01", "--centers",
+             "0..100000000000", "--bundle", str(bundle_file), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1
+        assert "Invalid value for --centers:" in done.stderr
+        assert "names 100000000001 centers, at most 1000" in done.stderr
+        assert not out.exists()
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # the sampler imports it on its first call with more than one chunk;
+    # loading it at start-up costs every command a few milliseconds
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, couplegen.cli; print('concurrent.futures' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
 
 class TestOptimizeCommand:
     def test_small_run(self, tmp_path, bundle_file):
@@ -510,11 +553,18 @@ class TestExitCodes:
               "{out}", "--steps", "1001"], "--steps"),
             (["sweep", "--family", "step01", "--centers", "3", "--bundle", "{bundle}",
               "--out", "{out}", "--steps", "1001"], "--steps"),
+            (["sweep", "--family", "step01", "--centers", "3", "--scale", "nan", "--bundle",
+              "{bundle}", "--out", "{out}"], "--scale"),
+            (["schedule", "--family", "step01", "--center", "3", "--scale", "inf", "--out",
+              "{out}"], "--scale"),
+            (["sweep", "--family", "step01", "--centers", "1..1001", "--bundle", "{bundle}",
+              "--out", "{out}"], "--centers"),
         ],
         ids=["max_evals", "step_size", "step_size_inf", "step_size_wide", "optimize_d_model", "generate_steps",
              "generate_grid_side", "sweep_d_model", "sweep_steps", "sweep_scale",
              "sweep_centers", "arctan_scale", "sin_scale", "schedule_steps",
-             "schedule_steps_bound", "generate_steps_bound", "sweep_steps_bound"],
+             "schedule_steps_bound", "generate_steps_bound", "sweep_steps_bound",
+             "sweep_step01_scale_nan", "schedule_step01_scale_inf", "sweep_centers_bound"],
     )
     def test_bad_number_exit_1_names_flag(
         self, tmp_path, bundle_file, schedule_file, capsys, argv, flag

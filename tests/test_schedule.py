@@ -49,6 +49,14 @@ class TestEvalFamily:
             ScheduleFamily("sin", center=5.0, scale=-1.0)
         with pytest.raises(ValueError):
             ScheduleFamily("spline", center=5.0, scale=1.0)
+        for scale in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="scale must be finite"):
+                ScheduleFamily("step01", center=5.0, scale=scale)
+
+    def test_step01_takes_any_finite_scale(self):
+        # step01 ignores its scale, so only finiteness is asked of it
+        for scale in (0.0, -1.0, 1e308):
+            assert ScheduleFamily("step01", center=5.0, scale=scale).scale == scale
 
     @settings(max_examples=100, deadline=None)
     @given(
