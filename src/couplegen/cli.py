@@ -20,22 +20,15 @@ import numpy as np
 
 from . import isotonic, pnm
 from .metric import DegenerateMaskError, Lambdas, WeightOverflowError
-from .metric import background_similarity  # noqa: F401 - not called; perfbench/tracer.py wraps it
-from .pipeline import (
-    PipelineConfig,
-    auto_masks,
-    generate_and_score,
-    init_pipeline,
-    sample,
-    sample_single_prompt,
-    score_images,
-)
-from .pnm import quantize
+from .pipeline import PipelineConfig, generate_and_score, init_pipeline, render, score_images
+# not called here; perfbench/tracer.py wraps these names of this module
+from .metric import background_similarity  # noqa: F401
+from .pipeline import sample, sample_single_prompt  # noqa: F401
+from .pnm import quantize  # noqa: F401
 from .prompt_io import PromptBundle, decompose, endpoint_from_env
 from .schedule import (
     MAX_STEPS,
     ScheduleFamily,
-    ThetaSchedule,
     make_schedule,
     read_schedule_csv,
     write_schedule_csv,
@@ -153,7 +146,7 @@ def decompose_cmd(prompts_path, fixture, out_path):
 @click.option("--family", type=click.Choice(["step01", "arctan", "sin"]), required=True)
 @click.option("--center", type=float, required=True)
 @click.option("--scale", type=float, default=1.0, show_default=True)
-@click.option("--steps", type=int, default=50, show_default=True, help=STEPS_HELP)
+@click.option("--steps", type=int, default=PipelineConfig.steps, show_default=True, help=STEPS_HELP)
 @click.option("--out", "out_path", required=True)
 def schedule_cmd(family, center, scale, steps, out_path):
     """Write a theta schedule CSV for a parameterized family."""
@@ -185,20 +178,15 @@ def generate_cmd(bundle_path, schedule_path, out_dir, separate_noise, dump_laten
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     latent_log = [] if dump_latents else None
-    images = [
-        quantize(img)
-        for img in sample(
-            pipeline, bundle, sched, shared_noise=not separate_noise, latent_log=latent_log
-        )
-    ]
+    images, background_image, masks = render(
+        pipeline, bundle, sched, shared_noise=not separate_noise, latent_log=latent_log
+    )
     if dump_latents:
         from .numerics import save_f32t
 
         for j, steps_log in enumerate(latent_log, start=1):
             for i, latent in enumerate(steps_log, start=1):
                 save_f32t(out / f"latent_e{j}_s{i:03d}.f32t", latent)
-    background_image = quantize(sample_single_prompt(pipeline, bundle.background))
-    masks = auto_masks(images, background_image)
     pnm.write_pgm(out / "background.pgm", background_image)
     for j, (img, mask) in enumerate(zip(images, masks), start=1):
         pnm.write_pgm(out / f"entity_{j}.pgm", img)

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .numerics import Rng, ShapeError, uniform_rows
 
 __all__ = [
     "DegenerateMaskError",
-    "PromptKeyError",
     "WeightOverflowError",
     "Lambdas",
     "MetricReport",
@@ -41,10 +40,6 @@ DEFAULT_LAMBDA_TI = 1.0 / 30.0
 
 class DegenerateMaskError(ValueError):
     """Raised when the joint entity region covers the whole frame (R = 0)."""
-
-
-class PromptKeyError(KeyError):
-    """Raised when a scorer is asked about an unregistered prompt key."""
 
 
 class WeightOverflowError(ValueError):
@@ -150,16 +145,10 @@ class HashAlignmentScorer:
     embeddings mapped affinely to [0, 100].
     """
 
-    def __init__(self, prompts: Mapping[str, str] | None = None, seed: int = 0, dim: int = 32):
+    def __init__(self, seed: int = 0, dim: int = 32):
         self.seed = seed
         self.dim = dim
-        self._embeddings: dict[str, np.ndarray] = {}
         self._projections: dict[tuple, np.ndarray] = {}
-        for key, text in (prompts or {}).items():
-            self.add_prompt(key, text)
-
-    def add_prompt(self, key: str, text: str) -> None:
-        self._embeddings[key] = self.text_embedding(text)
 
     def text_embedding(self, text: str) -> np.ndarray:
         digest = hashlib.blake2b(
@@ -178,10 +167,8 @@ class HashAlignmentScorer:
             self._projections[key] = proj
         return proj @ flat
 
-    def score(self, prompt_key: str, image) -> float:
-        if prompt_key not in self._embeddings:
-            raise PromptKeyError(f"unknown prompt key {prompt_key!r}")
-        a = self._embeddings[prompt_key]
+    def score(self, text: str, image) -> float:
+        a = self.text_embedding(text)
         b = self.image_embedding(image)
         na = float(np.linalg.norm(a))
         nb = float(np.linalg.norm(b))

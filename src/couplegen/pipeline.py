@@ -128,6 +128,7 @@ __all__ = [
     "sample",
     "sample_single_prompt",
     "auto_masks",
+    "render",
     "score_images",
     "generate_and_score",
 ]
@@ -527,10 +528,34 @@ def sample_single_prompt(pipeline: Pipeline, prompt: str, noise_seed: int | None
     return _readout(cfg, _trunk(pipeline, prompt, seed)[-1])
 
 
-def auto_masks(images, background_image, threshold: float = AUTO_MASK_THRESHOLD):
+def auto_masks(images, background_image):
     """Toy segmentation stand-in: threshold each image against a
     background-only render."""
-    return [np.abs(img - background_image) > threshold for img in images]
+    return [np.abs(img - background_image) > AUTO_MASK_THRESHOLD for img in images]
+
+
+def render(
+    pipeline: Pipeline,
+    bundle: PromptBundle,
+    schedule: ThetaSchedule,
+    noise_seed: int | None = None,
+    shared_noise: bool = True,
+    latent_log: list | None = None,
+):
+    """(images, background_image, masks): the entity images of `sample`
+    and the single-prompt background render, both snapped to the 8-bit grid
+    of the image files, and the auto masks between them.
+
+    `couplegen generate` writes exactly these arrays and `generate_and_score`
+    scores them, so a generate-then-evaluate round trip through the files
+    reproduces its report.
+    """
+    images = [
+        quantize(img)
+        for img in sample(pipeline, bundle, schedule, noise_seed, shared_noise, latent_log)
+    ]
+    background_image = quantize(sample_single_prompt(pipeline, bundle.background, noise_seed))
+    return images, background_image, auto_masks(images, background_image)
 
 
 def score_images(images, masks, entities, lambdas: Lambdas) -> MetricReport:
@@ -538,7 +563,7 @@ def score_images(images, masks, entities, lambdas: Lambdas) -> MetricReport:
     union = jer(masks)
     ratio = validity_ratio(union)
     f_bg = background_similarity(images, union)
-    scorer = HashAlignmentScorer({text: text for text in entities})
+    scorer = HashAlignmentScorer()
     f_ti = [scorer.score(text, img) for text, img in zip(entities, images)]
     return build_report(f_bg, f_ti, ratio, lambdas)
 
@@ -547,22 +572,10 @@ def generate_and_score(
     pipeline: Pipeline,
     bundle: PromptBundle,
     schedule: ThetaSchedule,
-    masks=None,
-    lambdas: Lambdas | None = None,
     noise_seed: int | None = None,
 ) -> MetricReport:
-    """Sample, derive masks (given or thresholded), and assemble the report.
-
-    Images are snapped to the 8-bit grid before any metric so that a
-    generate-then-evaluate round trip through image files reproduces this
-    report exactly.
-    """
+    """The report of `render`'s images and auto masks at the default weights."""
     if len(bundle.entities) < 2:
         raise ValueError("scoring needs at least 2 entity prompts")
-    images = [quantize(img) for img in sample(pipeline, bundle, schedule, noise_seed)]
-    if masks is None:
-        background_image = quantize(
-            sample_single_prompt(pipeline, bundle.background, noise_seed)
-        )
-        masks = auto_masks(images, background_image)
-    return score_images(images, masks, bundle.entities, lambdas or Lambdas())
+    images, _, masks = render(pipeline, bundle, schedule, noise_seed)
+    return score_images(images, masks, bundle.entities, Lambdas())

@@ -27,7 +27,7 @@ def quantize(image) -> np.ndarray:
     return np.round(a * 255.0) / 255.0
 
 
-def _to_bytes(image, channels: int) -> tuple[np.ndarray, int, int]:
+def _to_bytes(image, channels: int) -> np.ndarray:
     a = np.asarray(image, dtype=np.float64)
     if channels == 1 and a.ndim == 3 and a.shape[2] == 1:
         a = a[:, :, 0]
@@ -36,8 +36,7 @@ def _to_bytes(image, channels: int) -> tuple[np.ndarray, int, int]:
         raise ValueError(f"expected {channels}-channel image, got shape {a.shape}")
     if a.size and (a.min() < 0.0 or a.max() > 1.0):
         raise ValueError("pixel values must lie in [0, 1]")
-    data = np.round(a * 255.0).astype(np.uint8)
-    return data, a.shape[0], a.shape[1]
+    return np.round(a * 255.0).astype(np.uint8)
 
 
 def _read_header(fh, magic: bytes):
@@ -75,11 +74,15 @@ def _read_raster(path, magic: bytes, channels: int, what: str):
     return np.frombuffer(raster, dtype=np.uint8), h, w
 
 
-def write_pgm(path, image) -> None:
-    data, h, w = _to_bytes(image, channels=1)
+def _write_raster(path, magic: bytes, data: np.ndarray) -> None:
+    """A P5/P6 file of the height x width (x channels) uint8 raster data."""
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(magic + f"\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
+
+
+def write_pgm(path, image) -> None:
+    _write_raster(path, b"P5", _to_bytes(image, channels=1))
 
 
 def read_pgm(path) -> np.ndarray:
@@ -88,10 +91,7 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_ppm(path, image) -> None:
-    data, h, w = _to_bytes(image, channels=3)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    _write_raster(path, b"P6", _to_bytes(image, channels=3))
 
 
 def read_ppm(path) -> np.ndarray:
@@ -103,10 +103,7 @@ def write_mask(path, mask) -> None:
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ValueError(f"mask must be HxW, got shape {m.shape}")
-    data = np.where(m.astype(bool), 255, 0).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    _write_raster(path, b"P5", np.where(m.astype(bool), 255, 0).astype(np.uint8))
 
 
 def read_mask(path) -> np.ndarray:

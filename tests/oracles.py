@@ -1,5 +1,5 @@
 """Independent reference implementations used as test oracles, and the
-test-only helpers `CountingObjective` and `add_embedding`.
+test-only helper `CountingObjective`.
 
 Every value oracle is deliberately written with scalar loops and none of
 the package's own linear algebra, so agreement is meaningful.  The exactness
@@ -223,13 +223,6 @@ class CountingObjective:
     def __call__(self, schedule) -> float:
         self.count += 1
         return float(self.fn(schedule))
-
-
-def add_embedding(scorer, key: str, vector) -> None:
-    """Register vector as the text embedding of scorer's prompt key."""
-    v = np.asarray(vector, dtype=np.float64)
-    assert v.shape == (scorer.dim,), v.shape
-    scorer._embeddings[key] = v.copy()
 
 
 def per_stream_attention(streams, w, key_scales, norm):

@@ -1,6 +1,7 @@
 """Command-line workflow tests: schedule/generate/evaluate round trips,
 deterministic re-runs, and exit codes."""
 
+import ast
 import json
 import os
 import shutil
@@ -15,7 +16,8 @@ import couplegen.cli
 from couplegen import prompt_io
 from couplegen.cli import run
 from couplegen.numerics import load_f32t
-from couplegen.pipeline import PipelineConfig, generate_and_score, init_pipeline, sample
+from couplegen.pipeline import PipelineConfig, generate_and_score, init_pipeline, render, sample
+from couplegen.pnm import read_mask, read_pgm
 from couplegen.prompt_io import PromptBundle
 from couplegen.schedule import ScheduleFamily, make_schedule, read_schedule_csv
 
@@ -68,6 +70,13 @@ class TestScheduleCommand:
                     "--out", str(tmp_path / "x.csv")])
         assert code == 1
 
+    def test_default_steps_chain_into_generate(self, tmp_path, bundle_file):
+        sched = tmp_path / "sched.csv"
+        assert run(["schedule", "--family", "arctan", "--center", "5", "--out", str(sched)]) == 0
+        assert len(read_schedule_csv(sched)) == PipelineConfig().steps
+        assert run(["generate", "--bundle", str(bundle_file), "--schedule", str(sched),
+                    "--out-dir", str(tmp_path / "o")]) == 0
+
 
 class TestGenerateCommand:
     def test_outputs(self, tmp_path, bundle_file, schedule_file):
@@ -110,6 +119,27 @@ class TestGenerateCommand:
             alone = PromptBundle(bundle.background, (entity,))
             sample(init_pipeline(PipelineConfig()), alone, sched, latent_log=log)
             for i, latent in enumerate(log[0], start=1):
+                dumped = load_f32t(out_dir / f"latent_e{j}_s{i:03d}.f32t")
+                assert np.array_equal(dumped, latent.astype(np.float32))
+
+    @pytest.mark.parametrize("flags", [[], ["--separate-noise", "--dump-latents"]])
+    def test_files_decode_to_render(self, tmp_path, bundle_file, schedule_file, flags):
+        out_dir = tmp_path / "gen"
+        assert run(["generate", "--bundle", str(bundle_file), "--schedule", str(schedule_file),
+                    "--out-dir", str(out_dir), *flags]) == 0
+        bundle = PromptBundle.from_dict(json.loads(bundle_file.read_text()))
+        log: list = []
+        images, background_image, masks = render(
+            init_pipeline(PipelineConfig()), bundle, read_schedule_csv(schedule_file),
+            shared_noise=not flags, latent_log=log if flags else None,
+        )
+        assert np.array_equal(read_pgm(out_dir / "background.pgm"), background_image)
+        for j, (image, mask) in enumerate(zip(images, masks), start=1):
+            assert np.array_equal(read_pgm(out_dir / f"entity_{j}.pgm"), image)
+            assert np.array_equal(read_mask(out_dir / f"mask_{j}.pgm"), mask)
+        assert len(list(out_dir.glob("*.f32t"))) == sum(len(steps) for steps in log)
+        for j, steps in enumerate(log, start=1):
+            for i, latent in enumerate(steps, start=1):
                 dumped = load_f32t(out_dir / f"latent_e{j}_s{i:03d}.f32t")
                 assert np.array_equal(dumped, latent.astype(np.float32))
 
@@ -476,6 +506,27 @@ class TestSweepCommand:
         assert "Invalid value for --centers:" in done.stderr
         assert "names 100000000001 centers, at most 1000" in done.stderr
         assert not out.exists()
+
+
+def test_cli_imports_only_used_or_perfbench_wrapped_names(monkeypatch):
+    # a name cli.py imports and never uses must be one perfbench/tracer.py wraps there
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracer
+
+    tree = ast.parse(Path(couplegen.cli.__file__).read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    wrapped = {
+        attr for targets in tracer.WRAPPED.values() for owner, attr in targets
+        if owner is couplegen.cli
+    }
+    assert sorted(imported - used - wrapped) == []
 
 
 def test_cli_import_leaves_concurrent_futures_unloaded():

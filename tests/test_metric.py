@@ -10,7 +10,6 @@ from couplegen.metric import (
     DegenerateMaskError,
     HashAlignmentScorer,
     Lambdas,
-    PromptKeyError,
     WeightOverflowError,
     background_similarity,
     build_report,
@@ -20,7 +19,7 @@ from couplegen.metric import (
 )
 from couplegen.numerics import ShapeError
 
-from oracles import add_embedding, oracle_text_embedding, pixelwise_union, scalar_background_score
+from oracles import oracle_text_embedding, pixelwise_union, scalar_background_score
 
 
 def half_mask(h=32, w=32, left=True):
@@ -148,22 +147,24 @@ class TestAlignmentStub:
 
     def test_deterministic(self):
         img1, _ = self.fixture_images()
-        s1 = HashAlignmentScorer(self.PROMPTS, seed=0)
-        s2 = HashAlignmentScorer(self.PROMPTS, seed=0)
-        assert s1.score("a", img1) == s2.score("a", img1)
+        s1 = HashAlignmentScorer(seed=0)
+        s2 = HashAlignmentScorer(seed=0)
+        assert s1.score(self.PROMPTS["a"], img1) == s2.score(self.PROMPTS["a"], img1)
 
     def test_own_embedding_scores_100(self):
         img1, _ = self.fixture_images()
         scorer = HashAlignmentScorer(seed=0)
-        add_embedding(scorer, "self", scorer.image_embedding(img1))
+        own = scorer.image_embedding(img1)
+        scorer.text_embedding = lambda text: own
         assert scorer.score("self", img1) == 100.0
 
     def test_golden_fixture_scores(self):
         # frozen from the first verified run of the stub
         img1, img2 = self.fixture_images()
-        scorer = HashAlignmentScorer(self.PROMPTS, seed=0)
-        assert scorer.score("a", img1) == pytest.approx(41.96840758199115, abs=1e-12)
-        assert scorer.score("b", img2) == pytest.approx(61.683582993766485, abs=1e-12)
+        scorer = HashAlignmentScorer(seed=0)
+        a, b = self.PROMPTS.values()
+        assert scorer.score(a, img1) == pytest.approx(41.96840758199115, abs=1e-12)
+        assert scorer.score(b, img2) == pytest.approx(61.683582993766485, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -175,17 +176,12 @@ class TestAlignmentStub:
         got = HashAlignmentScorer(seed=seed, dim=dim).text_embedding(text)
         assert np.array_equal(got, oracle_text_embedding(text, seed, dim))
 
-    def test_unknown_key(self):
-        scorer = HashAlignmentScorer(self.PROMPTS)
-        with pytest.raises(PromptKeyError):
-            scorer.score("missing", np.zeros((4, 4)))
-
     def test_scores_bounded(self):
         rng = np.random.default_rng(9)
-        scorer = HashAlignmentScorer(self.PROMPTS, seed=3)
+        scorer = HashAlignmentScorer(seed=3)
         for _ in range(10):
             img = rng.uniform(size=(8, 8))
-            v = scorer.score("a", img)
+            v = scorer.score(self.PROMPTS["a"], img)
             assert 0.0 <= v <= 100.0
 
 

@@ -22,7 +22,7 @@ from couplegen.attention import (
     joint_attention,
     merge_image_states,
 )
-from couplegen.metric import background_similarity, jer
+from couplegen.metric import Lambdas, background_similarity, jer
 from couplegen.numerics import Rng
 from couplegen.pipeline import (
     CHUNK_SCORE_BYTES,
@@ -32,12 +32,14 @@ from couplegen.pipeline import (
     auto_masks,
     generate_and_score,
     init_pipeline,
+    render,
     run_double_block,
     run_single_block,
     sample,
     _chunks,
     _initial_noise,
     sample_single_prompt,
+    score_images,
 )
 from couplegen.prompt_io import PromptBundle, embed_prompt
 from couplegen.schedule import ScheduleFamily, ThetaSchedule, make_schedule
@@ -911,7 +913,8 @@ class TestGenerateAndScore:
         p = small_pipeline()
         masks = [np.zeros((8, 8), dtype=bool) for _ in range(2)]
         masks[0][0, 0] = True
-        rep = generate_and_score(p, BUNDLE, constant_schedule(0.5), masks=masks)
+        images, _, _ = render(p, BUNDLE, constant_schedule(0.5))
+        rep = score_images(images, masks, BUNDLE.entities, Lambdas())
         assert rep.validity_ratio == 1.0 - 1.0 / 64.0
 
     def test_report_matches_hand_assembly(self):
