@@ -20,7 +20,8 @@ import numpy as np
 
 from . import isotonic, pnm
 from .metric import DegenerateMaskError, Lambdas, WeightOverflowError
-from .pipeline import PipelineConfig, generate_and_score, init_pipeline, render, score_images
+from .pipeline import MAX_SIZES, PipelineConfig, generate_and_score, init_pipeline
+from .pipeline import render, score_images
 # not called here; perfbench/tracer.py wraps these names of this module
 from .metric import background_similarity  # noqa: F401
 from .pipeline import sample, sample_single_prompt  # noqa: F401
@@ -71,8 +72,9 @@ def _warn_truncated(bundle: PromptBundle, cfg: PipelineConfig) -> None:
 def _pipeline_options(fn):
     """One --flag per PipelineConfig field, defaulting to the field's default."""
     for f in reversed(fields(PipelineConfig)):
+        text = f"At most {MAX_SIZES[f.name]}." if f.name in MAX_SIZES else None
         fn = click.option("--" + f.name.replace("_", "-"), default=f.default, show_default=True,
-                          help=STEPS_HELP if f.name == "steps" else None)(fn)
+                          help=STEPS_HELP if f.name == "steps" else text)(fn)
     return fn
 
 

@@ -610,12 +610,25 @@ class TestExitCodes:
               "{out}"], "--scale"),
             (["sweep", "--family", "step01", "--centers", "1..1001", "--bundle", "{bundle}",
               "--out", "{out}"], "--centers"),
+            # sizes far past FLUX.1's, rejected before anything is allocated
+            (["generate", "--bundle", "{bundle}", "--schedule", "{schedule}", "--out-dir",
+              "{out}", "--grid-side", "2000000000"], "--grid-side"),
+            (["generate", "--bundle", "{bundle}", "--schedule", "{schedule}", "--out-dir",
+              "{out}", "--d-model", "5000000000"], "--d-model"),
+            (["generate", "--bundle", "{bundle}", "--schedule", "{schedule}", "--out-dir",
+              "{out}", "--text-tokens", "5000000000000000000"], "--text-tokens"),
+            (["optimize", "--bundle", "{bundle}", "--out-dir", "{out}", "--double-blocks",
+              "5000000000"], "--double-blocks"),
+            (["sweep", "--family", "step01", "--centers", "3", "--bundle", "{bundle}",
+              "--out", "{out}", "--single-blocks", "5000000000"], "--single-blocks"),
         ],
         ids=["max_evals", "step_size", "step_size_inf", "step_size_wide", "optimize_d_model", "generate_steps",
              "generate_grid_side", "sweep_d_model", "sweep_steps", "sweep_scale",
              "sweep_centers", "arctan_scale", "sin_scale", "schedule_steps",
              "schedule_steps_bound", "generate_steps_bound", "sweep_steps_bound",
-             "sweep_step01_scale_nan", "schedule_step01_scale_inf", "sweep_centers_bound"],
+             "sweep_step01_scale_nan", "schedule_step01_scale_inf", "sweep_centers_bound",
+             "generate_grid_side_bound", "generate_d_model_bound", "generate_text_tokens_bound",
+             "optimize_double_blocks_bound", "sweep_single_blocks_bound"],
     )
     def test_bad_number_exit_1_names_flag(
         self, tmp_path, bundle_file, schedule_file, capsys, argv, flag

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import hashlib
 import itertools
+import sys
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 
@@ -27,6 +28,7 @@ from couplegen.numerics import Rng
 from couplegen.pipeline import (
     CHUNK_SCORE_BYTES,
     ENTITY_MEMO_BYTES,
+    MAX_SIZES,
     Pipeline,
     PipelineConfig,
     auto_masks,
@@ -87,6 +89,14 @@ class TestInit:
         assert len(p.double_blocks) == 3
         assert len(p.single_blocks) == 1
         assert p.double_blocks[0].attn.w_q.shape == (4, 4)
+
+    @pytest.mark.parametrize("name", sorted(MAX_SIZES))
+    def test_size_bounds(self, name):
+        # the bound itself is accepted, one past it is not; nothing is allocated
+        most = MAX_SIZES[name]
+        assert getattr(PipelineConfig(**{name: most}), name) == most
+        with pytest.raises(ValueError, match=f"{name} must be <= {most}, got {most + 1}"):
+            PipelineConfig(**{name: most + 1})
 
     def test_large_config_weight_and_noise_digest(self):
         # sha256 of every weight (draw order) and the initial noise at seeds
@@ -667,28 +677,66 @@ def three_chunks(monkeypatch):
         yield m
 
 
-class RunsFirstOnly:
-    """An executor that runs the first task it is given at once, in the
-    calling thread, and leaves every later one pending."""
+class RunsInOrder:
+    """An executor that runs each task to the end as it is submitted, in
+    the calling thread, so the scheduler's loops run one after another."""
 
     def __init__(self):
         self.futures: list = []
 
     def submit(self, fn, *args):
         future = Future()
-        if not self.futures:
-            try:
-                future.set_result(fn(*args))
-            except Exception as exc:  # noqa: BLE001 - handed to the future, as a pool does
-                future.set_exception(exc)
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 - handed to the future, as a pool does
+            future.set_exception(exc)
         self.futures.append(future)
         return future
 
 
+def recorded_steps(m, after_step=None) -> tuple[list, list]:
+    """Inside the monkeypatch context m, (sizes, steps): the stack size of
+    every _trajectory run in the order the runs are made, and per step, in
+    the order the steps end, (run index, whether the main thread ran it).
+    after_step(size, last), if given, runs in the step's thread as it ends."""
+    sizes: list = []
+    steps: list = []
+    trajectory = pipeline_module._trajectory
+
+    def stepping(run, stepper, size, n_steps):
+        for k, x in enumerate(stepper):
+            steps.append((run, threading.current_thread() is threading.main_thread()))
+            if after_step is not None:
+                after_step(size, k == n_steps - 1)
+            yield x
+
+    def recorded(pipeline, text, x, thetas, *rest):
+        sizes.append(len(x))
+        return stepping(len(sizes) - 1, trajectory(pipeline, text, x, thetas, *rest),
+                        len(x), len(thetas))
+
+    m.setattr(pipeline_module, "_trajectory", recorded)
+    return sizes, steps
+
+
+def chunk_pool(m, pool, workers: int) -> None:
+    """Inside the monkeypatch context m, calls render their chunks on
+    workers loops on pool."""
+    m.setattr(pipeline_module, "_executor", lambda: pool)
+    m.setattr(pipeline_module, "_workers", lambda: workers)
+
+
+def first_entity(cfg: PipelineConfig, text) -> int:
+    """The index in FIVE of the first entity of a chunk's text stack."""
+    return next(j for j, entity in enumerate(FIVE.entities) if np.array_equal(
+        text[1, 0], embed_prompt(entity, cfg.d_model, cfg.text_tokens, seed=cfg.weight_seed)))
+
+
 class TestConcurrentChunks:
-    """The chunks of a call render on the pool with the bits of one chunk;
-    the calling thread stores their entries in chunk order once all have
-    rendered, and stores nothing when one raises."""
+    """The chunks of a call advance one step at a time on the pool, each
+    with the bits of a one-chunk render; the calling thread stores their
+    entries in chunk order once all have rendered, and stores nothing when
+    a step raises."""
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "separate"])
     @pytest.mark.parametrize("family", ["ramp", "mixed"])
@@ -701,44 +749,60 @@ class TestConcurrentChunks:
         for sched in (first, nudged(first, 6)):
             want_log: list = []
             want = sample(small_pipeline(), FIVE, sched, 3, shared, want_log)  # one chunk
-            off_main: list = []
-            trajectory = pipeline_module._trajectory
-
-            def recorded(pipeline, text, x, *rest):
-                if threading.current_thread() is not threading.main_thread():
-                    off_main.append(len(x))
-                return trajectory(pipeline, text, x, *rest)
-
             got_log: list = []
             with three_chunks(monkeypatch) as m:
-                m.setattr(pipeline_module, "_trajectory", recorded)
+                sizes, steps = recorded_steps(m)
                 got = sample(p, FIVE, sched, 3, shared, got_log)
+            # the trunk renders inline, every step of a chunk off the main thread
+            on_main = {run for run, main in steps if main}
+            off_main = [size for run, size in enumerate(sizes) if run not in on_main]
+            assert not on_main & {run for run, main in steps if not main}
             assert len(off_main) == 3 and sum(off_main) == 5
             assert same_renders(got, want)
             assert same_logs(got_log, want_log)
             assert same_logs(got_log, exact_latents(p, FIVE, sched, 3, shared))
 
+    @pytest.mark.parametrize(
+        "bundle, chunking, order",
+        [
+            # 3 chunks of 1 entity take turns
+            (OTHER, per_entity, [0, 1, 2] * 10),
+            # chunks of 1, 2 and 2 entities: the chunk with the most
+            # entity-steps left goes first, the earliest of a tie
+            (FIVE, three_chunks, [1, 2] * 5 + [0, 1, 2, 0] * 5),
+        ],
+        ids=["equal", "most_left_first"],
+    )
+    def test_step_order(self, bundle, chunking, order, monkeypatch):
+        pool = RunsInOrder()
+        with chunking(monkeypatch), monkeypatch.context() as m:
+            chunk_pool(m, pool, 2)
+            sizes, steps = recorded_steps(m)
+            got = sample(small_pipeline(), bundle, ramp())
+        assert len(sizes) == 3
+        assert [run for run, _ in steps] == order
+        assert len(pool.futures) == 2  # the first loop runs every step
+        assert same_renders(got, sample(small_pipeline(), bundle, ramp()))
+
     def test_entries_stored_in_chunk_order(self, monkeypatch):
         # the first chunk finishes last, and its entry is still stored first
         serial = small_pipeline()
         want = sample(serial, FIVE, ramp())
-        trajectory = pipeline_module._trajectory
         finished: list = []
         others_done = threading.Event()
 
-        def first_last(pipeline, text, x, *rest):
-            if len(x) == 1:
-                assert others_done.wait(10)
-            out = trajectory(pipeline, text, x, *rest)
-            finished.append(len(x))
-            if finished == [2, 2]:
-                others_done.set()
-            return out
+        def first_last(size, last):
+            if last:
+                if size == 1:
+                    assert others_done.wait(10)
+                finished.append(size)
+                if finished == [2, 2]:
+                    others_done.set()
 
         p = small_pipeline()
         with ThreadPoolExecutor(3) as pool, three_chunks(monkeypatch) as m:
-            m.setattr(pipeline_module, "_executor", lambda: pool)
-            m.setattr(pipeline_module, "_trajectory", first_last)
+            chunk_pool(m, pool, 3)
+            recorded_steps(m, first_last)
             got = sample(p, FIVE, ramp())
         assert finished == [2, 2, 1]
         assert same_renders(got, want)
@@ -750,42 +814,96 @@ class TestConcurrentChunks:
         p = small_pipeline()
         sample(p, OTHER, ramp())
         held = list(p.memo.entries)
-        cfg = p.config
-        embedded = [embed_prompt(e, cfg.d_model, cfg.text_tokens, seed=cfg.weight_seed)
-                    for e in FIVE.entities]
+        raised: list = []
+        later_raised = threading.Event()
         trajectory = pipeline_module._trajectory
 
         def failing(pipeline, text, x, *rest):
-            first = next(j for j, emb in enumerate(embedded) if np.array_equal(text[1, 0], emb))
-            if len(x) == 2:  # both chunks of 2 raise; the first in chunk order propagates
+            first = first_entity(pipeline.config, text)
+            if len(x) == 2:  # both chunks of 2 raise, the later one first
+                if first == 1:
+                    assert later_raised.wait(10)
+                raised.append(first)
+                later_raised.set()
                 raise RuntimeError(f"chunk from entity {first} failed")
-            return trajectory(pipeline, text, x, *rest)
+            yield from trajectory(pipeline, text, x, *rest)
 
-        with three_chunks(monkeypatch) as m:
+        with ThreadPoolExecutor(2) as pool, three_chunks(monkeypatch) as m:
+            chunk_pool(m, pool, 2)
             m.setattr(pipeline_module, "_trajectory", failing)
             with pytest.raises(RuntimeError, match="chunk from entity 1 failed"):
                 sample(p, FIVE, ramp())
+        assert raised == [3, 1]
         assert list(p.memo.entries) == held
         with three_chunks(monkeypatch):
             assert same_renders(sample(p, FIVE, ramp()), sample(small_pipeline(), FIVE, ramp()))
 
-    def test_pending_chunks_cancelled_when_one_raises(self, monkeypatch):
-        pool = RunsFirstOnly()
-        ran: list = []
+    def test_no_step_starts_after_one_raises(self, monkeypatch):
+        pool = RunsInOrder()
+        started: list = []
+        trajectory = pipeline_module._trajectory
 
-        def failing(pipeline, text, x, *rest):
-            ran.append(len(x))
-            raise RuntimeError("first chunk failed")
+        def failing(pipeline, text, x, thetas, *rest):
+            first = first_entity(pipeline.config, text)
+            stepper = trajectory(pipeline, text, x, thetas, *rest)
+            for k in range(len(thetas)):
+                started.append(first)
+                if first == 3 and k == 1:
+                    raise RuntimeError("second step of entity 3 failed")
+                yield next(stepper)
 
         p = small_pipeline()
         with three_chunks(monkeypatch) as m:
-            m.setattr(pipeline_module, "_executor", lambda: pool)
+            chunk_pool(m, pool, 3)
             m.setattr(pipeline_module, "_trajectory", failing)
-            with pytest.raises(RuntimeError, match="first chunk failed"):
+            with pytest.raises(RuntimeError, match="second step of entity 3 failed"):
                 sample(p, FIVE, ramp())
-        assert ran == [1]
-        assert [f.cancelled() for f in pool.futures] == [False, True, True]
+        assert started == [1, 3, 1, 3]
+        assert [f.exception() for f in pool.futures] == [None] * 3
         assert not p.memo.entries
+
+    def test_chunk_never_advanced_by_two_threads(self, monkeypatch):
+        # more loops than cores and a short switch interval: each chunk has
+        # at most one step in flight, and the bits are a one-loop render's
+        lock = threading.Lock()
+        in_flight: dict = {}
+        most: list = [0]
+        run_step = pipeline_module._run_step
+
+        def counted(pipeline, state, theta):
+            chunk = id(state.text)  # one text stack per chunk, held across its steps
+            with lock:
+                in_flight[chunk] = in_flight.get(chunk, 0) + 1
+                most[0] = max(most[0], in_flight[chunk])
+            try:
+                return run_step(pipeline, state, theta)
+            finally:
+                with lock:
+                    in_flight[chunk] -= 1
+
+        def renders(workers: int):
+            p = small_pipeline()
+            log: list = []
+            with ThreadPoolExecutor(workers) as pool, monkeypatch.context() as m:
+                m.setattr("couplegen.pipeline.CHUNK_SCORE_BYTES", 0)
+                chunk_pool(m, pool, workers)
+                m.setattr(pipeline_module, "_run_step", counted)
+                first = mixed_schedule(10)
+                images = [sample(p, FIVE, sched, 3, False, log) for sched in (first, nudged(first, 6))]
+            return images, log, p.memo.entries
+
+        want_images, want_log, want_entries = renders(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            images, log, entries = renders(4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert most[0] == 1
+        assert same_logs(images, want_images)
+        assert same_logs(log, want_log)
+        assert list(entries) == list(want_entries)
+        assert all(same_renders(entries[key], steps) for key, steps in want_entries.items())
 
 
 TINY = PipelineConfig(d_model=4, text_tokens=4, grid_side=3, double_blocks=1,
