@@ -39,8 +39,8 @@ batch axis, every stream of a call having the same E and d.  The sampler
 stacks the coupled entities of one call that way: they share the weights and
 the theta of every step, so theta stays one float per call.  It also keeps
 the background and entity text of a step as one (2, E, tokens, d) stack,
-the ``text`` of ``CoupledStreamState``, whose two members are its
-``background`` and ``entity``.  ``coupled_qkv_attention`` projects that
+which a coupled call takes as the ``text`` of its ``CoupledStreamState``,
+whose two members are its ``background`` and ``entity``.  ``coupled_qkv_attention`` projects that
 stack by one product per weight and puts its members' keys and values on
 the token axis; ``branch_attention`` takes it as the texts of two branches
 over one image, whose Q, K and V are projected once and broadcast to both.
@@ -50,8 +50,9 @@ the matrix products of a stack slice by slice, broadcasting an operand
 with fewer batch axes, so each slice of a stacked call equals the 2-D call
 on that slice bit for bit.  A state a caller builds checks its streams
 once and holds the float64 arrays the check returns.  The states computed
-from checked streams (attention results, block outputs, the sampler's step
-state) are built by ``_computed`` or ``_coupled`` and not checked again.
+from checked streams (attention results, and the states the sampler's
+blocks build over their arrays) are built by ``_computed`` or ``_coupled``
+and not checked again.
 
 The score block is computed into one flat float64 workspace per thread,
 owned by this module, and scaled and softmaxed there in place: the block is
@@ -146,8 +147,8 @@ class StreamState:
 
 @dataclass(frozen=True)
 class CoupledStreamState:
-    """The streams of a coupled attention call and the sampler's step state:
-    a background and an entity text of one shape over an image."""
+    """The streams of a coupled attention call: a background and an entity
+    text of one shape over an image."""
 
     background: np.ndarray
     entity: np.ndarray

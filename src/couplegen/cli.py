@@ -3,8 +3,8 @@
 Subcommands: decompose, schedule, generate, evaluate, optimize, sweep.
 Every run is deterministic given its flags; all randomness comes from the
 explicit --weight-seed / --noise-seed flags and outputs carry no timestamps.
-Exit codes: 0 success, 1 usage error (bad flags, missing files), 2 runtime
-error.
+Exit codes: 0 success, 1 usage error (bad flags, missing files, a directory
+where a file goes or a file where a directory goes), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -277,13 +277,15 @@ def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
               help=f"Comma list or 'lo..hi' integer range, at most {MAX_STEPS} centers.")
 @click.option("--scale", type=float, default=1.0, show_default=True)
 @click.option("--bundle", "bundle_path", required=True)
-@click.option("--noise-seeds", default=1, show_default=True, help="Noise seeds averaged per point.")
+@click.option("--noise-seeds", default=1, show_default=True,
+              help=f"Noise seeds averaged per point, at most {MAX_STEPS}.")
 @click.option("--out", "out_path", required=True)
 @_pipeline_options
 def sweep_cmd(family, centers, scale, bundle_path, noise_seeds, out_path, **kw):
     """Evaluate a grid of schedule centers and tabulate the metrics."""
-    if noise_seeds < 1:
-        raise click.BadParameter(f"must be >= 1, got {noise_seeds}", param_hint="--noise-seeds")
+    if not 1 <= noise_seeds <= MAX_STEPS:
+        raise click.BadParameter(f"must be from 1 to {MAX_STEPS}, got {noise_seeds}",
+                                 param_hint="--noise-seeds")
     bundle = _load_bundle(bundle_path, min_entities=2)
     cfg = _from_flags(PipelineConfig, **kw)
     pipeline = init_pipeline(cfg)
@@ -326,6 +328,9 @@ def run(argv) -> int:
         return 1
     except FileNotFoundError as exc:
         click.echo(f"usage error: missing file: {exc}", err=True)
+        return 1
+    except (IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
+        click.echo(f"usage error: wrong kind of path: {exc}", err=True)
         return 1
     except click.exceptions.Exit as exc:  # --help and friends
         return int(exc.exit_code)

@@ -12,18 +12,19 @@ channel 0 of each image token, and the final grid is squashed into [0, 1]
 with a tanh map.
 
 The background and entity text of a step, both embedded at text_tokens,
-travel as one (2, E, text_tokens, d_model) stack, whose members are the
-state's background and entity streams.  At 0 < theta < 1 a double block
-projects, output-mixes and feeds forward that stack by one product per
-weight, and a single block runs both branches as one branch_attention
-call over the stack and the image.  At theta == 0 (theta == 1) only the
-background (entity) text reaches the image tokens: a double block runs
-joint_attention on that live stream and the image, a single block runs
-only that branch, since the image merge discards the other one, and the
-dead stream passes through unchanged.  The single-prompt reference render is the theta == 0
-trajectory of the same step function, with the prompt as the background
-stream, so the image tokens follow the plain single-text pipeline by
-construction.
+travel as one (2, E, text_tokens, d_model) stack, and the blocks map
+(text, image) arrays to (text, image) arrays.  Which text reaches the image
+tokens is decided once per step: at theta == 0 (theta == 1) only the
+background (entity) member does, so the step hands every block that member
+alone; at 0 < theta < 1 every block gets the stack.  There a double block
+projects, output-mixes and feeds forward the stack by one product per
+weight, and a single block runs both branches as one branch_attention call
+over the stack and the image.  Given one member, a double block runs
+joint_attention on it and the image, and a single block runs only that
+branch, the one the image merge keeps.  The single-prompt reference render
+is the theta == 0 trajectory of the same step function, with the prompt as
+the background stream, so the image tokens follow the plain single-text
+pipeline by construction.
 
 That theta == 0 trajectory is also the trunk every entity shares until its
 schedule's first nonzero theta.  Trajectories are memoised in one
@@ -99,7 +100,6 @@ import numpy as np
 
 from .attention import (
     AttentionWeights,
-    CoupledStreamState,
     NormConst,
     StreamState,
     _computed,
@@ -299,72 +299,51 @@ def _residual(x, attn, w_o, ff):
     return x + ff(x)
 
 
-def _live_text(state: CoupledStreamState, theta: float):
-    """The text that reaches the image tokens: the background stream at
-    theta == 0, the entity stream at theta == 1, else both as one stack."""
-    if theta == 0.0:
-        return state.background
-    return state.entity if theta == 1.0 else state.text
+def run_double_block(text, image, w: DoubleBlockWeights, theta: float, norm: NormConst):
+    """Coupled attention, output projection and feed-forward, residuals;
+    returns (text, image).
 
-
-def _with_live_text(state: CoupledStreamState, theta: float, text, image):
-    """The state of image and of text in place of _live_text(state, theta);
-    at theta in {0, 1} the other text stream passes through unchanged."""
-    if theta == 0.0:
-        return _computed(CoupledStreamState, text, state.entity, image)
-    if theta == 1.0:
-        return _computed(CoupledStreamState, state.background, text, image)
-    return _coupled(text, image)
-
-
-def run_double_block(
-    state: CoupledStreamState, w: DoubleBlockWeights, theta: float, norm: NormConst
-) -> CoupledStreamState:
-    """Coupled attention, output projection and feed-forward, residuals.
-
-    At 0 < theta < 1 the background and entity text go through every
-    product as one stack.  At theta == 0 (theta == 1) the entity
-    (background) keys are dropped, so the block runs joint_attention on the
-    live text stream and the image, and the dead one passes through.
+    At 0 < theta < 1 text is the (2, ...) stack of background and entity
+    text, which goes through every product as one stack.  At theta in
+    {0, 1} text is the live stream alone (see `_run_step`), so the block
+    runs joint_attention on it and the image.
     """
-    text = _live_text(state, theta)
     if theta in (0.0, 1.0):
-        attn = joint_attention(_computed(StreamState, text, state.image), w.attn, norm)
+        attn = joint_attention(_computed(StreamState, text, image), w.attn, norm)
     else:
-        attn = coupled_qkv_attention(state, w.attn, theta, norm)
-    return _with_live_text(
-        state, theta,
-        _residual(text, attn.text, w.attn.w_o, w.text_ff),
-        _residual(state.image, attn.image, w.attn.w_o, w.image_ff),
-    )
+        attn = coupled_qkv_attention(_coupled(text, image), w.attn, theta, norm)
+    return (_residual(text, attn.text, w.attn.w_o, w.text_ff),
+            _residual(image, attn.image, w.attn.w_o, w.image_ff))
 
 
-def run_single_block(
-    state: CoupledStreamState, w: SingleBlockWeights, theta: float, norm: NormConst
-) -> CoupledStreamState:
-    """Two branch passes (bg-img, ent-img); image parts merged by interpolation.
+def run_single_block(text, image, w: SingleBlockWeights, theta: float, norm: NormConst):
+    """Two branch passes (bg-img, ent-img); image parts merged by
+    interpolation; returns (text, image).
 
-    At 0 < theta < 1 both branches run as one stack through one
-    branch_attention call.  At theta == 0 (theta == 1) the merge would keep
-    only the background (entity) branch's image, so only that branch runs
-    and the other text stream passes through unchanged.
+    At 0 < theta < 1 both branches of the text stack run as one
+    branch_attention call.  At theta in {0, 1} the merge would keep only the
+    live branch's image, and text is that stream alone, so only it runs.
     """
-    text = _live_text(state, theta)
-    text_a, image_a = branch_attention(text, state.image, w.attn, norm)
+    text_a, image_a = branch_attention(text, image, w.attn, norm)
     text = _residual(text, text_a, w.attn.w_o, w.ff)
-    image = _residual(state.image, image_a, w.attn.w_o, w.ff)
+    image = _residual(image, image_a, w.attn.w_o, w.ff)
     if theta not in (0.0, 1.0):
         img_bg, img_ent = image
         image = merge_image_states(img_ent, img_bg, theta)
-    return _with_live_text(state, theta, text, image)
+    return text, image
 
 
-def _run_step(pipeline: Pipeline, state: CoupledStreamState, theta: float) -> CoupledStreamState:
+def _run_step(pipeline: Pipeline, text, image, theta: float) -> np.ndarray:
+    """The image after every block of one step, from the (2, ...) stack of
+    background and entity text; at theta in {0, 1} only its member
+    text[theta] reaches the image tokens, so the blocks get that one alone."""
+    if theta in (0.0, 1.0):
+        text = text[int(theta)]
     for blk in pipeline.double_blocks:
-        state = run_double_block(state, blk, theta, pipeline.norm_double)
+        text, image = run_double_block(text, image, blk, theta, pipeline.norm_double)
     for blk in pipeline.single_blocks:
-        state = run_single_block(state, blk, theta, pipeline.norm_single)
-    return state
+        text, image = run_single_block(text, image, blk, theta, pipeline.norm_single)
+    return image
 
 
 def _initial_noise(cfg: PipelineConfig, noise_seed: int) -> np.ndarray:
@@ -394,8 +373,10 @@ def _trajectory(pipeline: Pipeline, text, x, thetas, deltas, outs):
     is appended to the list outs[j].
     """
     for theta, delta in zip(thetas, deltas):
-        state = _run_step(pipeline, _coupled(text, x), float(theta))
-        x = x + delta * state.image
+        # bound to a local, not inlined: freeing it one step sooner moved the
+        # benchmark's in-process calibration (see ROADMAP, Set aside)
+        image = _run_step(pipeline, text, x, float(theta))
+        x = x + delta * image
         for xj, out in zip(x, outs or ()):
             xj = xj.copy()
             xj.flags.writeable = False

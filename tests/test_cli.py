@@ -621,6 +621,9 @@ class TestExitCodes:
               "5000000000"], "--double-blocks"),
             (["sweep", "--family", "step01", "--centers", "3", "--bundle", "{bundle}",
               "--out", "{out}", "--single-blocks", "5000000000"], "--single-blocks"),
+            # rejected before the first seed is rendered
+            (["sweep", "--family", "step01", "--centers", "3", "--bundle", "{bundle}",
+              "--out", "{out}", "--noise-seeds", "1000000000000"], "--noise-seeds"),
         ],
         ids=["max_evals", "step_size", "step_size_inf", "step_size_wide", "optimize_d_model", "generate_steps",
              "generate_grid_side", "sweep_d_model", "sweep_steps", "sweep_scale",
@@ -628,7 +631,8 @@ class TestExitCodes:
              "schedule_steps_bound", "generate_steps_bound", "sweep_steps_bound",
              "sweep_step01_scale_nan", "schedule_step01_scale_inf", "sweep_centers_bound",
              "generate_grid_side_bound", "generate_d_model_bound", "generate_text_tokens_bound",
-             "optimize_double_blocks_bound", "sweep_single_blocks_bound"],
+             "optimize_double_blocks_bound", "sweep_single_blocks_bound",
+             "sweep_noise_seeds_bound"],
     )
     def test_bad_number_exit_1_names_flag(
         self, tmp_path, bundle_file, schedule_file, capsys, argv, flag
@@ -639,6 +643,48 @@ class TestExitCodes:
         assert run([a.format(**paths) for a in argv]) == 1
         assert f"Invalid value for {flag}:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["generate", "--bundle", "{bundle}", "--schedule", "{schedule}", "--out-dir",
+              "{file}"], "{file}"),
+            (["optimize", "--bundle", "{bundle}", "--max-evals", "2", "--out-dir", "{file}"],
+             "{file}"),
+            (["schedule", "--family", "arctan", "--center", "3", "--out", "{dir}"], "{dir}"),
+            (["sweep", "--family", "step01", "--centers", "3", "--bundle", "{bundle}",
+              "--out", "{dir}"], "{dir}"),
+            (["evaluate", "--image", "{img}", "--image", "{img}", "--mask", "{mask}", "--mask",
+              "{mask}", "--bundle", "{bundle}", "--out", "{dir}"], "{dir}"),
+            (["generate", "--bundle", "{dir}", "--schedule", "{schedule}", "--out-dir",
+              "{out}"], "{dir}"),
+            (["generate", "--bundle", "{bundle}", "--schedule", "{dir}", "--out-dir",
+              "{out}"], "{dir}"),
+            (["evaluate", "--image", "{dir}", "--image", "{img}", "--mask", "{mask}", "--mask",
+              "{mask}", "--bundle", "{bundle}", "--out", "{out}"], "{dir}"),
+        ],
+        ids=["generate_out_dir_file", "optimize_out_dir_file", "schedule_out_dir",
+             "sweep_out_dir", "evaluate_out_dir", "bundle_dir", "schedule_dir", "image_dir"],
+    )
+    def test_wrong_path_kind_exit_1_names_path(
+        self, tmp_path, bundle_file, schedule_file, capsys, argv, bad
+    ):
+        from couplegen import pnm
+
+        mask = np.zeros((8, 8), dtype=bool)
+        mask[0, 0] = True
+        paths = {"bundle": bundle_file, "schedule": schedule_file, "out": tmp_path / "out",
+                 "file": tmp_path / "a_file", "dir": tmp_path / "a_dir",
+                 "img": tmp_path / "img.pgm", "mask": tmp_path / "mask.pgm"}
+        paths["file"].write_text("x")
+        paths["dir"].mkdir()
+        pnm.write_pgm(paths["img"], np.full((8, 8), 0.5))
+        pnm.write_mask(paths["mask"], mask)
+        capsys.readouterr()
+        assert run([a.format(**paths) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and bad.format(**paths) in err
+        assert not paths["out"].exists()
 
 
 BAD_BUNDLES = {

@@ -4,6 +4,9 @@ import contextlib
 import dataclasses
 import hashlib
 import itertools
+import os
+import select
+import signal
 import sys
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -142,35 +145,33 @@ class TestBlocks:
         p = small_pipeline(d_model=6)
         state = self._state()
         perturbed = CoupledStreamState(state.background, state.entity + 0.5, state.image)
-        blk = p.double_blocks[0]
-        out_a = run_double_block(state, blk, 0.0, p.norm_double)
-        out_b = run_double_block(perturbed, blk, 0.0, p.norm_double)
-        assert np.array_equal(out_a.image, out_b.image)
-        assert np.array_equal(out_a.background, out_b.background)
+        out_a = pipeline_module._run_step(p, state.text, state.image, 0.0)
+        out_b = pipeline_module._run_step(p, perturbed.text, perturbed.image, 0.0)
+        assert np.array_equal(out_a, out_b)
 
     def test_double_block_theta_one_matches_reference(self):
-        # at theta=1 the image/background outputs equal a plain two-stream
-        # block run on (entity, image)
+        # at theta=1 the block, given the entity stream, is a plain
+        # two-stream block run on (entity, image)
         p = small_pipeline(d_model=6)
         state = self._state()
         blk = p.double_blocks[0]
-        out = run_double_block(state, blk, 1.0, p.norm_double)
+        out_text, out_image = run_double_block(state.entity, state.image, blk, 1.0, p.norm_double)
         attn = joint_attention(StreamState(state.entity, state.image), blk.attn, p.norm_double)
         ent = state.entity + attn.text @ blk.attn.w_o
         img = state.image + attn.image @ blk.attn.w_o
-        assert np.array_equal(out.entity, ent + blk.text_ff(ent))
-        assert np.array_equal(out.image, img + blk.image_ff(img))
+        assert np.array_equal(out_text, ent + blk.text_ff(ent))
+        assert np.array_equal(out_image, img + blk.image_ff(img))
 
     def test_single_block_boundaries(self):
         p = small_pipeline(d_model=6)
         state = self._state()
         blk = p.single_blocks[0]
-        at0 = run_single_block(state, blk, 0.0, p.norm_single)
-        at1 = run_single_block(state, blk, 1.0, p.norm_single)
-        mid = run_single_block(state, blk, 0.5, p.norm_single)
+        _, at0 = run_single_block(state.background, state.image, blk, 0.0, p.norm_single)
+        _, at1 = run_single_block(state.entity, state.image, blk, 1.0, p.norm_single)
+        _, mid = run_single_block(state.text, state.image, blk, 0.5, p.norm_single)
         # theta=0 keeps the background-branch image, theta=1 the entity-branch
-        assert not np.array_equal(at0.image, at1.image)
-        np.testing.assert_allclose(mid.image, 0.5 * (at0.image + at1.image), atol=1e-12)
+        assert not np.array_equal(at0, at1)
+        np.testing.assert_allclose(mid, 0.5 * (at0 + at1), atol=1e-12)
 
     @pytest.mark.parametrize("theta", [0.0, 1.0])
     def test_single_block_boundary_skips_dead_branch(self, theta, monkeypatch):
@@ -193,15 +194,14 @@ class TestBlocks:
             return branch_attention(*args)
 
         monkeypatch.setattr("couplegen.pipeline.branch_attention", counting)
-        out = run_single_block(state, blk, theta, p.norm_single)
-        assert np.array_equal(out.image, expected)
-        # only the kept branch runs; the dead text stream passes through
-        if theta == 0.0:
-            live, dead, dead_out = state.background, state.entity, out.entity
-        else:
-            live, dead, dead_out = state.entity, state.background, out.background
-        assert len(calls) == 1 and calls[0][0] is live
-        assert dead_out is dead
+        one_block = dataclasses.replace(p, double_blocks=(), single_blocks=(blk,))
+        out = pipeline_module._run_step(one_block, state.text, state.image, theta)
+        assert np.array_equal(out, expected)
+        # only the kept branch runs: _run_step hands the block the live
+        # member of the text stack alone
+        live = state.background if theta == 0.0 else state.entity
+        assert len(calls) == 1
+        assert calls[0][0].base is state.text and np.array_equal(calls[0][0], live)
 
     def test_checked_state_is_not_checked_again(self, monkeypatch):
         # a state is checked where a caller builds it; the blocks and the
@@ -217,11 +217,12 @@ class TestBlocks:
             return check(**streams)
 
         monkeypatch.setattr(attention, "_check_streams", counting)
-        out = run_double_block(state, blk, 0.5, p.norm_double)
+        out_text, out_image = run_double_block(state.text, state.image, blk, 0.5, p.norm_double)
         assert calls == []
         attn = coupled_qkv_attention(state, blk.attn, 0.5, p.norm_double)
         assert calls == []
-        assert isinstance(out, CoupledStreamState) and isinstance(attn, CoupledStreamState)
+        assert isinstance(attn, CoupledStreamState)
+        assert out_text.shape == state.text.shape and out_image.shape == state.image.shape
         # the sampler's only checks are those of the bare-array branch calls,
         # one per single block of a step, its two branches stacked
         branch_calls = []
@@ -246,7 +247,7 @@ class TestBlocks:
             return branch_attention(*args)
 
         monkeypatch.setattr("couplegen.pipeline.branch_attention", counting)
-        run_single_block(state, p.single_blocks[0], 0.5, p.norm_single)
+        run_single_block(state.text, state.image, p.single_blocks[0], 0.5, p.norm_single)
         assert len(calls) == 1
         text, image = calls[0][:2]
         assert np.array_equal(text, np.stack((state.background, state.entity)))
@@ -254,8 +255,8 @@ class TestBlocks:
 
     @pytest.mark.parametrize("theta", [0.0, 1.0])
     def test_boundary_double_block_runs_live_stream(self, theta, monkeypatch):
-        # one joint_attention call on the live text stream and the image; the
-        # dead text stream passes through as the same object
+        # one joint_attention call on the image and the live member of the
+        # text stack, which _run_step hands the block alone
         p = small_pipeline(d_model=6)
         state = self._state()
         joint, coupled = [], []
@@ -270,21 +271,19 @@ class TestBlocks:
 
         monkeypatch.setattr("couplegen.pipeline.joint_attention", counting_joint)
         monkeypatch.setattr("couplegen.pipeline.coupled_qkv_attention", counting_coupled)
-        out = run_double_block(state, p.double_blocks[0], theta, p.norm_double)
-        if theta == 0.0:
-            live, dead, dead_out = state.background, state.entity, out.entity
-        else:
-            live, dead, dead_out = state.entity, state.background, out.background
+        one_block = dataclasses.replace(p, double_blocks=p.double_blocks[:1], single_blocks=())
+        pipeline_module._run_step(one_block, state.text, state.image, theta)
+        live = state.background if theta == 0.0 else state.entity
         assert coupled == [] and len(joint) == 1
-        assert joint[0][0].text is live and joint[0][0].image is state.image
-        assert dead_out is dead
+        assert joint[0][0].text.base is state.text and np.array_equal(joint[0][0].text, live)
+        assert joint[0][0].image is state.image
 
     def test_residual_structure(self):
         # output stays near the input when attention/FF products are tiny
         p = small_pipeline(d_model=6)
         state = self._state()
-        out = run_double_block(state, p.double_blocks[0], 0.5, p.norm_double)
-        assert np.max(np.abs(out.image - state.image)) < 0.5
+        _, image = run_double_block(state.text, state.image, p.double_blocks[0], 0.5, p.norm_double)
+        assert np.max(np.abs(image - state.image)) < 0.5
 
 
 def mixed_schedule(steps: int) -> ThetaSchedule:
@@ -461,9 +460,9 @@ def counted_double_blocks(monkeypatch) -> list:
     length is the sum of the calls' batch sizes."""
     calls: list = []
 
-    def counting(state, *args):
-        calls.extend([args] * (1 if state.image.ndim == 2 else len(state.image)))
-        return run_double_block(state, *args)
+    def counting(text, image, *args):
+        calls.extend([args] * (1 if image.ndim == 2 else len(image)))
+        return run_double_block(text, image, *args)
 
     monkeypatch.setattr("couplegen.pipeline.run_double_block", counting)
     return calls
@@ -870,13 +869,13 @@ class TestConcurrentChunks:
         most: list = [0]
         run_step = pipeline_module._run_step
 
-        def counted(pipeline, state, theta):
-            chunk = id(state.text)  # one text stack per chunk, held across its steps
+        def counted(pipeline, text, image, theta):
+            chunk = id(text)  # one text stack per chunk, held across its steps
             with lock:
                 in_flight[chunk] = in_flight.get(chunk, 0) + 1
                 most[0] = max(most[0], in_flight[chunk])
             try:
-                return run_step(pipeline, state, theta)
+                return run_step(pipeline, text, image, theta)
             finally:
                 with lock:
                     in_flight[chunk] -= 1
@@ -904,6 +903,35 @@ class TestConcurrentChunks:
         assert same_logs(log, want_log)
         assert list(entries) == list(want_entries)
         assert all(same_renders(entries[key], steps) for key, steps in want_entries.items())
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_renders_on_its_own_pool(self):
+        # a forked child has none of the pool's threads: without the at-fork
+        # hook that drops the cached pool, its first call with more than one
+        # chunk would queue its steps for workers that never run them
+        cfg = PipelineConfig(d_model=32, grid_side=16)  # one chunk per entity
+        want = sample(init_pipeline(cfg), OTHER, ramp())
+        assert pipeline_module._executor.cache_info().currsize == 1
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child reports through the pipe and never returns
+            same = False
+            try:
+                got = sample(init_pipeline(cfg), OTHER, ramp())
+                same = all(np.array_equal(a, b) for a, b in zip(got, want))
+            finally:
+                os.write(write, b"1" if same else b"0")
+                os._exit(0)
+        os.close(write)
+        try:
+            done = select.select([read], [], [], 60)[0]
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            report = os.read(read, 1) if done else b"hung"
+        finally:
+            os.close(read)
+            os.waitpid(pid, 0)
+        assert report == b"1"
 
 
 TINY = PipelineConfig(d_model=4, text_tokens=4, grid_side=3, double_blocks=1,
