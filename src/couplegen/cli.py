@@ -132,7 +132,8 @@ def main():
 @click.option("--out", "out_path", required=True, help="Bundle JSON output path.")
 def decompose_cmd(prompts_path, fixture, out_path):
     """Split prompts into a shared background and per-prompt entities."""
-    prompts = [ln.strip() for ln in Path(prompts_path).read_text().splitlines() if ln.strip()]
+    [text] = _read_files(Path.read_text, [Path(prompts_path)], "--prompts")
+    prompts = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(prompts) < 2:
         raise click.BadParameter(
             f"decompose needs at least 2 prompts, {prompts_path} holds {len(prompts)}",
@@ -293,15 +294,21 @@ def sweep_cmd(family, centers, scale, bundle_path, noise_seeds, out_path, **kw):
     _checked("--scale", ScheduleFamily, family, 0.0, scale)
     grid = [_checked("--centers", ScheduleFamily, family, c, scale) for c in grid_centers]
     _warn_truncated(bundle, cfg)
-    # seeds outermost: every center of one seed shares the pipeline's theta == 0 trunk
-    by_seed = [
-        isotonic.grid_values(
-            grid, cfg.steps,
-            lambda sched: generate_and_score(pipeline, bundle, sched, noise_seed=cfg.noise_seed + s),
-        )
-        for s in range(noise_seeds)
-    ]
+    # opened before the first row renders, so a bad --out costs no rendering
     with open(out_path, "w", newline="") as fh:
+        try:
+            # seeds outermost: every center of one seed shares the pipeline's theta == 0 trunk
+            by_seed = [
+                isotonic.grid_values(
+                    grid, cfg.steps,
+                    lambda sched: generate_and_score(pipeline, bundle, sched,
+                                                     noise_seed=cfg.noise_seed + s),
+                )
+                for s in range(noise_seeds)
+            ]
+        except BaseException:
+            Path(out_path).unlink()  # a sweep that fails leaves no table
+            raise
         writer = csv.DictWriter(fh, fieldnames=["family", "center", "scale", "f_bg", "f_ti_mean", "f_c"])
         writer.writeheader()
         for fam, reports in zip(grid, zip(*by_seed)):

@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
-from urllib.request import Request, urlopen
 
 import numpy as np
 
@@ -198,6 +197,10 @@ def decompose(
 
 
 def _request_reply(prompts: Sequence[str], endpoint: LlmEndpoint, sleep) -> str:
+    # imported here: the HTTP stack (http.client, email, ssl, socket) is only
+    # needed by a request, and loading it costs every other command start-up
+    from urllib.request import Request, urlopen
+
     payload = build_decomposition_request(prompts, model=endpoint.model)
     headers = {"Content-Type": "application/json"}
     if endpoint.api_key:

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import couplegen.cli
-from couplegen import prompt_io
 from couplegen.cli import run
 from couplegen.numerics import load_f32t
 from couplegen.pipeline import PipelineConfig, generate_and_score, init_pipeline, render, sample
@@ -317,6 +316,20 @@ class TestDecomposeCommand:
         assert code == 2
 
 
+    def test_prompts_not_utf8_exit_1(self, tmp_path, capsys):
+        # --bundle and --schedule reject the same bytes with exit 1
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_bytes(b"a\xff\xfe cat\nb dog\n")
+        fixture = tmp_path / "reply.txt"
+        fixture.write_text(FIXTURE_REPLY)
+        out = tmp_path / "b.json"
+        capsys.readouterr()
+        assert run(["decompose", "--prompts", str(prompts), "--fixture", str(fixture),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Invalid value for --prompts:" in err and str(prompts) in err
+        assert not out.exists()
+
     def test_entity_count_mismatch_exit_2(self, tmp_path):
         prompts = tmp_path / "prompts.txt"
         prompts.write_text("one\ntwo\nthree\n")
@@ -371,7 +384,7 @@ class TestDecomposeCommand:
         def no_request(*args, **kwargs):
             raise AssertionError("decompose sent a request")
 
-        monkeypatch.setattr(prompt_io, "urlopen", no_request)
+        monkeypatch.setattr("urllib.request.urlopen", no_request)
         monkeypatch.setenv("COUPLEGEN_LLM_URL", "http://localhost:9")
         prompts = tmp_path / "prompts.txt"
         prompts.write_text("A cute Pikachu sits in a cozy room.\n")
@@ -529,17 +542,46 @@ def test_cli_imports_only_used_or_perfbench_wrapped_names(monkeypatch):
     assert sorted(imported - used - wrapped) == []
 
 
-def test_cli_import_leaves_concurrent_futures_unloaded():
-    # the sampler imports it on its first call with more than one chunk;
-    # loading it at start-up costs every command a few milliseconds
+def _fresh_python(code: str, *args) -> subprocess.CompletedProcess:
     src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, couplegen.cli; print('concurrent.futures' in sys.modules)"],
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
     )
+
+
+@pytest.mark.parametrize(
+    "module", ["concurrent.futures", "urllib.request", "http.client", "ssl", "email"]
+)
+def test_cli_import_leaves_module_unloaded(module):
+    # the sampler imports concurrent.futures on its first call with more than
+    # one chunk, and decompose the HTTP stack when it sends a request; loading
+    # them at start-up costs every command time and memory
+    done = _fresh_python(f"import sys, couplegen.cli; print({module!r} in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_decompose_fixture_leaves_http_stack_unloaded(tmp_path):
+    prompts = tmp_path / "prompts.txt"
+    prompts.write_text(
+        "A cute Pikachu sits in a cozy room.\nA beautiful girl stands in a cozy room.\n"
+    )
+    fixture = tmp_path / "reply.txt"
+    fixture.write_text(FIXTURE_REPLY)
+    out = tmp_path / "bundle.json"
+    script = (
+        "import sys\n"
+        "from couplegen.cli import run\n"
+        "code = run(sys.argv[1:])\n"
+        "print(code, 'urllib.request' in sys.modules)\n"
+    )
+    done = _fresh_python(script, "decompose", "--prompts", str(prompts),
+                         "--fixture", str(fixture), "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
+    assert json.loads(out.read_text())["entities"] == ["A cute Pikachu sits.",
+                                                        "A beautiful girl stands."]
 
 
 class TestOptimizeCommand:
@@ -667,10 +709,14 @@ class TestExitCodes:
              "sweep_out_dir", "evaluate_out_dir", "bundle_dir", "schedule_dir", "image_dir"],
     )
     def test_wrong_path_kind_exit_1_names_path(
-        self, tmp_path, bundle_file, schedule_file, capsys, argv, bad
+        self, tmp_path, bundle_file, schedule_file, capsys, monkeypatch, argv, bad
     ):
         from couplegen import pnm
 
+        # the path is checked before anything renders
+        renders = []
+        monkeypatch.setattr(couplegen.cli, "generate_and_score",
+                            lambda *a, **k: renders.append(a) or generate_and_score(*a, **k))
         mask = np.zeros((8, 8), dtype=bool)
         mask[0, 0] = True
         paths = {"bundle": bundle_file, "schedule": schedule_file, "out": tmp_path / "out",
@@ -685,6 +731,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and bad.format(**paths) in err
         assert not paths["out"].exists()
+        assert renders == []
 
 
 BAD_BUNDLES = {

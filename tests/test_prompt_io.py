@@ -227,7 +227,7 @@ class TestDecompose:
             decompose(["p1", "p2", "p3"], fixture)
 
     def test_network_entity_count_must_match_prompts(self, monkeypatch):
-        monkeypatch.setattr(prompt_io, "urlopen", lambda *a, **k: fake_response(FIGURE_REPLY))
+        monkeypatch.setattr("urllib.request.urlopen", lambda *a, **k: fake_response(FIGURE_REPLY))
         ep = LlmEndpoint(base_url="http://example.invalid/v1", model="m")
         with pytest.raises(ParseError, match="2 entities for 3 prompts"):
             decompose([PIKACHU, GIRL, "a third prompt"], ep, sleep=lambda s: None)
@@ -239,7 +239,7 @@ class TestDecompose:
             attempts.append(1)
             raise ConnectionError("no route to host")
 
-        monkeypatch.setattr(prompt_io, "urlopen", failing_post)
+        monkeypatch.setattr("urllib.request.urlopen", failing_post)
         ep = LlmEndpoint(base_url="http://unreachable.invalid/v1", model="m")
         with pytest.raises(TransportError) as err:
             decompose([PIKACHU, GIRL], ep, sleep=lambda s: None)
@@ -247,7 +247,7 @@ class TestDecompose:
         assert len(attempts) == 3
 
     def test_network_mode_parses_choices(self, monkeypatch):
-        monkeypatch.setattr(prompt_io, "urlopen", lambda *a, **k: fake_response(FIGURE_REPLY))
+        monkeypatch.setattr("urllib.request.urlopen", lambda *a, **k: fake_response(FIGURE_REPLY))
         ep = LlmEndpoint(base_url="http://example.invalid/v1", model="m")
         bundle = decompose([PIKACHU, GIRL], ep, sleep=lambda s: None)
         assert bundle.entities == ("A cute Pikachu sits.", "A beautiful girl stands.")
