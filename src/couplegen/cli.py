@@ -20,6 +20,7 @@ import numpy as np
 
 from . import isotonic, pnm
 from .metric import DegenerateMaskError, Lambdas, WeightOverflowError
+from .numerics import save_f32t
 from .pipeline import MAX_SIZES, PipelineConfig, generate_and_score, init_pipeline
 from .pipeline import render, score_images
 # not called here; perfbench/tracer.py wraps these names of this module
@@ -44,7 +45,7 @@ def _load_bundle(path: str, min_entities: int = 1) -> PromptBundle:
     """The bundle JSON at path; malformed JSON, a bad bundle or fewer than
     min_entities entity prompts is a bad --bundle."""
     try:
-        bundle = PromptBundle.from_dict(json.loads(Path(path).read_text()))
+        bundle = PromptBundle.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
     except ValueError as exc:
         raise click.BadParameter(f"{path}: {exc}", param_hint="--bundle") from exc
     if len(bundle.entities) < min_entities:
@@ -132,7 +133,7 @@ def main():
 @click.option("--out", "out_path", required=True, help="Bundle JSON output path.")
 def decompose_cmd(prompts_path, fixture, out_path):
     """Split prompts into a shared background and per-prompt entities."""
-    [text] = _read_files(Path.read_text, [Path(prompts_path)], "--prompts")
+    [text] = _read_files(lambda p: p.read_text(encoding="utf-8"), [Path(prompts_path)], "--prompts")
     prompts = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(prompts) < 2:
         raise click.BadParameter(
@@ -148,7 +149,7 @@ def decompose_cmd(prompts_path, fixture, out_path):
 @main.command("schedule")
 @click.option("--family", type=click.Choice(["step01", "arctan", "sin"]), required=True)
 @click.option("--center", type=float, required=True)
-@click.option("--scale", type=float, default=1.0, show_default=True)
+@click.option("--scale", type=float, default=ScheduleFamily.scale, show_default=True)
 @click.option("--steps", type=int, default=PipelineConfig.steps, show_default=True, help=STEPS_HELP)
 @click.option("--out", "out_path", required=True)
 def schedule_cmd(family, center, scale, steps, out_path):
@@ -185,8 +186,6 @@ def generate_cmd(bundle_path, schedule_path, out_dir, separate_noise, dump_laten
         pipeline, bundle, sched, shared_noise=not separate_noise, latent_log=latent_log
     )
     if dump_latents:
-        from .numerics import save_f32t
-
         for j, steps_log in enumerate(latent_log, start=1):
             for i, latent in enumerate(steps_log, start=1):
                 save_f32t(out / f"latent_e{j}_s{i:03d}.f32t", latent)
@@ -201,8 +200,8 @@ def generate_cmd(bundle_path, schedule_path, out_dir, separate_noise, dump_laten
 @click.option("--image", "image_paths", multiple=True, required=True)
 @click.option("--mask", "mask_paths", multiple=True, required=True)
 @click.option("--bundle", "bundle_path", required=True, help="Bundle JSON for alignment scoring.")
-@click.option("--lambda-bg", default=300.0, show_default=True)
-@click.option("--lambda-ti", default=1.0 / 30.0, show_default=True)
+@click.option("--lambda-bg", default=Lambdas.lambda_bg, show_default=True)
+@click.option("--lambda-ti", default=Lambdas.lambda_ti, show_default=True)
 @click.option("--out", "out_path", required=True)
 def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out_path):
     """Score images + masks and write the metric report JSON."""
@@ -237,8 +236,8 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
 @main.command("optimize")
 @click.option("--bundle", "bundle_path", required=True)
 @click.option("--max-evals", default=200, show_default=True)
-@click.option("--step-size", default=0.25, show_default=True)
-@click.option("--search-seed", default=0, show_default=True)
+@click.option("--step-size", default=isotonic.SearchConfig.step, show_default=True)
+@click.option("--search-seed", default=isotonic.SearchConfig.seed, show_default=True)
 @click.option("--out-dir", required=True)
 @_pipeline_options
 def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
@@ -276,7 +275,7 @@ def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
 @click.option("--family", type=click.Choice(["step01", "arctan", "sin"]), required=True)
 @click.option("--centers", required=True,
               help=f"Comma list or 'lo..hi' integer range, at most {MAX_STEPS} centers.")
-@click.option("--scale", type=float, default=1.0, show_default=True)
+@click.option("--scale", type=float, default=ScheduleFamily.scale, show_default=True)
 @click.option("--bundle", "bundle_path", required=True)
 @click.option("--noise-seeds", default=1, show_default=True,
               help=f"Noise seeds averaged per point, at most {MAX_STEPS}.")

@@ -8,10 +8,10 @@ a cyclic pattern search whose proposals are projected back onto
 
 from __future__ import annotations
 
+import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import math
 
 import numpy as np
 
@@ -186,8 +186,6 @@ def coordinate_search(cfg: SearchConfig, objective: Callable[[ThetaSchedule], fl
 
 def write_trace_csv(path, trace: Sequence[TraceEntry], schedule_paths: Sequence[str]) -> None:
     """Eval trace as CSV ``eval_index,value,theta_csv_path``."""
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eval_index", "value", "theta_csv_path"])

@@ -9,7 +9,6 @@ embedding model.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import Rng, ShapeError, uniform_rows
+from .numerics import Rng, ShapeError, text_seed, uniform_rows
 
 __all__ = [
     "DegenerateMaskError",
@@ -64,12 +63,10 @@ class Lambdas:
 
 
 def as_image(img) -> np.ndarray:
-    """Normalize to H x W x C float64 with values in [0, 1]."""
+    """Normalize to H x W float64 with values in [0, 1]."""
     a = np.asarray(img, dtype=np.float64)
-    if a.ndim == 2:
-        a = a[:, :, None]
-    if a.ndim != 3:
-        raise ShapeError(f"image must be HxW or HxWxC, got shape {a.shape}")
+    if a.ndim != 2:
+        raise ShapeError(f"image must be HxW, got shape {a.shape}")
     if a.size and (a.min() < 0.0 or a.max() > 1.0):
         raise ValueError("image values must lie in [0, 1]")
     return a
@@ -107,7 +104,7 @@ def background_similarity(images: Sequence[np.ndarray], joint_mask) -> float:
     """-(2 / (n (n-1) R)) * sum over pairs of masked mean squared distance.
 
     Entity pixels are zeroed (background retained); the squared distance is
-    the mean over all H*W*C positions, and the validity ratio R compensates
+    the mean over all H*W pixels, and the validity ratio R compensates
     for the masked area.  Identical images score exactly 0; otherwise the
     score is negative.
     """
@@ -119,13 +116,13 @@ def background_similarity(images: Sequence[np.ndarray], joint_mask) -> float:
     for i, im in enumerate(imgs):
         if im.shape != shape:
             raise ShapeError(f"image {i} has shape {im.shape}, expected {shape}")
-    if mask.shape != shape[:2]:
-        raise ShapeError(f"mask shape {mask.shape} does not match image {shape[:2]}")
+    if mask.shape != shape:
+        raise ShapeError(f"mask shape {mask.shape} does not match image {shape}")
     ratio = validity_ratio(mask)
     if ratio == 0.0:
         raise DegenerateMaskError("joint entity region covers every pixel (R = 0)")
 
-    keep = (~mask)[:, :, None]
+    keep = ~mask
     masked = [im * keep for im in imgs]
     n = len(imgs)
     total = 0.0
@@ -151,10 +148,7 @@ class HashAlignmentScorer:
         self._projections: dict[tuple, np.ndarray] = {}
 
     def text_embedding(self, text: str) -> np.ndarray:
-        digest = hashlib.blake2b(
-            text.encode("utf-8"), digest_size=8, key=self.seed.to_bytes(8, "little")
-        ).digest()
-        return uniform_rows([int.from_bytes(digest, "little")], self.dim, -1.0, 1.0)[0]
+        return uniform_rows([text_seed(text, self.seed)], self.dim, -1.0, 1.0)[0]
 
     def image_embedding(self, image) -> np.ndarray:
         img = as_image(image)

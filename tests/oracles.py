@@ -150,7 +150,7 @@ def pixelwise_union(masks):
 def scalar_background_score(images, mask):
     """Scalar-accumulation version of the masked background distance."""
     n = len(images)
-    h, w, c = images[0].shape
+    h, w = images[0].shape
     inside = int(sum(1 for y in range(h) for x in range(w) if mask[y, x]))
     ratio = 1.0 - inside / (h * w)
     total = 0.0
@@ -161,10 +161,9 @@ def scalar_background_score(images, mask):
                 for x in range(w):
                     if mask[y, x]:
                         continue
-                    for ch in range(c):
-                        d = images[j][y, x, ch] - images[k][y, x, ch]
-                        acc += d * d
-            total += acc / (h * w * c)
+                    d = images[j][y, x] - images[k][y, x]
+                    acc += d * d
+            total += acc / (h * w)
     return -(2.0 / (n * (n - 1) * ratio)) * total
 
 

@@ -584,6 +584,52 @@ def test_decompose_fixture_leaves_http_stack_unloaded(tmp_path):
                                                         "A beautiful girl stands."]
 
 
+def _cli_in_locale(utf8: bool, *args) -> subprocess.CompletedProcess:
+    """python -m couplegen under the C locale with locale coercion off: in UTF-8
+    mode, or with UTF-8 mode off, where the locale encoding is ASCII."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    return subprocess.run(
+        [sys.executable, "-X", f"utf8={int(utf8)}", "-m", "couplegen", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+class TestInputTextIsUtf8:
+    """Bundles, prompt files and fixtures are read as UTF-8 whatever the locale."""
+
+    def test_generate_bundle_under_ascii_locale(self, tmp_path, schedule_file):
+        bundle = tmp_path / "cafe.json"
+        bundle.write_bytes(
+            '{"background": "un café ancien", "entities": ["a cat", "a dog"]}\n'.encode()
+        )
+        outputs = []
+        for utf8 in (True, False):
+            out = tmp_path / f"utf8_{utf8}"
+            done = _cli_in_locale(utf8, "generate", "--bundle", str(bundle),
+                                  "--schedule", str(schedule_file), "--out-dir", str(out))
+            assert done.returncode == 0, done.stderr
+            outputs.append(_outputs(out))
+        assert outputs[0] == outputs[1] and len(outputs[0]) == 5
+
+    def test_decompose_prompts_and_fixture_under_ascii_locale(self, tmp_path):
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_bytes("un chat dans un café\nun chien dans un café\n".encode())
+        fixture = tmp_path / "reply.txt"
+        fixture.write_bytes(
+            "Background: un café ancien\nEntity 1: un chat\nEntity 2: un chien\n".encode()
+        )
+        bundles = []
+        for utf8 in (True, False):
+            out = tmp_path / f"bundle_{utf8}.json"
+            done = _cli_in_locale(utf8, "decompose", "--prompts", str(prompts),
+                                  "--fixture", str(fixture), "--out", str(out))
+            assert done.returncode == 0, done.stderr
+            bundles.append(json.loads(out.read_text(encoding="utf-8")))
+        assert bundles[0] == bundles[1]
+        assert bundles[1]["background"] == "un café ancien"
+
+
 class TestOptimizeCommand:
     def test_small_run(self, tmp_path, bundle_file):
         out_dir = tmp_path / "opt"

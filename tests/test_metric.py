@@ -75,7 +75,7 @@ class TestBackgroundSimilarity:
         assert background_similarity([img, img, img], half_mask(8, 8)) == 0.0
 
     def test_hand_computed_case(self):
-        # 32x32x1, JER covers 512 pixels (R = 0.5); the two images differ by
+        # 32x32, JER covers 512 pixels (R = 0.5); the two images differ by
         # exactly 1.0 on 256 background pixels: f_bg = -(1/0.5) * 256/1024.
         mask = half_mask(32, 32, left=True)  # 512 pixels inside
         a = np.zeros((32, 32))
@@ -83,9 +83,7 @@ class TestBackgroundSimilarity:
         b[:16, 16:] = 1.0  # outside the mask: 16 rows x 16 cols = 256 px
         got = background_similarity([a, b], mask)
         assert got == pytest.approx(-0.5, abs=1e-12)
-        scalar = scalar_background_score(
-            [a[:, :, None], b[:, :, None]], mask
-        )
+        scalar = scalar_background_score([a, b], mask)
         assert got == pytest.approx(scalar, abs=1e-12)
 
     def test_full_mask_raises(self):
@@ -131,7 +129,7 @@ class TestBackgroundSimilarity:
 
     def test_random_against_scalar_oracle(self):
         rng = np.random.default_rng(8)
-        imgs = [rng.uniform(size=(5, 4, 3)) for _ in range(3)]
+        imgs = [rng.uniform(size=(5, 4)) for _ in range(3)]
         mask = rng.uniform(size=(5, 4)) > 0.6
         got = background_similarity(imgs, mask)
         assert got == pytest.approx(scalar_background_score(imgs, mask), abs=1e-12)
@@ -175,6 +173,13 @@ class TestAlignmentStub:
     def test_text_embedding_matches_scalar_oracle(self, text, seed, dim):
         got = HashAlignmentScorer(seed=seed, dim=dim).text_embedding(text)
         assert np.array_equal(got, oracle_text_embedding(text, seed, dim))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 5])
+    def test_seed_outside_u64_is_taken_mod_2_64(self, seed):
+        scorer = HashAlignmentScorer(seed=seed)
+        want = HashAlignmentScorer(seed=seed & (2**64 - 1)).text_embedding("x")
+        assert np.array_equal(scorer.text_embedding("x"), want)
+        assert np.array_equal(scorer.text_embedding("x"), oracle_text_embedding("x", seed, 32))
 
     def test_scores_bounded(self):
         rng = np.random.default_rng(9)

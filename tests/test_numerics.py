@@ -160,6 +160,32 @@ class TestRng:
         Rng(5).shuffle(b)
         assert a == b and sorted(a) == list(range(10))
 
+    @pytest.mark.parametrize("seed, n", [(5, 10), (0, 1), (2**64 - 1, 2), (123, 37)])
+    def test_shuffle_is_reference_fisher_yates(self, seed, n):
+        ref = splitmix64_reference(seed, n)
+        want = list(range(n))
+        for i, z in zip(range(n - 1, 0, -1), ref):
+            j = z % (i + 1)
+            want[i], want[j] = want[j], want[i]
+        r = Rng(seed)
+        got = list(range(n))
+        r.shuffle(got)
+        assert got == want
+        assert r.next_u64() == ref[n - 1]  # n - 1 draws taken, the stream goes on
+
+    def test_scalar_draws_do_not_fill(self, monkeypatch):
+        def no_fill(*args):
+            raise AssertionError("Rng.fill called")
+
+        monkeypatch.setattr(Rng, "fill", no_fill)
+        r = Rng(9)
+        ref = splitmix64_reference(9, 12)
+        assert r.next_u64() == ref[0]
+        assert r.next_unit_real() == (ref[1] >> 11) * 2.0**-53
+        assert r.uniform(-2.0, 3.0) == -2.0 + 5.0 * ((ref[2] >> 11) * 2.0**-53)
+        r.shuffle(list(range(9)))
+        assert r.next_u64() == ref[11]
+
 
 @pytest.fixture(scope="module")
 def f32t_path(tmp_path_factory):
