@@ -255,7 +255,7 @@ def _attention(text, image, w: AttentionWeights, norm: NormConst, members=None):
     if members is None:
         keys, values = [k], [v]
     else:
-        keys = [k[i] if c == 1.0 else c * k[i] for i, c in enumerate(members) if c != 0.0]
+        keys = [c * k[i] for i, c in enumerate(members) if c != 0.0]
         values = [v[i] for i, c in enumerate(members) if c != 0.0]
     keys.append(image @ w.w_k)
     values.append(image @ w.w_v)

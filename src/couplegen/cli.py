@@ -29,6 +29,7 @@ from .pipeline import sample, sample_single_prompt  # noqa: F401
 from .pnm import quantize  # noqa: F401
 from .prompt_io import PromptBundle, decompose, endpoint_from_env
 from .schedule import (
+    FAMILY_ORDER,
     MAX_STEPS,
     ScheduleFamily,
     make_schedule,
@@ -44,10 +45,10 @@ STEPS_HELP = f"Sampling steps, at most {MAX_STEPS}."
 def _load_bundle(path: str, min_entities: int = 1) -> PromptBundle:
     """The bundle JSON at path; malformed JSON, a bad bundle or fewer than
     min_entities entity prompts is a bad --bundle."""
-    try:
-        bundle = PromptBundle.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except ValueError as exc:
-        raise click.BadParameter(f"{path}: {exc}", param_hint="--bundle") from exc
+    [bundle] = _read_files(
+        lambda p: PromptBundle.from_dict(json.loads(Path(p).read_text(encoding="utf-8"))),
+        [path], "--bundle",
+    )
     if len(bundle.entities) < min_entities:
         raise click.BadParameter(
             f"{path}: scoring needs at least {min_entities} entity prompts, "
@@ -111,7 +112,7 @@ def _parse_centers(spec: str) -> list[float]:
     if ".." in spec:
         lo, hi = spec.split("..", 1)
         centers = range(int(lo), int(hi) + 1)
-        count = max(0, centers.stop - centers.start)
+        count = max(0, centers.stop - centers.start)  # len() overflows above sys.maxsize
     else:
         centers = [float(tok) for tok in spec.split(",") if tok.strip()]
         count = len(centers)
@@ -147,7 +148,7 @@ def decompose_cmd(prompts_path, fixture, out_path):
 
 
 @main.command("schedule")
-@click.option("--family", type=click.Choice(["step01", "arctan", "sin"]), required=True)
+@click.option("--family", type=click.Choice(list(FAMILY_ORDER)), required=True)
 @click.option("--center", type=float, required=True)
 @click.option("--scale", type=float, default=ScheduleFamily.scale, show_default=True)
 @click.option("--steps", type=int, default=PipelineConfig.steps, show_default=True, help=STEPS_HELP)
@@ -272,7 +273,7 @@ def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
 
 
 @main.command("sweep")
-@click.option("--family", type=click.Choice(["step01", "arctan", "sin"]), required=True)
+@click.option("--family", type=click.Choice(list(FAMILY_ORDER)), required=True)
 @click.option("--centers", required=True,
               help=f"Comma list or 'lo..hi' integer range, at most {MAX_STEPS} centers.")
 @click.option("--scale", type=float, default=ScheduleFamily.scale, show_default=True)

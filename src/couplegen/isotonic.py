@@ -185,8 +185,9 @@ def coordinate_search(cfg: SearchConfig, objective: Callable[[ThetaSchedule], fl
 
 
 def write_trace_csv(path, trace: Sequence[TraceEntry], schedule_paths: Sequence[str]) -> None:
-    """Eval trace as CSV ``eval_index,value,theta_csv_path``."""
-    with open(path, "w", newline="") as fh:
+    """Eval trace as CSV ``eval_index,value,theta_csv_path``, in UTF-8 whatever
+    the locale; a path the locale could not decode keeps its bytes."""
+    with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eval_index", "value", "theta_csv_path"])
         for entry, sched_path in zip(trace, schedule_paths):

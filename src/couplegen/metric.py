@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import Rng, ShapeError, text_seed, uniform_rows
+from .numerics import Rng, ShapeError, as_image, as_mask, text_seed, uniform_rows
 
 __all__ = [
     "DegenerateMaskError",
@@ -24,17 +24,12 @@ __all__ = [
     "Lambdas",
     "MetricReport",
     "HashAlignmentScorer",
-    "as_image",
-    "as_mask",
     "jer",
     "validity_ratio",
     "background_similarity",
     "combined_metric",
     "build_report",
 ]
-
-DEFAULT_LAMBDA_BG = 300.0
-DEFAULT_LAMBDA_TI = 1.0 / 30.0
 
 
 class DegenerateMaskError(ValueError):
@@ -52,31 +47,14 @@ class WeightOverflowError(ValueError):
 
 @dataclass(frozen=True)
 class Lambdas:
-    lambda_bg: float = DEFAULT_LAMBDA_BG
-    lambda_ti: float = DEFAULT_LAMBDA_TI
+    lambda_bg: float = 300.0
+    lambda_ti: float = 1.0 / 30.0
 
     def __post_init__(self):
         for name in ("lambda_bg", "lambda_ti"):
             value = getattr(self, name)
             if not (0.0 <= value < math.inf):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-
-
-def as_image(img) -> np.ndarray:
-    """Normalize to H x W float64 with values in [0, 1]."""
-    a = np.asarray(img, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"image must be HxW, got shape {a.shape}")
-    if a.size and (a.min() < 0.0 or a.max() > 1.0):
-        raise ValueError("image values must lie in [0, 1]")
-    return a
-
-
-def as_mask(mask) -> np.ndarray:
-    a = np.asarray(mask)
-    if a.ndim != 2:
-        raise ShapeError(f"mask must be HxW, got shape {a.shape}")
-    return a.astype(bool)
 
 
 def jer(masks: Sequence[np.ndarray]) -> np.ndarray:
@@ -142,23 +120,21 @@ class HashAlignmentScorer:
     embeddings mapped affinely to [0, 100].
     """
 
-    def __init__(self, seed: int = 0, dim: int = 32):
-        self.seed = seed
-        self.dim = dim
+    DIM = 32  # embedding width
+
+    def __init__(self):
         self._projections: dict[tuple, np.ndarray] = {}
 
     def text_embedding(self, text: str) -> np.ndarray:
-        return uniform_rows([text_seed(text, self.seed)], self.dim, -1.0, 1.0)[0]
+        return uniform_rows([text_seed(text, 0)], self.DIM, -1.0, 1.0)[0]
 
     def image_embedding(self, image) -> np.ndarray:
         img = as_image(image)
         flat = img.reshape(-1)
-        key = (img.shape, self.seed)
-        proj = self._projections.get(key)
+        proj = self._projections.get(img.shape)
         if proj is None:
-            rng = Rng(self.seed ^ 0xA5A5A5A5A5A5A5A5)
-            proj = rng.fill(self.dim, flat.size, -1.0, 1.0)
-            self._projections[key] = proj
+            proj = Rng(0xA5A5A5A5A5A5A5A5).fill(self.DIM, flat.size, -1.0, 1.0)
+            self._projections[img.shape] = proj
         return proj @ flat
 
     def score(self, text: str, image) -> float:

@@ -27,6 +27,8 @@ __all__ = [
     "uniform_rows",
     "text_seed",
     "as_matrices",
+    "as_image",
+    "as_mask",
     "softmax_rows",
     "save_f32t",
     "load_f32t",
@@ -105,9 +107,6 @@ class Rng:
     def next_u64(self) -> int:
         return int(self._next(1)[0])
 
-    def next_unit_real(self) -> float:
-        return self.uniform(0.0, 1.0)
-
     def uniform(self, lo: float, hi: float) -> float:
         return float(_to_range(self._next(1), lo, hi)[0])
 
@@ -131,6 +130,23 @@ def as_matrices(a) -> np.ndarray:
     if m.ndim not in (2, 3):
         raise ShapeError(f"expected a 2-D matrix or a 3-D stack, got ndim={m.ndim}")
     return m
+
+
+def as_image(img) -> np.ndarray:
+    """Normalize to H x W float64 with values in [0, 1]."""
+    a = np.asarray(img, dtype=np.float64)
+    if a.ndim != 2:
+        raise ShapeError(f"image must be HxW, got shape {a.shape}")
+    if a.size and (a.min() < 0.0 or a.max() > 1.0):
+        raise ValueError("image values must lie in [0, 1]")
+    return a
+
+
+def as_mask(mask) -> np.ndarray:
+    a = np.asarray(mask)
+    if a.ndim != 2:
+        raise ShapeError(f"mask must be HxW, got shape {a.shape}")
+    return a.astype(bool)
 
 
 def softmax_rows(m, out=None) -> np.ndarray:

@@ -355,23 +355,21 @@ def _readout(cfg: PipelineConfig, image_tokens: np.ndarray) -> np.ndarray:
     return 0.5 * (np.tanh(pixels) + 1.0)
 
 
-def _sigma_deltas(n_steps: int) -> np.ndarray:
-    sigma = np.linspace(1.0, 0.0, n_steps + 1)
-    return np.diff(sigma)
-
-
 def _embed(cfg: PipelineConfig, text: str) -> np.ndarray:
     return embed_prompt(text, cfg.d_model, cfg.text_tokens, seed=cfg.weight_seed)
 
 
-def _trajectory(pipeline: Pipeline, text, x, thetas, deltas, outs):
+def _trajectory(pipeline: Pipeline, text, x, thetas, outs):
     """Euler-integrate the stacked image tokens x (E, image_tokens, d_model)
     with the (2, E, text_tokens, d_model) stack of background and entity
-    text over (theta, sigma delta) pairs, yielding the stack after each step.
+    text over the last len(thetas) steps of the sigma ramp, yielding the
+    stack after each step.
 
     Unless outs is None, a read-only copy of stack row j after every step
     is appended to the list outs[j].
     """
+    n_steps = pipeline.config.steps
+    deltas = np.diff(np.linspace(1.0, 0.0, n_steps + 1))[n_steps - len(thetas):]
     for theta, delta in zip(thetas, deltas):
         # bound to a local, not inlined: freeing it one step sooner moved the
         # benchmark's in-process calibration (see ROADMAP, Set aside)
@@ -394,7 +392,7 @@ def _trunk(pipeline: Pipeline, background: str, noise_seed: int) -> list[np.ndar
         latents: list = []
         # at theta == 0 the entity stream never reaches the image tokens
         _render(pipeline, [(np.stack((emb, emb)), _initial_noise(cfg, noise_seed)[None],
-                            np.zeros(cfg.steps), _sigma_deltas(cfg.steps), [latents])])
+                            np.zeros(cfg.steps), [latents])])
         memo.trunk = {key: latents}
     return memo.trunk[key]
 
@@ -517,7 +515,6 @@ def sample(
         noise_seed = cfg.noise_seed
     thetas = schedule.values
     theta_key = tuple(thetas.tolist())
-    deltas = _sigma_deltas(cfg.steps)
     if theta_key[0] == 0.0:
         _trunk(pipeline, bundle.background, noise_seed)
     limit = ENTITY_MEMO_BYTES // (8 * cfg.steps * cfg.image_tokens * cfg.d_model)
@@ -542,7 +539,6 @@ def sample(
             np.stack([latents[j][-1] if depth else _initial_noise(cfg, keys[j][1])
                       for j in chunk]),
             thetas[depth:],
-            deltas[depth:],
             [latents[j] for j in chunk] if keep else None,
         )
         for depth, chunk in chunks

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .numerics import as_image, as_mask
+
 __all__ = [
     "quantize",
     "write_pgm",
@@ -23,15 +25,6 @@ def quantize(image) -> np.ndarray:
     """Snap [0, 1] reals to the 8-bit grid used by the image files."""
     a = np.asarray(image, dtype=np.float64)
     return np.round(a * 255.0) / 255.0
-
-
-def _to_bytes(image) -> np.ndarray:
-    a = np.asarray(image, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected an HxW image, got shape {a.shape}")
-    if a.size and (a.min() < 0.0 or a.max() > 1.0):
-        raise ValueError("pixel values must lie in [0, 1]")
-    return np.round(a * 255.0).astype(np.uint8)
 
 
 def _read_header(fh):
@@ -77,7 +70,7 @@ def _write_raster(path, data: np.ndarray) -> None:
 
 
 def write_pgm(path, image) -> None:
-    _write_raster(path, _to_bytes(image))
+    _write_raster(path, np.round(as_image(image) * 255.0).astype(np.uint8))
 
 
 def read_pgm(path) -> np.ndarray:
@@ -86,10 +79,7 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_mask(path, mask) -> None:
-    m = np.asarray(mask)
-    if m.ndim != 2:
-        raise ValueError(f"mask must be HxW, got shape {m.shape}")
-    _write_raster(path, np.where(m.astype(bool), 255, 0).astype(np.uint8))
+    _write_raster(path, np.where(as_mask(mask), 255, 0).astype(np.uint8))
 
 
 def read_mask(path) -> np.ndarray:

@@ -11,15 +11,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Optional
 
 import numpy as np
 
 __all__ = [
-    "FamilyKind",
     "ScheduleFamily",
     "ThetaSchedule",
-    "ScheduleViolation",
     "FAMILY_ORDER",
     "MAX_STEPS",
     "eval_family",
@@ -29,9 +27,7 @@ __all__ = [
     "read_schedule_csv",
 ]
 
-FamilyKind = Literal["step01", "arctan", "sin"]
-
-# Tie-break ordering used by the grid search.
+# The family kinds, in the tie-break order of the grid search.
 FAMILY_ORDER = {"step01": 0, "arctan": 1, "sin": 2}
 
 # The most sampling steps a schedule or a pipeline takes: 1000 is the step
@@ -41,7 +37,7 @@ MAX_STEPS = 1000
 
 @dataclass(frozen=True)
 class ScheduleFamily:
-    kind: FamilyKind
+    kind: str
     center: float
     scale: float = 1.0  # unused by step01
 
@@ -75,18 +71,6 @@ class ThetaSchedule:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
-class ScheduleViolation:
-    index: int
-    kind: Literal["bounds", "order"]
-    value: float
-
-    def __str__(self) -> str:
-        if self.kind == "bounds":
-            return f"value {self.value} at index {self.index} outside [0, 1]"
-        return f"value decreases at index {self.index} (to {self.value})"
-
-
 def eval_family(fam: ScheduleFamily, t: float) -> float:
     """Family value at time t; nondecreasing in t, always in [0, 1]."""
     if fam.kind == "step01":
@@ -112,14 +96,15 @@ def make_schedule(fam: ScheduleFamily, n_steps: int) -> ThetaSchedule:
     return ThetaSchedule(values)
 
 
-def validate(s: ThetaSchedule) -> Optional[ScheduleViolation]:
-    """First box-bound or monotonicity violation, or None when valid."""
+def validate(s: ThetaSchedule) -> Optional[str]:
+    """The message of the first box-bound or monotonicity violation, or None
+    when valid."""
     v = s.values
     for i, x in enumerate(v):
         if not (0.0 <= x <= 1.0):
-            return ScheduleViolation(index=i, kind="bounds", value=float(x))
+            return f"value {float(x)} at index {i} outside [0, 1]"
         if i > 0 and x < v[i - 1]:
-            return ScheduleViolation(index=i, kind="order", value=float(x))
+            return f"value decreases at index {i} (to {float(x)})"
     return None
 
 

@@ -138,6 +138,17 @@ def brute_force_monotone_projection(v, lo=0.0, hi=1.0, resolution=1e-3):
     return out
 
 
+def first_schedule_violation(values):
+    """The message of the first entry of a list of floats that is NaN or
+    outside [0, 1], or smaller than the entry before it; None if none is."""
+    for i, x in enumerate(values):
+        if math.isnan(x) or x < 0.0 or x > 1.0:
+            return f"value {x} at index {i} outside [0, 1]"
+        if i > 0 and x < values[i - 1]:
+            return f"value decreases at index {i} (to {x})"
+    return None
+
+
 def pixelwise_union(masks):
     h, w = masks[0].shape
     out = np.zeros((h, w), dtype=bool)

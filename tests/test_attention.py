@@ -131,7 +131,7 @@ class TestCoupledAttention:
             bg = rng.fill(n_txt, d, -1.0, 1.0)
             ent = rng.fill(n_txt, d, -1.0, 1.0)
             img = rng.fill(1 + rng.next_u64() % 3, d, -1.0, 1.0)
-            theta = rng.next_unit_real()
+            theta = rng.uniform(0.0, 1.0)
             norm = norm_for(d, d)
             out = coupled_qkv_attention(CoupledStreamState(bg, ent, img), w, theta, norm)
             ref_bg, ref_ent, ref_img = oracle_coupled_attention(bg, ent, img, w, theta, norm.value)

@@ -496,6 +496,9 @@ class TestSweepCommand:
         for spec in ("1..1001", ",".join(["3"] * 1001)):
             with pytest.raises(ValueError, match="names 1001 centers, at most 1000"):
                 couplegen.cli._parse_centers(spec)
+        # counted from its ends: len() of a range above sys.maxsize overflows
+        with pytest.raises(ValueError, match="names 100000000000000000001 centers"):
+            couplegen.cli._parse_centers("0..100000000000000000000")
 
     def test_huge_range_exit_1_at_once(self, tmp_path, bundle_file):
         # counted from its ends, so the range is never built; the child's
@@ -628,6 +631,20 @@ class TestInputTextIsUtf8:
             bundles.append(json.loads(out.read_text(encoding="utf-8")))
         assert bundles[0] == bundles[1]
         assert bundles[1]["background"] == "un café ancien"
+
+
+class TestOutputTextIsUtf8:
+    def test_optimize_trace_under_ascii_locale(self, tmp_path, bundle_file):
+        # trace.csv names the schedule files under --out-dir
+        traces = []
+        for utf8 in (True, False):
+            out = tmp_path / f"opt_café_{utf8}"
+            done = _cli_in_locale(utf8, "optimize", "--bundle", str(bundle_file),
+                                  "--max-evals", "2", "--out-dir", str(out))
+            assert done.returncode == 0, done.stderr
+            traces.append((out / "trace.csv").read_bytes())
+            assert f"{out}/trace/eval_00002.csv".encode() in traces[-1]
+        assert traces[0] == traces[1].replace(b"_False", b"_True")
 
 
 class TestOptimizeCommand:

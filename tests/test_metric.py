@@ -145,13 +145,13 @@ class TestAlignmentStub:
 
     def test_deterministic(self):
         img1, _ = self.fixture_images()
-        s1 = HashAlignmentScorer(seed=0)
-        s2 = HashAlignmentScorer(seed=0)
+        s1 = HashAlignmentScorer()
+        s2 = HashAlignmentScorer()
         assert s1.score(self.PROMPTS["a"], img1) == s2.score(self.PROMPTS["a"], img1)
 
     def test_own_embedding_scores_100(self):
         img1, _ = self.fixture_images()
-        scorer = HashAlignmentScorer(seed=0)
+        scorer = HashAlignmentScorer()
         own = scorer.image_embedding(img1)
         scorer.text_embedding = lambda text: own
         assert scorer.score("self", img1) == 100.0
@@ -159,7 +159,7 @@ class TestAlignmentStub:
     def test_golden_fixture_scores(self):
         # frozen from the first verified run of the stub
         img1, img2 = self.fixture_images()
-        scorer = HashAlignmentScorer(seed=0)
+        scorer = HashAlignmentScorer()
         a, b = self.PROMPTS.values()
         assert scorer.score(a, img1) == pytest.approx(41.96840758199115, abs=1e-12)
         assert scorer.score(b, img2) == pytest.approx(61.683582993766485, abs=1e-12)
@@ -167,23 +167,14 @@ class TestAlignmentStub:
     @settings(max_examples=200, deadline=None)
     @given(
         st.text() | st.lists(st.sampled_from(["a", "room", "café", "猫"]), max_size=12).map(" ".join),
-        st.integers(0, 2**64 - 1),
-        st.integers(1, 40),
     )
-    def test_text_embedding_matches_scalar_oracle(self, text, seed, dim):
-        got = HashAlignmentScorer(seed=seed, dim=dim).text_embedding(text)
-        assert np.array_equal(got, oracle_text_embedding(text, seed, dim))
-
-    @pytest.mark.parametrize("seed", [-1, 2**64 + 5])
-    def test_seed_outside_u64_is_taken_mod_2_64(self, seed):
-        scorer = HashAlignmentScorer(seed=seed)
-        want = HashAlignmentScorer(seed=seed & (2**64 - 1)).text_embedding("x")
-        assert np.array_equal(scorer.text_embedding("x"), want)
-        assert np.array_equal(scorer.text_embedding("x"), oracle_text_embedding("x", seed, 32))
+    def test_text_embedding_matches_scalar_oracle(self, text):
+        got = HashAlignmentScorer().text_embedding(text)
+        assert np.array_equal(got, oracle_text_embedding(text, 0, 32))
 
     def test_scores_bounded(self):
         rng = np.random.default_rng(9)
-        scorer = HashAlignmentScorer(seed=3)
+        scorer = HashAlignmentScorer()
         for _ in range(10):
             img = rng.uniform(size=(8, 8))
             v = scorer.score(self.PROMPTS["a"], img)

@@ -110,25 +110,25 @@ class TestRng:
         ref = splitmix64_reference(0, 2)
         expected = [(z >> 11) * 2.0**-53 for z in ref]
         r = Rng(0)
-        assert [r.next_unit_real(), r.next_unit_real()] == expected
+        assert [r.uniform(0.0, 1.0), r.uniform(0.0, 1.0)] == expected
 
     def test_unit_reals_in_range(self):
         r = Rng(123)
-        xs = [r.next_unit_real() for _ in range(1000)]
+        xs = [r.uniform(0.0, 1.0) for _ in range(1000)]
         assert all(0.0 <= x < 1.0 for x in xs)
 
     def test_equal_seeds_equal_streams(self):
         a, b = Rng(42), Rng(42)
-        assert [a.next_unit_real() for _ in range(1000)] == [
-            b.next_unit_real() for _ in range(1000)
+        assert [a.uniform(0.0, 1.0) for _ in range(1000)] == [
+            b.uniform(0.0, 1.0) for _ in range(1000)
         ]
 
     def test_different_seeds_differ(self):
         ref1 = splitmix64_reference(1, 1)[0]
         ref2 = splitmix64_reference(2, 1)[0]
         assert ref1 != ref2
-        assert Rng(1).next_unit_real() == (ref1 >> 11) * 2.0**-53
-        assert Rng(2).next_unit_real() == (ref2 >> 11) * 2.0**-53
+        assert Rng(1).uniform(0.0, 1.0) == (ref1 >> 11) * 2.0**-53
+        assert Rng(2).uniform(0.0, 1.0) == (ref2 >> 11) * 2.0**-53
 
     def test_long_stream_matches_reference(self):
         r = Rng(987654321)
@@ -181,7 +181,7 @@ class TestRng:
         r = Rng(9)
         ref = splitmix64_reference(9, 12)
         assert r.next_u64() == ref[0]
-        assert r.next_unit_real() == (ref[1] >> 11) * 2.0**-53
+        assert r.uniform(0.0, 1.0) == (ref[1] >> 11) * 2.0**-53
         assert r.uniform(-2.0, 3.0) == -2.0 + 5.0 * ((ref[2] >> 11) * 2.0**-53)
         r.shuffle(list(range(9)))
         assert r.next_u64() == ref[11]

@@ -20,6 +20,8 @@ from couplegen.schedule import (
     write_schedule_csv,
 )
 
+from oracles import first_schedule_violation
+
 
 class TestEvalFamily:
     def test_arctan_center_is_half(self):
@@ -138,12 +140,28 @@ class TestValidate:
         assert validate(ThetaSchedule(np.array([0.0, 0.5, 1.0]))) is None
 
     def test_order_violation(self):
-        v = validate(ThetaSchedule(np.array([0.5, 0.4])))
-        assert v is not None and v.index == 1 and v.kind == "order"
+        assert validate(ThetaSchedule(np.array([0.5, 0.4]))) == "value decreases at index 1 (to 0.4)"
 
     def test_bounds_violation(self):
-        v = validate(ThetaSchedule(np.array([-0.1, 0.5])))
-        assert v is not None and v.index == 0 and v.kind == "bounds"
+        assert validate(ThetaSchedule(np.array([-0.1, 0.5]))) == "value -0.1 at index 0 outside [0, 1]"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, math.nan, math.inf, -math.inf])
+        | st.floats(-0.5, 1.5),
+        min_size=1, max_size=8,
+    ))
+    def test_names_first_violation_of_loop_oracle(self, csv_path, values):
+        # ties and -0.0 are valid; NaN and +-inf are out of bounds
+        want = first_schedule_violation(values)
+        assert validate(ThetaSchedule(np.array(values))) == want
+        csv_path.write_text("step,theta\n" + "".join(f"{i},{x!r}\n" for i, x in enumerate(values, 1)))
+        if want is None:
+            assert read_schedule_csv(csv_path).values.tolist() == values
+        else:
+            with pytest.raises(ValueError) as info:
+                read_schedule_csv(csv_path)
+            assert str(info.value) == f"invalid schedule: {want}"
 
 
 @pytest.fixture(scope="module")
