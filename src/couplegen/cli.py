@@ -173,10 +173,11 @@ def generate_cmd(bundle_path, schedule_path, out_dir, separate_noise, dump_laten
     """Render per-entity images (PGM) plus auto-threshold masks."""
     bundle = _load_bundle(bundle_path)
     cfg = _from_flags(PipelineConfig, **kw)
-    sched = _checked("--schedule", read_schedule_csv, schedule_path)
+    [sched] = _read_files(read_schedule_csv, [schedule_path], "--schedule")
     if len(sched) != cfg.steps:
         raise click.BadParameter(
-            f"schedule has {len(sched)} steps but --steps is {cfg.steps}", param_hint="--schedule"
+            f"{schedule_path} has {len(sched)} steps but --steps is {cfg.steps}",
+            param_hint="--schedule",
         )
     _warn_truncated(bundle, cfg)
     pipeline = init_pipeline(cfg)
@@ -264,8 +265,8 @@ def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
 
     write_schedule_csv(out / "best_schedule.csv", best)
     schedule_paths = []
-    for entry in trace:
-        path = trace_dir / f"eval_{entry.eval_index:05d}.csv"
+    for k, entry in enumerate(trace, start=1):
+        path = trace_dir / f"eval_{k:05d}.csv"
         write_schedule_csv(path, entry.schedule)
         schedule_paths.append(str(path))
     isotonic.write_trace_csv(out / "trace.csv", trace, schedule_paths)

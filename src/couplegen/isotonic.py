@@ -59,7 +59,8 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class TraceEntry:
-    eval_index: int
+    """One objective evaluation; evaluation k is entry k - 1 of its trace."""
+
     value: float
     schedule: ThetaSchedule
     accepted: bool
@@ -141,19 +142,20 @@ def coordinate_search(cfg: SearchConfig, objective: Callable[[ThetaSchedule], fl
     if violation is not None:
         raise ValueError(f"initial schedule is invalid: {violation}")
 
-    def evaluate(schedule: ThetaSchedule, trace, accepted=False) -> float:
+    trace: list[TraceEntry] = []
+
+    def evaluate(schedule: ThetaSchedule, best: float) -> float:
         value = float(objective(schedule))
         if not math.isfinite(value):
             raise NonFiniteObjectiveError(
                 f"objective returned {value} at evaluation {len(trace) + 1}", trace
             )
-        trace.append(TraceEntry(len(trace) + 1, value, schedule, accepted))
+        trace.append(TraceEntry(value, schedule, value > best))
         return value
 
-    trace: list[TraceEntry] = []
     theta = cfg.init.values.copy()
     n = theta.size
-    best_value = evaluate(ThetaSchedule(theta.copy()), trace, accepted=True)
+    best_value = evaluate(ThetaSchedule(theta.copy()), -math.inf)
     step = cfg.step
     rng = Rng(cfg.seed)
 
@@ -168,12 +170,10 @@ def coordinate_search(cfg: SearchConfig, objective: Callable[[ThetaSchedule], fl
                 candidate = theta.copy()
                 candidate[i] += direction * step
                 candidate = pava_project(candidate, 0.0, 1.0)
-                proposal = ThetaSchedule(candidate)
-                value = evaluate(proposal, trace)
+                value = evaluate(ThetaSchedule(candidate), best_value)
                 if value > best_value:
                     theta = candidate
                     best_value = value
-                    trace[-1] = TraceEntry(trace[-1].eval_index, value, proposal, True)
                     improved = True
                     break
             if len(trace) >= cfg.max_evals:
@@ -190,5 +190,5 @@ def write_trace_csv(path, trace: Sequence[TraceEntry], schedule_paths: Sequence[
     with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eval_index", "value", "theta_csv_path"])
-        for entry, sched_path in zip(trace, schedule_paths):
-            writer.writerow([entry.eval_index, f"{entry.value:.15g}", sched_path])
+        for k, (entry, sched_path) in enumerate(zip(trace, schedule_paths), start=1):
+            writer.writerow([k, f"{entry.value:.15g}", sched_path])

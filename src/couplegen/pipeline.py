@@ -165,12 +165,12 @@ class PipelineConfig:
     noise_seed: int = 0
 
     def __post_init__(self):
-        for name in ("d_model", "text_tokens", "grid_side", "double_blocks", "single_blocks", "steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name, most in MAX_SIZES.items():
-            if getattr(self, name) > most:
-                raise ValueError(f"{name} must be <= {most}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+            if value > most:
+                raise ValueError(f"{name} must be <= {most}, got {value}")
 
     @property
     def image_tokens(self) -> int:

@@ -51,6 +51,7 @@ INSTRUCTION_MESSAGE = (
     "... and so on."
 )
 
+REQUEST_TIMEOUT_S = 30.0
 RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_S = 1.0
 
@@ -64,9 +65,7 @@ class ParseError(ValueError):
 
 
 class TransportError(RuntimeError):
-    def __init__(self, message: str, attempts: int):
-        super().__init__(message)
-        self.attempts = attempts
+    """Every one of the RETRY_ATTEMPTS requests failed."""
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,6 @@ class LlmEndpoint:
     base_url: str
     model: str
     api_key: str | None = None
-    timeout: float = 30.0
 
     def __post_init__(self):
         if not re.match(r"^https?://", self.base_url):
@@ -212,14 +210,11 @@ def _request_reply(prompts: Sequence[str], endpoint: LlmEndpoint, sleep) -> str:
             sleep(RETRY_BACKOFF_S * 2 ** (attempt - 1))
         try:
             # urlopen follows redirects and raises HTTPError for any other non-2xx status
-            with urlopen(request, timeout=endpoint.timeout) as resp:
+            with urlopen(request, timeout=REQUEST_TIMEOUT_S) as resp:
                 return json.load(resp)["choices"][0]["message"]["content"]
         except Exception as exc:  # noqa: BLE001 - network/HTTP/JSON failures all retry
             last_error = exc
-    raise TransportError(
-        f"decomposition failed after {RETRY_ATTEMPTS} attempts: {last_error}",
-        attempts=RETRY_ATTEMPTS,
-    )
+    raise TransportError(f"decomposition failed after {RETRY_ATTEMPTS} attempts: {last_error}")
 
 
 def embed_prompt(text: str, d_model: int, n_tokens: int, seed: int = 0) -> np.ndarray:

@@ -90,10 +90,7 @@ def make_schedule(fam: ScheduleFamily, n_steps: int) -> ThetaSchedule:
     """Sample the family at 1-based step indices 1..n_steps."""
     if not 1 <= n_steps <= MAX_STEPS:
         raise ValueError(f"n_steps must be in 1..{MAX_STEPS}, got {n_steps}")
-    values = np.array([eval_family(fam, float(i)) for i in range(1, n_steps + 1)])
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"family {fam} produced non-finite values")
-    return ThetaSchedule(values)
+    return ThetaSchedule(np.array([eval_family(fam, float(i)) for i in range(1, n_steps + 1)]))
 
 
 def validate(s: ThetaSchedule) -> Optional[str]:
@@ -119,7 +116,7 @@ def write_schedule_csv(path, s: ThetaSchedule) -> None:
 def read_schedule_csv(path) -> ThetaSchedule:
     """Read a step,theta CSV; raise ValueError unless the step column is
     1..N and the values form a valid schedule (see ``validate``)."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             rows = [row for row in csv.reader(fh) if row]
         except csv.Error as exc:

@@ -153,12 +153,15 @@ class TestGenerateCommand:
         ],
         ids=["decreasing", "step_gap", "short", "above_one", "nan"],
     )
-    def test_bad_schedule_exit_1(self, tmp_path, bundle_file, rows):
+    def test_bad_schedule_exit_1(self, tmp_path, bundle_file, capsys, rows):
         sched = tmp_path / "bad.csv"
         sched.write_text("step,theta\n" + "\n".join(rows) + "\n")
+        capsys.readouterr()
         code = run(["generate", "--bundle", str(bundle_file), "--schedule", str(sched),
                     "--out-dir", str(tmp_path / "o"), "--steps", "2"])
         assert code == 1
+        err = capsys.readouterr().err
+        assert "Invalid value for --schedule:" in err and str(sched) in err
         assert not (tmp_path / "o").exists()
 
     def test_missing_bundle_exit_1(self, tmp_path, schedule_file):
@@ -524,25 +527,31 @@ class TestSweepCommand:
         assert not out.exists()
 
 
-def test_cli_imports_only_used_or_perfbench_wrapped_names(monkeypatch):
-    # a name cli.py imports and never uses must be one perfbench/tracer.py wraps there
+def test_modules_import_only_used_or_perfbench_wrapped_names(monkeypatch):
+    # a name a package module imports and never uses is dead, unless the
+    # module is cli.py and perfbench/tracer.py wraps the name there
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import tracer
 
-    tree = ast.parse(Path(couplegen.cli.__file__).read_text())
-    imported = {
-        alias.asname or alias.name.split(".")[0]
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        and getattr(node, "module", None) != "__future__"
-        for alias in node.names
-    }
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     wrapped = {
         attr for targets in tracer.WRAPPED.values() for owner, attr in targets
         if owner is couplegen.cli
     }
-    assert sorted(imported - used - wrapped) == []
+    unused = {}
+    for path in sorted(Path(couplegen.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        dead = imported - used - (wrapped if path.name == "cli.py" else set())
+        if dead:
+            unused[path.name] = sorted(dead)
+    assert unused == {}
 
 
 def _fresh_python(code: str, *args) -> subprocess.CompletedProcess:

@@ -1,5 +1,10 @@
 """Monotone projection and derivative-free search tests."""
 
+import csv
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +18,7 @@ from couplegen.isotonic import (
     coordinate_search,
     grid_search,
     pava_project,
+    write_trace_csv,
 )
 from couplegen.schedule import ScheduleFamily, ThetaSchedule, make_schedule, validate
 
@@ -159,6 +165,45 @@ class TestCoordinateSearch:
         best, value, _ = coordinate_search(cfg, bumpy)
         assert value >= init_value
         assert validate(best) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        init=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).map(sorted),
+        target=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+        digits=st.sampled_from([1, 2, 12]),  # coarse rounding makes ties
+        max_evals=st.integers(1, 60),
+        step=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32),
+    )
+    def test_trace_records_each_verdict(self, init, target, digits, max_evals, step, seed):
+        # entry k is evaluation k: accepted iff it beats the incumbent of its
+        # time, and the search returns the last accepted entry
+        init = ThetaSchedule(np.array(init))
+        goal = np.array(target[: len(init)])
+
+        def objective(s):
+            return round(-float(np.sum((s.values - goal) ** 2)), digits)
+
+        cfg = SearchConfig(max_evals=max_evals, init=init, step=step, seed=seed)
+        best, value, trace = coordinate_search(cfg, objective)
+        assert 1 <= len(trace) <= max_evals
+        assert np.array_equal(trace[0].schedule.values, init.values) and trace[0].accepted
+        incumbent = -math.inf
+        for entry in trace:
+            assert validate(entry.schedule) is None
+            assert entry.value == objective(entry.schedule)
+            assert entry.accepted == (entry.value > incumbent)
+            if entry.accepted:
+                incumbent = entry.value
+        last = [entry for entry in trace if entry.accepted][-1]
+        assert value == last.value
+        assert np.array_equal(best.values, last.schedule.values)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            write_trace_csv(path, trace, [f"eval_{k}.csv" for k in range(len(trace))])
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:]] == [str(k) for k in range(1, len(trace) + 1)]
 
     def test_invalid_init_rejected(self):
         cfg = SearchConfig(max_evals=10, init=ThetaSchedule(np.array([0.9, 0.1])))

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import itertools
 import os
@@ -9,12 +10,14 @@ import select
 import signal
 import sys
 import threading
+from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, initialize, invariant, rule
 
 from couplegen import attention, isotonic
 from couplegen import pipeline as pipeline_module
@@ -34,6 +37,7 @@ from couplegen.pipeline import (
     MAX_SIZES,
     Pipeline,
     PipelineConfig,
+    TrajectoryMemo,
     auto_masks,
     generate_and_score,
     init_pipeline,
@@ -993,6 +997,136 @@ class TestTrajectoryMemo:
                 held_steps = [*memo.trunk.values(), *memo.entries.values()]
                 assert all(len(steps) == TINY.steps for steps in held_steps)
                 assert not any(latent.flags.writeable for steps in held_steps for latent in steps)
+
+
+THETAS = [0.0, 0.3, 0.6, 1.0]  # theta at 0, interior and at 1
+BACKGROUNDS = [BUNDLE.background, OTHER.background]
+ENTITIES = st.lists(st.sampled_from(OTHER.entities), min_size=1, max_size=5)
+SEEDS = st.sampled_from([None, 0, 1])
+# two TINY entities per chunk: a call's chunks are stacks and run on the pool
+TINY_CHUNK_BYTES = 2 * 8 * max((TINY.image_tokens + 2 * TINY.text_tokens) ** 2,
+                               2 * (TINY.image_tokens + TINY.text_tokens) ** 2)
+
+
+@functools.cache
+def oracle_trajectory(background: str, entity: str, thetas: tuple, seed: int) -> list:
+    """exact_latents of one TINY entity render on a fresh pipeline."""
+    [log] = exact_latents(init_pipeline(TINY), PromptBundle(background, (entity,)),
+                          ThetaSchedule(np.array(thetas)), seed)
+    return log
+
+
+def oracle_image(latents: list) -> np.ndarray:
+    return 0.5 * (np.tanh(latents[-1][:, 0].reshape(TINY.grid_side, TINY.grid_side)) + 1.0)
+
+
+class SamplerMemoMachine(RuleBasedStateMachine):
+    """One TINY pipeline driven through renders, references and failing
+    renders, compared after every call with the per-stream oracle; its memo
+    must hold only whole, read-only, oracle-equal trajectories, in the order
+    a serial render stores them."""
+
+    schedules = Bundle("schedules")
+
+    def __init__(self):
+        super().__init__()
+        self.patches = pytest.MonkeyPatch()
+        self.patches.setattr(pipeline_module, "CHUNK_SCORE_BYTES", TINY_CHUNK_BYTES)
+        self.pipeline = init_pipeline(TINY)
+        self.limit = 0
+
+    def teardown(self):
+        self.patches.undo()
+
+    @initialize(held=st.sampled_from([0, 1, 3]))
+    def budget(self, held):
+        self.patches.setattr(pipeline_module, "ENTITY_MEMO_BYTES", held * TINY_BYTES)
+        self.limit = held
+
+    @rule(target=schedules,
+          values=st.lists(st.sampled_from(THETAS), min_size=TINY.steps, max_size=TINY.steps))
+    def fresh(self, values):
+        return tuple(sorted(values))
+
+    @rule(target=schedules, base=schedules, i=st.integers(0, TINY.steps - 1),
+          theta=st.sampled_from(THETAS))
+    def nudged(self, base, i, theta):
+        """base with theta at step i, the other steps clamped to stay monotone."""
+        return tuple(min(x, theta) if k < i else max(x, theta) if k > i else theta
+                     for k, x in enumerate(base))
+
+    def serial_entries(self, keys: list) -> list:
+        """The memo's entry keys once a render of keys stores as a serial
+        one does: every key looked up first, then each rendered key stored
+        in chunk order, which is entity order within each resume depth."""
+        memo = self.pipeline.memo
+        model = TrajectoryMemo()
+        model.trunk, model.entries = dict(memo.trunk), OrderedDict(memo.entries)
+        background, seed, _, thetas = keys[0]
+        if thetas[0] == 0.0:
+            trunk = (background, seed, None, (0.0,) * TINY.steps)
+            model.trunk = {trunk: model.trunk.get(trunk)}
+        groups: dict = {}
+        for key in keys:
+            groups.setdefault(model.lookup(key)[0], []).append(key)
+        groups.pop(TINY.steps, None)
+        if self.limit:
+            for key in itertools.chain(*groups.values()):
+                model.store(key, [], self.limit)
+        return list(model.entries)
+
+    @rule(background=st.sampled_from(BACKGROUNDS), entities=ENTITIES, schedule=schedules,
+          seed=SEEDS, shared=st.booleans(), logged=st.booleans())
+    def sample(self, background, entities, schedule, seed, shared, logged):
+        base = TINY.noise_seed if seed is None else seed
+        keys = [(background, base if shared else base + j, entity, schedule)
+                for j, entity in enumerate(entities)]
+        want_entries = self.serial_entries(keys)
+        log = [] if logged else None
+        images = sample(self.pipeline, PromptBundle(background, tuple(entities)),
+                        ThetaSchedule(np.array(schedule)), seed, shared, log)
+        wants = [oracle_trajectory(b, e, thetas, s) for b, s, e, thetas in keys]
+        assert same_renders(images, [oracle_image(want) for want in wants])
+        if logged:
+            assert same_logs(log, wants)
+        assert list(self.pipeline.memo.entries) == want_entries
+
+    @rule(background=st.sampled_from(BACKGROUNDS), seed=SEEDS)
+    def single_prompt(self, background, seed):
+        base = TINY.noise_seed if seed is None else seed
+        want = oracle_trajectory(background, background, (0.0,) * TINY.steps, base)
+        assert np.array_equal(sample_single_prompt(self.pipeline, background, seed),
+                              oracle_image(want))
+
+    @rule(background=st.sampled_from(BACKGROUNDS), entities=ENTITIES, schedule=schedules,
+          bad=st.integers(0, TINY.steps - 1), seed=SEEDS, shared=st.booleans())
+    def failing_render(self, background, entities, schedule, bad, seed, shared):
+        """theta 1.5 at step bad raises in every chunk that reaches it; the
+        lookups may reorder the entries but nothing is stored or dropped."""
+        values = np.array(schedule)
+        values[bad] = 1.5
+        entries = self.pipeline.memo.entries
+        before = {key: [id(latent) for latent in steps] for key, steps in entries.items()}
+        with pytest.raises(ValueError, match="theta"):
+            sample(self.pipeline, PromptBundle(background, tuple(entities)),
+                   ThetaSchedule(values), seed, shared)
+        assert {key: [id(latent) for latent in steps] for key, steps in entries.items()} == before
+
+    @invariant()
+    def memo_holds_whole_read_only_oracle_trajectories(self):
+        memo = self.pipeline.memo
+        assert len(memo.trunk) <= 1
+        assert len(memo.entries) <= self.limit
+        for (background, seed, entity, thetas), steps in [*memo.trunk.items(),
+                                                           *memo.entries.items()]:
+            assert not any(latent.flags.writeable for latent in steps)
+            assert same_renders(steps, oracle_trajectory(background, entity or background,
+                                                         thetas, seed))
+
+
+TestSamplerMemoMachine = SamplerMemoMachine.TestCase
+TestSamplerMemoMachine.settings = settings(max_examples=100, stateful_step_count=15,
+                                           deadline=None)
 
 
 class TestChunks:

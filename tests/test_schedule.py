@@ -1,10 +1,11 @@
 """Schedule family tests: piecewise definitions, monotonicity, CSV io."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from couplegen import schedule
@@ -21,6 +22,8 @@ from couplegen.schedule import (
 )
 
 from oracles import first_schedule_violation
+
+HUGE = sys.float_info.max
 
 
 class TestEvalFamily:
@@ -75,6 +78,23 @@ class TestEvalFamily:
 
 
 class TestMakeSchedule:
+    @settings(deadline=None)
+    @given(
+        kind=st.sampled_from(["step01", "arctan", "sin"]),
+        center=st.floats(allow_nan=False, allow_infinity=False),
+        scale=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        steps=st.integers(1, MAX_STEPS),
+    )
+    @example("arctan", HUGE, HUGE, MAX_STEPS)
+    @example("sin", -HUGE, 5e-324, MAX_STEPS)
+    @example("sin", HUGE, HUGE, MAX_STEPS)
+    @example("sin", 500.0, 5e-324, MAX_STEPS)
+    def test_every_family_value_finite_and_in_unit_box(self, kind, center, scale, steps):
+        # make_schedule trusts a valid family to give finite values in [0, 1]
+        values = make_schedule(ScheduleFamily(kind, center=center, scale=scale), steps).values
+        assert np.all(np.isfinite(values))
+        assert np.all((values >= 0.0) & (values <= 1.0))
+
     def test_arctan_paper_parameters(self):
         sched = make_schedule(ScheduleFamily("arctan", center=6.7, scale=0.5), 50)
         assert len(sched) == 50
