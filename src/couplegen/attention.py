@@ -58,14 +58,19 @@ The score block is computed into one flat float64 workspace per thread,
 owned by this module, and scaled and softmaxed there in place: the block is
 laid out as rows, one contiguous run each for the text's and the image's
 queries, whose ``Q K^T`` goes into it through ``np.matmul(..., out=)``,
-``np.divide(..., out=)`` divides the block by the norm and
+``_divide`` divides the block by the norm (as a product by its inverse when
+the norm is a power of two, which gives the same bits) and
 ``softmax_rows(..., out=)`` normalises it, so no score temporary is
 allocated and every output is bit-identical to the same calls with fresh
-temporaries.  A thread's workspace grows to the largest block it has seen
-and never shrinks.  A coupled call's block is (N + 2T)^2 * 8 bytes per
-entity for N image and T text tokens (592 KB at d32, 16x16; 8.65 MB at
-d64, 32x32); a single block's stacked branches at 0 < theta < 1 take up to
-2 (N + T)^2 * 8 bytes per entity (1.12 MB and 17.0 MB there).  No result
+temporaries.  A call whose text output is not wanted (the sampler's last
+single block of a step, through ``_branch_image``) has no text run: the
+text's keys and values stay, and the image rows are the same calls as in a
+full call, each row's softmax being its own.  A thread's workspace grows
+to the largest block it has seen and never shrinks.  A coupled call's
+block is (N + 2T)^2 * 8 bytes per entity for N image and T text tokens
+(592 KB at d32, 16x16; 8.65 MB at d64, 32x32); a single block's stacked
+branches at 0 < theta < 1 take up to 2 (N + T)^2 * 8 bytes per entity
+(1.12 MB and 17.0 MB there).  No result
 aliases it, since each output is the fresh product of a view of the
 softmaxed block and V.  Since each thread has its own workspace, threads
 may run attention calls at once, as the sampler's pool does with the chunks
@@ -236,7 +241,8 @@ def _score_block(shape) -> np.ndarray:
     return _workspace.scores[:n].reshape(shape)
 
 
-def _attention(text, image, w: AttentionWeights, norm: NormConst, members=None):
+def _attention(text, image, w: AttentionWeights, norm: NormConst, members=None,
+               text_queries=True):
     """Shared attention core over a text and an image that _check_streams
     accepted; returns the text's and the image's outputs.
 
@@ -247,6 +253,8 @@ def _attention(text, image, w: AttentionWeights, norm: NormConst, members=None):
     projected by one product per weight, and each member's keys and values
     go onto the token axis ahead of the image's.  A member whose scale is
     0.0 is dropped; any other scale multiplies its key vectors literally.
+    Without text_queries the text's query rows are not scored and its output
+    is None; its keys and values stay, so the image's output is unchanged.
     """
     d = text.shape[-1]
     if w.d_model != d:
@@ -261,16 +269,29 @@ def _attention(text, image, w: AttentionWeights, norm: NormConst, members=None):
     values.append(image @ w.w_v)
     k, v = _concatenated(keys), _concatenated(values)
     n_keys = k.shape[-2]
-    rows = math.prod(text.shape[:-1])
+    rows = math.prod(text.shape[:-1]) if text_queries else 0
     image_shape = k.shape[:-2] + (image.shape[-2], n_keys)
     p = _score_block((rows + math.prod(image_shape[:-1]), n_keys))
-    runs = p[:rows].reshape(text.shape[:-1] + (n_keys,)), p[rows:].reshape(image_shape)
+    image_p = p[rows:].reshape(image_shape)
     k_t = k.swapaxes(-1, -2)
-    np.matmul(text @ w.w_q, k_t, out=runs[0])
-    np.matmul(image @ w.w_q, k_t, out=runs[1])
-    np.divide(p, norm.value, out=p)
+    if text_queries:
+        text_p = p[:rows].reshape(text.shape[:-1] + (n_keys,))
+        np.matmul(text @ w.w_q, k_t, out=text_p)
+    np.matmul(image @ w.w_q, k_t, out=image_p)
+    _divide(p, norm)
     softmax_rows(p, out=p)
-    return runs[0] @ v, runs[1] @ v
+    return (text_p @ v if text_queries else None), image_p @ v
+
+
+def _divide(p, norm: NormConst) -> None:
+    """p /= norm in place.  A norm of 2**k multiplies by 2**-k instead, which
+    is cheaper and gives the same bits: x * 2**-k and x / 2**k are roundings
+    of the same real value, as long as 2**-k is finite (k >= -1023)."""
+    mantissa, exponent = math.frexp(norm.value)
+    if mantissa == 0.5 and exponent >= -1022:
+        np.multiply(p, 1.0 / norm.value, out=p)
+    else:
+        np.divide(p, norm.value, out=p)
 
 
 def _concatenated(parts) -> np.ndarray:
@@ -322,6 +343,13 @@ def branch_attention(text, image, w: AttentionWeights, norm: NormConst):
     arrays.
     """
     return _attention(*_check_streams(branches=True, text=text, image=image), w, norm)
+
+
+def _branch_image(text, image, w: AttentionWeights, norm: NormConst) -> np.ndarray:
+    """The image output of branch_attention alone: the text's keys and
+    values stay, but its query rows are not scored."""
+    return _attention(*_check_streams(branches=True, text=text, image=image), w, norm,
+                      text_queries=False)[1]
 
 
 def merge_image_states(img_ent, img_bg, theta: float) -> np.ndarray:

@@ -24,7 +24,9 @@ joint_attention on it and the image, and a single block runs only that
 branch, the one the image merge keeps.  The single-prompt reference render
 is the theta == 0 trajectory of the same step function, with the prompt as
 the background stream, so the image tokens follow the plain single-text
-pipeline by construction.
+pipeline by construction.  A step keeps only its image, so its last
+single block scores the image's query rows alone (against every key, the
+text's included) and runs no text residual.
 
 That theta == 0 trajectory is also the trunk every entity shares until its
 schedule's first nonzero theta.  Trajectories are memoised in one
@@ -48,8 +50,10 @@ first changes theta_i thus recomputes only steps i..N.  The new trajectory
 shares the prefix's arrays and appends a read-only copy of each step it
 renders, so no stored array is ever written and an eviction cannot take a
 prefix from a render under way.  Every entity of a call is looked up
-before any is stored, and entries are stored only after every chunk of
-the call has rendered, so a render that raises stores nothing.
+before any is stored.  A lookup leaves the LRU order as it is: the
+matched entries are refreshed, in lookup order, and the new ones stored
+only after every chunk of the call has rendered, so a render that raises
+leaves the memo as it was.
 
 The entities of one call share the weights, the background text and the
 theta of every step, so the entities that resume at the same depth are
@@ -102,6 +106,7 @@ from .attention import (
     AttentionWeights,
     NormConst,
     StreamState,
+    _branch_image,
     _computed,
     _coupled,
     branch_attention,
@@ -217,10 +222,12 @@ class TrajectoryMemo:
         self.trunk: dict = {}  # at most one entry
         self.entries: OrderedDict = OrderedDict()
 
-    def lookup(self, key: tuple) -> tuple[int, list[np.ndarray]]:
-        """(depth, latents) of the trajectory with key's background and seed
-        and key's entity text or None that shares the longest theta prefix
-        with key, depth being that prefix's length; (0, []) when none does."""
+    def lookup(self, key: tuple) -> tuple[int, list[np.ndarray], tuple | None]:
+        """(depth, latents, match) of the trajectory with key's background
+        and seed and key's entity text or None that shares the longest theta
+        prefix with key, depth being that prefix's length and match its
+        entry's key (None for the trunk); (0, [], None) when none does.  The
+        order of the entries is left as it is (see `refresh`)."""
         depth, best = 0, None
         for other in [*self.entries, *self.trunk]:
             if other[:2] == key[:2] and other[2] in (key[2], None):
@@ -228,11 +235,17 @@ class TrajectoryMemo:
                 if n > depth:
                     depth, best = n, other
         if best is None:
-            return 0, []
+            return 0, [], None
         if best in self.trunk:
-            return depth, self.trunk[best]
-        self.entries.move_to_end(best)
-        return depth, self.entries[best]
+            return depth, self.trunk[best], None
+        return depth, self.entries[best], best
+
+    def refresh(self, matches) -> None:
+        """Move the entries of the given lookup matches, in order, to the
+        most recent end; a None match is skipped."""
+        for key in matches:
+            if key is not None:
+                self.entries.move_to_end(key)
 
     def store(self, key: tuple, latents: list[np.ndarray], limit: int) -> None:
         """File key's whole trajectory, keeping the limit most recent entries."""
@@ -316,16 +329,22 @@ def run_double_block(text, image, w: DoubleBlockWeights, theta: float, norm: Nor
             _residual(image, attn.image, w.attn.w_o, w.image_ff))
 
 
-def run_single_block(text, image, w: SingleBlockWeights, theta: float, norm: NormConst):
+def run_single_block(text, image, w: SingleBlockWeights, theta: float, norm: NormConst,
+                     keep_text: bool = True):
     """Two branch passes (bg-img, ent-img); image parts merged by
     interpolation; returns (text, image).
 
     At 0 < theta < 1 both branches of the text stack run as one
     branch_attention call.  At theta in {0, 1} the merge would keep only the
     live branch's image, and text is that stream alone, so only it runs.
+    Without keep_text the returned text is None: the text's query rows are
+    not scored and its residual does not run, and the image is unchanged.
     """
-    text_a, image_a = branch_attention(text, image, w.attn, norm)
-    text = _residual(text, text_a, w.attn.w_o, w.ff)
+    if keep_text:
+        text_a, image_a = branch_attention(text, image, w.attn, norm)
+        text = _residual(text, text_a, w.attn.w_o, w.ff)
+    else:
+        text, image_a = None, _branch_image(text, image, w.attn, norm)
     image = _residual(image, image_a, w.attn.w_o, w.ff)
     if theta not in (0.0, 1.0):
         img_bg, img_ent = image
@@ -336,13 +355,17 @@ def run_single_block(text, image, w: SingleBlockWeights, theta: float, norm: Nor
 def _run_step(pipeline: Pipeline, text, image, theta: float) -> np.ndarray:
     """The image after every block of one step, from the (2, ...) stack of
     background and entity text; at theta in {0, 1} only its member
-    text[theta] reaches the image tokens, so the blocks get that one alone."""
+    text[theta] reaches the image tokens, so the blocks get that one alone.
+    The step's text is dropped, so the last single block computes no text
+    output."""
     if theta in (0.0, 1.0):
         text = text[int(theta)]
     for blk in pipeline.double_blocks:
         text, image = run_double_block(text, image, blk, theta, pipeline.norm_double)
-    for blk in pipeline.single_blocks:
-        text, image = run_single_block(text, image, blk, theta, pipeline.norm_single)
+    singles = pipeline.single_blocks
+    for i, blk in enumerate(singles, 1):
+        text, image = run_single_block(text, image, blk, theta, pipeline.norm_single,
+                                       keep_text=i < len(singles))
     return image
 
 
@@ -523,9 +546,9 @@ def sample(
             for j, entity in enumerate(bundle.entities)]
     # every entity is looked up before any store can evict its prefix
     found = [pipeline.memo.lookup(key) for key in keys]
-    latents = [prefix[:depth] for depth, prefix in found]  # shared, grown by the render
+    latents = [prefix[:depth] for depth, prefix, _ in found]  # shared, grown by the render
     groups: dict = {}
-    for j, (depth, _) in enumerate(found):
+    for j, (depth, *_) in enumerate(found):
         groups.setdefault(depth, []).append(j)
     images: list = [None] * len(keys)
     for j in groups.pop(cfg.steps, []):
@@ -543,8 +566,11 @@ def sample(
         )
         for depth, chunk in chunks
     ]
-    # stored here, in chunk order, once every chunk has rendered
-    for (_, chunk), x in zip(chunks, _render(pipeline, work)):
+    finals = _render(pipeline, work)
+    # refreshed and stored here, in lookup and then chunk order, once every
+    # chunk has rendered, so a render that raises leaves the memo as it was
+    pipeline.memo.refresh(match for *_, match in found)
+    for (_, chunk), x in zip(chunks, finals):
         for j, xj in zip(chunk, x):
             images[j] = _readout(cfg, xj)
             if limit:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from couplegen.numerics import Rng, softmax_rows
+from couplegen.numerics import DegenerateRowError, Rng
 from couplegen.prompt_io import embed_prompt
 
 
@@ -235,10 +235,24 @@ class CountingObjective:
         return float(self.fn(schedule))
 
 
+def reference_softmax_rows(m, out=None):
+    """The masked softmax over the last axis with a per-row max, as the
+    package computed it before its row max became one segment reduction."""
+    row_max = m.max(axis=-1)
+    masked = row_max == -np.inf
+    if masked.any():
+        raise DegenerateRowError(f"row {int(masked.argmax())} is entirely masked")
+    z = np.subtract(m, row_max[..., None], out=out)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1)[..., None]
+    return z
+
+
 def per_stream_attention(streams, w, key_scales, norm):
     """The attention core with one score block and one softmax per query
     stream and one product per stream and weight, as it was before the
-    streams of a call shared one block."""
+    streams of a call shared one block: every score is divided by the norm
+    and normalised by `reference_softmax_rows`."""
     live = [(s, scale) for s, scale in zip(streams, key_scales) if scale != 0.0]
     k = np.concatenate([scale * (s @ w.w_k) for s, scale in live], axis=-2)
     v = np.concatenate([s @ w.w_v for s, _ in live], axis=-2)
@@ -247,7 +261,7 @@ def per_stream_attention(streams, w, key_scales, norm):
     for s in streams:
         p = np.matmul(s @ w.w_q, k_t)
         np.divide(p, norm.value, out=p)
-        outs.append(softmax_rows(p, out=p) @ v)
+        outs.append(reference_softmax_rows(p, out=p) @ v)
     return outs
 
 

@@ -399,6 +399,65 @@ class TestWorkspace:
             sys.setswitchinterval(interval)
 
 
+class TestScoreScaling:
+    """Dividing the score block by its norm: a power-of-two norm multiplies
+    by its inverse, which must give the bits of the division."""
+
+    VALUES = np.concatenate([
+        Rng(4).fill(1, 512, -60.0, 60.0)[0],
+        Rng(5).fill(1, 64, -1e-300, 1e-300)[0],
+        # subnormal inputs, and normal ones whose quotients are subnormal
+        np.array([5e-324, -5e-324, 1e-310, -3e-320, 2.2250738585072014e-308, 1e-307,
+                  -3.3e-308, 4.9e-324 * 3, 0.0, -0.0, np.inf, -np.inf, 1.7e308]),
+    ])
+
+    def check(self, norm):
+        got = self.VALUES.copy()
+        with np.errstate(over="ignore"):  # 1.7e308 over a norm below 1
+            attention._divide(got, norm)
+            assert got.tobytes() == (self.VALUES / norm.value).tobytes()
+
+    def test_every_pipeline_norm(self):
+        powers = set()
+        for d in range(1, 3073):
+            for norm in (norm_for(d, d), norm_for(d, 0)):
+                self.check(norm)
+                if np.frexp(norm.value)[0] == 0.5:
+                    powers.add(norm.value)
+        # d16 and d64 single blocks, d32 double blocks, among others
+        assert {4.0, 8.0} <= powers
+
+    @pytest.mark.parametrize("value", [2.0**-1024, 2.0**-1023, 2.0**-1022, 0.5, 1.0,
+                                       2.0**1023, 3.0, 2.0**-1074])
+    def test_extreme_norms(self, value):
+        self.check(NormConst(value))
+
+
+class TestImageQueriesOnly:
+    """Without the text's query rows the core gives the image output of the
+    full call bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stacks())
+    def test_equals_full_call(self, case):
+        w, bg, ent, img, theta = case
+        text = bg if theta == 0.0 else ent if theta == 1.0 else np.stack((bg, ent))
+        norm = norm_for(bg.shape[-1], 0)
+        for t, i in ((text, img), (text[..., 0, :, :], img[0])):
+            want = branch_attention(t, i, w, norm)[1]
+            assert np.array_equal(attention._branch_image(t, i, w, norm), want)
+
+    def test_rejects_what_branch_attention_rejects(self):
+        w = random_weights(Rng(0), 3)
+        for text, image in ((np.zeros((1, 3)), np.zeros((2, 4, 3))),
+                            (np.zeros((0, 3)), np.zeros((4, 3))),
+                            (np.zeros((2, 3)), np.zeros((4, 2)))):
+            with pytest.raises(ShapeError) as want:
+                branch_attention(text, image, w, NormConst(1.0))
+            with pytest.raises(ShapeError, match=f"^{re.escape(str(want.value))}$"):
+                attention._branch_image(text, image, w, NormConst(1.0))
+
+
 class TestSharedScoreBlock:
     """All query streams of a call share one score block and one softmax,
     and every output equals the one-block-per-stream core bit for bit."""

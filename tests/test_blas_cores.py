@@ -54,7 +54,7 @@ def check_invariants() -> None:
     from couplegen.cli import run
     from couplegen.numerics import Rng
     from couplegen.pipeline import PipelineConfig, generate_and_score, init_pipeline
-    from couplegen.pipeline import sample, sample_single_prompt
+    from couplegen.pipeline import run_single_block, sample, sample_single_prompt
     from couplegen.prompt_io import PromptBundle
     from couplegen.schedule import ScheduleFamily, ThetaSchedule, make_schedule
     from couplegen.schedule import write_schedule_csv
@@ -79,6 +79,17 @@ def check_invariants() -> None:
         ref = joint_attention(StreamState(text, img), w, norm)
         assert np.array_equal(getattr(out, live), ref.text)
         assert np.array_equal(out.image, ref.image)
+    # a step's last single block scores no text query rows: its image is
+    # that of the full block, at the boundaries and inside, for one entity
+    # and for a stack of two
+    blk = p.single_blocks[0]
+    texts = np.stack((np.stack((bg, ent)), np.stack((ent, bg))))  # (member, E, tokens, d)
+    images = np.stack((img, img[::-1]))
+    for theta, text in ((0.0, texts[0]), (0.5, texts), (1.0, texts[1])):
+        for t, i in ((text, images), (text[..., 0, :, :], img)):
+            want = run_single_block(t, i, blk, theta, p.norm_single)[1]
+            got = run_single_block(t, i, blk, theta, p.norm_single, keep_text=False)[1]
+            assert np.array_equal(got, want)
     for theta, prompts in ((0.0, [bundle.background] * 2), (1.0, bundle.entities)):
         got = sample(init_pipeline(cfg), bundle, ThetaSchedule(np.full(cfg.steps, theta)))
         assert same(got, [sample_single_prompt(p, prompt) for prompt in prompts])

@@ -16,7 +16,7 @@ from couplegen.numerics import (
     softmax_rows,
 )
 
-from oracles import splitmix64_reference
+from oracles import reference_softmax_rows, splitmix64_reference
 
 SPLITMIX64_GAMMA = 0x9E3779B97F4A7C15
 BOUNDS = st.integers(-5, 5) | st.floats(-1e3, 1e3, allow_nan=False)
@@ -103,6 +103,57 @@ class TestSoftmaxOut:
         z = np.array([[[0.0, 1.0], [-np.inf, -np.inf]]])
         with pytest.raises(DegenerateRowError, match="row 1"):
             softmax_rows(z, out=z)
+
+
+@st.composite
+def tied_scores(draw):
+    """2-D or 3-D score arrays of 1 to 40 keys, drawn mostly from a few
+    values, so that rows tie, 0.0 meets -0.0 and -inf entries are common;
+    rows of 8 keys and more are summed pairwise, not in order."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=6)) + (
+        draw(st.integers(1, 40)),)
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.5, -np.inf]) | st.floats(-50, 50)
+    return draw(hnp.arrays(np.float64, shape, elements=values))
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSoftmaxMatchesReference:
+    """The row max as one segment reduction gives the bits of a per-row max."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_scores(), st.sampled_from(["fresh", "alias", "buffer"]))
+    def test_same_bits(self, m, out):
+        try:
+            want = reference_softmax_rows(m)
+        except DegenerateRowError as exc:
+            with pytest.raises(DegenerateRowError, match=f"^{exc}$"):
+                softmax_rows(m.copy())
+            return
+        z = {"fresh": None, "alias": m.copy(), "buffer": np.full_like(m, np.nan)}[out]
+        got = softmax_rows(z if out == "alias" else m, out=z)
+        assert z is None or got is z
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("m", [
+        np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, -np.inf]]),
+        np.array([[[-0.0, -1.0, 0.0]], [[-np.inf, -0.0, 0.0]]]),
+        np.array([[2.0], [-0.0], [-7.5]]),  # K = 1
+        np.array([[[1.0]], [[-0.0]]]),
+    ])
+    def test_ties_and_one_key(self, m):
+        assert same_bits(softmax_rows(m), reference_softmax_rows(m))
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 0), (2, 3, 0)])
+    def test_zero_width_rows_rejected(self, shape):
+        with pytest.raises(ValueError):
+            softmax_rows(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (2, 0, 3)])
+    def test_no_rows(self, shape):
+        assert softmax_rows(np.zeros(shape)).shape == shape
 
 
 class TestRng:

@@ -136,6 +136,20 @@ class TestInit:
             PipelineConfig(steps=0)
 
 
+def counted_core(monkeypatch) -> list:
+    """The (text, keyword arguments) of every later call into the attention
+    core."""
+    calls = []
+    core = attention._attention
+
+    def counting(text, image, *args, **kwargs):
+        calls.append((text, kwargs))
+        return core(text, image, *args, **kwargs)
+
+    monkeypatch.setattr(attention, "_attention", counting)
+    return calls
+
+
 class TestBlocks:
     def _state(self, d=6, seed=3):
         rng = Rng(seed)
@@ -191,21 +205,33 @@ class TestBlocks:
         expected = merge_image_states(
             branch_image(state.entity), branch_image(state.background), theta
         )
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return branch_attention(*args)
-
-        monkeypatch.setattr("couplegen.pipeline.branch_attention", counting)
+        calls = counted_core(monkeypatch)
         one_block = dataclasses.replace(p, double_blocks=(), single_blocks=(blk,))
         out = pipeline_module._run_step(one_block, state.text, state.image, theta)
         assert np.array_equal(out, expected)
         # only the kept branch runs: _run_step hands the block the live
-        # member of the text stack alone
+        # member of the text stack alone, and as the step's last block it
+        # scores no text query rows
         live = state.background if theta == 0.0 else state.entity
         assert len(calls) == 1
-        assert calls[0][0].base is state.text and np.array_equal(calls[0][0], live)
+        text, kwargs = calls[0]
+        assert text.base is state.text and np.array_equal(text, live)
+        assert kwargs == {"text_queries": False}
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_single_block_without_text_keeps_image(self, theta, stacked):
+        p = small_pipeline(d_model=16)  # a power-of-two norm, sqrt(16)
+        rng = Rng(8)
+        bg, ent, image = (rng.fill(3 * n, 16, -1, 1).reshape(3, n, 16) for n in (8, 8, 64))
+        if not stacked:
+            bg, ent, image = bg[0], ent[0], image[0]
+        text = bg if theta == 0.0 else ent if theta == 1.0 else np.stack((bg, ent))
+        blk = p.single_blocks[0]
+        _, want = run_single_block(text, image, blk, theta, p.norm_single)
+        got_text, got = run_single_block(text, image, blk, theta, p.norm_single,
+                                         keep_text=False)
+        assert got_text is None and np.array_equal(got, want)
 
     def test_checked_state_is_not_checked_again(self, monkeypatch):
         # a state is checked where a caller builds it; the blocks and the
@@ -227,17 +253,15 @@ class TestBlocks:
         assert calls == []
         assert isinstance(attn, CoupledStreamState)
         assert out_text.shape == state.text.shape and out_image.shape == state.image.shape
-        # the sampler's only checks are those of the bare-array branch calls,
-        # one per single block of a step, its two branches stacked
-        branch_calls = []
-
-        def counting_branch(*args):
-            branch_calls.append(args)
-            return branch_attention(*args)
-
-        monkeypatch.setattr("couplegen.pipeline.branch_attention", counting_branch)
+        # the sampler's only checks are those of the bare-array single-block
+        # calls into the core, one per single block of a step with its two
+        # branches stacked; the coupled calls of the double blocks are not
+        # checked, and the last single block scores no text query rows
+        core_calls = counted_core(monkeypatch)
         sample(small_pipeline(), OTHER, constant_schedule(0.5))
-        assert len(calls) == len(branch_calls) == 10 * 2
+        assert len(calls) == 10 * 2
+        coupled, branch, last = {"members"}, set(), {"text_queries"}
+        assert [set(kwargs) for _, kwargs in core_calls] == [coupled, coupled, branch, last] * 10
 
     def test_interior_single_block_stacks_branches(self, monkeypatch):
         # both branches go through one branch_attention call as the (2, ...)
@@ -998,6 +1022,18 @@ class TestTrajectoryMemo:
                 assert all(len(steps) == TINY.steps for steps in held_steps)
                 assert not any(latent.flags.writeable for steps in held_steps for latent in steps)
 
+    def test_failed_render_keeps_entry_order(self):
+        # the lookup for a matches its entry, and the render fails at step 4
+        p = init_pipeline(TINY)
+        values = np.array([0.2, 0.4, 0.6, 0.8])
+        for entity in ("a", "b"):
+            sample(p, PromptBundle("room", (entity,)), ThetaSchedule(values))
+        assert [key[2] for key in p.memo.entries] == ["a", "b"]
+        values[3] = 1.5
+        with pytest.raises(ValueError, match="theta"):
+            sample(p, PromptBundle("room", ("a",)), ThetaSchedule(values))
+        assert [key[2] for key in p.memo.entries] == ["a", "b"]
+
 
 THETAS = [0.0, 0.3, 0.6, 1.0]  # theta at 0, interior and at 1
 BACKGROUNDS = [BUNDLE.background, OTHER.background]
@@ -1067,8 +1103,12 @@ class SamplerMemoMachine(RuleBasedStateMachine):
             trunk = (background, seed, None, (0.0,) * TINY.steps)
             model.trunk = {trunk: model.trunk.get(trunk)}
         groups: dict = {}
+        matches = []
         for key in keys:
-            groups.setdefault(model.lookup(key)[0], []).append(key)
+            depth, _, match = model.lookup(key)
+            groups.setdefault(depth, []).append(key)
+            matches.append(match)
+        model.refresh(matches)
         groups.pop(TINY.steps, None)
         if self.limit:
             for key in itertools.chain(*groups.values()):
@@ -1101,16 +1141,16 @@ class SamplerMemoMachine(RuleBasedStateMachine):
     @rule(background=st.sampled_from(BACKGROUNDS), entities=ENTITIES, schedule=schedules,
           bad=st.integers(0, TINY.steps - 1), seed=SEEDS, shared=st.booleans())
     def failing_render(self, background, entities, schedule, bad, seed, shared):
-        """theta 1.5 at step bad raises in every chunk that reaches it; the
-        lookups may reorder the entries but nothing is stored or dropped."""
+        """theta 1.5 at step bad raises in every chunk that reaches it;
+        nothing is stored, dropped or reordered."""
         values = np.array(schedule)
         values[bad] = 1.5
         entries = self.pipeline.memo.entries
-        before = {key: [id(latent) for latent in steps] for key, steps in entries.items()}
+        before = [(key, [id(latent) for latent in steps]) for key, steps in entries.items()]
         with pytest.raises(ValueError, match="theta"):
             sample(self.pipeline, PromptBundle(background, tuple(entities)),
                    ThetaSchedule(values), seed, shared)
-        assert {key: [id(latent) for latent in steps] for key, steps in entries.items()} == before
+        assert [(key, [id(latent) for latent in steps]) for key, steps in entries.items()] == before
 
     @invariant()
     def memo_holds_whole_read_only_oracle_trajectories(self):
