@@ -20,7 +20,6 @@ import numpy as np
 
 from . import isotonic, pnm
 from .metric import DegenerateMaskError, Lambdas, WeightOverflowError
-from .numerics import save_f32t
 from .pipeline import MAX_SIZES, PipelineConfig, generate_and_score, init_pipeline
 from .pipeline import render, score_images
 # not called here; perfbench/tracer.py wraps these names of this module
@@ -42,13 +41,18 @@ __all__ = ["main", "run", "entrypoint"]
 STEPS_HELP = f"Sampling steps, at most {MAX_STEPS}."
 
 
+def _read_bundle(path) -> PromptBundle:
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    return PromptBundle.from_dict(data)
+
+
 def _load_bundle(path: str, min_entities: int = 1) -> PromptBundle:
-    """The bundle JSON at path; malformed JSON, a bad bundle or fewer than
-    min_entities entity prompts is a bad --bundle."""
-    [bundle] = _read_files(
-        lambda p: PromptBundle.from_dict(json.loads(Path(p).read_text(encoding="utf-8"))),
-        [path], "--bundle",
-    )
+    """The bundle JSON at path; malformed or too deeply nested JSON, a bad
+    bundle or fewer than min_entities entity prompts is a bad --bundle."""
+    [bundle] = _read_files(_read_bundle, [path], "--bundle")
     if len(bundle.entities) < min_entities:
         raise click.BadParameter(
             f"{path}: scoring needs at least {min_entities} entity prompts, "
@@ -167,7 +171,8 @@ def schedule_cmd(family, center, scale, steps, out_path):
 @click.option("--schedule", "schedule_path", required=True)
 @click.option("--out-dir", required=True)
 @click.option("--separate-noise", is_flag=True, help="Use a distinct noise stream per entity.")
-@click.option("--dump-latents", is_flag=True, help="Write per-step image latents as .f32t files.")
+@click.option("--dump-latents", is_flag=True,
+              help="Write per-step image latents as float32 .npy files, one per entity and step.")
 @_pipeline_options
 def generate_cmd(bundle_path, schedule_path, out_dir, separate_noise, dump_latents, **kw):
     """Render per-entity images (PGM) plus auto-threshold masks."""
@@ -190,7 +195,7 @@ def generate_cmd(bundle_path, schedule_path, out_dir, separate_noise, dump_laten
     if dump_latents:
         for j, steps_log in enumerate(latent_log, start=1):
             for i, latent in enumerate(steps_log, start=1):
-                save_f32t(out / f"latent_e{j}_s{i:03d}.f32t", latent)
+                np.save(out / f"latent_e{j}_s{i:03d}.npy", latent.astype("<f4"))
     pnm.write_pgm(out / "background.pgm", background_image)
     for j, (img, mask) in enumerate(zip(images, masks), start=1):
         pnm.write_pgm(out / f"entity_{j}.pgm", img)
@@ -238,7 +243,8 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
 @main.command("optimize")
 @click.option("--bundle", "bundle_path", required=True)
 @click.option("--max-evals", default=200, show_default=True)
-@click.option("--step-size", default=isotonic.SearchConfig.step, show_default=True)
+@click.option("--step-size", default=isotonic.SearchConfig.step, show_default=True,
+              help=f"First search step, from {isotonic.MIN_STEP} to 1.")
 @click.option("--search-seed", default=isotonic.SearchConfig.seed, show_default=True)
 @click.option("--out-dir", required=True)
 @_pipeline_options

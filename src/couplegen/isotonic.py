@@ -52,9 +52,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_evals < 1:
             raise ValueError(f"max_evals must be >= 1, got {self.max_evals}")
-        if not (0.0 < self.step <= 1.0):
-            # a wider step clamps every proposal to the [0, 1] theta box
-            raise ValueError(f"step must be in (0, 1], the width of the theta box, got {self.step}")
+        if not (MIN_STEP <= self.step <= 1.0):
+            # below MIN_STEP the search stops before its first move; a step
+            # wider than the [0, 1] theta box clamps every proposal to it
+            raise ValueError(f"step must be in [{MIN_STEP}, 1], got {self.step}")
 
 
 @dataclass(frozen=True)

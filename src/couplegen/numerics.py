@@ -5,7 +5,8 @@ two primitives: a masked softmax over the last axis and a splitmix64 PRNG.
 Matrices are row-major float64 numpy arrays, 2-D or stacked as 3-D with a
 leading batch axis; a stack is reduced row by row exactly as each of its
 matrices would be on its own.  Summation order is fixed within this build;
-determinism is per-platform, not bit-exact across interpreters.
+determinism is per-platform, not bit-exact across interpreters.  The
+module reads and writes no files.
 
 splitmix64 is counter-based: its k-th output (k = 1, 2, ...) from seed s is
 mix(s + k*gamma mod 2**64).  One uint64 array kernel computes it; every
@@ -15,8 +16,6 @@ mix(s + k*gamma mod 2**64).  One uint64 array kernel computes it; every
 from __future__ import annotations
 
 import hashlib
-import math
-import struct
 
 import numpy as np
 
@@ -30,8 +29,6 @@ __all__ = [
     "as_image",
     "as_mask",
     "softmax_rows",
-    "save_f32t",
-    "load_f32t",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -179,37 +176,3 @@ def softmax_rows(m, out=None) -> np.ndarray:
     np.exp(z, out=z)
     z /= z.sum(axis=-1)[..., None]
     return z
-
-
-_F32T_MAGIC = b"F32T"
-
-
-def save_f32t(path, array) -> None:
-    """Write a tensor as magic 'F32T', u32-LE ndim, u32-LE dims, f32-LE data."""
-    arr = np.ascontiguousarray(array, dtype=np.float32)
-    with open(path, "wb") as fh:
-        fh.write(_F32T_MAGIC)
-        fh.write(struct.pack("<I", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.astype("<f4").tobytes())
-
-
-def load_f32t(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    magic = blob[:4]
-    if magic != _F32T_MAGIC:
-        raise ValueError(f"bad magic {magic!r}, expected {_F32T_MAGIC!r}")
-    if len(blob) < 8:
-        raise ValueError("truncated header: no ndim")
-    (ndim,) = struct.unpack_from("<I", blob, 4)
-    start = 8 + 4 * ndim
-    if len(blob) < start:
-        raise ValueError(f"truncated header: {ndim} dims need {start} bytes, file has {len(blob)}")
-    dims = struct.unpack_from(f"<{ndim}I", blob, 8)
-    expected = math.prod(dims)
-    if len(blob) - start != 4 * expected:
-        raise ValueError(
-            f"payload has {len(blob) - start} bytes, dims {dims} need {4 * expected}"
-        )
-    return np.frombuffer(blob, dtype="<f4", offset=start).reshape(dims).astype(np.float64)

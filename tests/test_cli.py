@@ -14,7 +14,6 @@ import pytest
 
 import couplegen.cli
 from couplegen.cli import run
-from couplegen.numerics import load_f32t
 from couplegen.pipeline import PipelineConfig, generate_and_score, init_pipeline, render, sample
 from couplegen.pnm import read_mask, read_pgm
 from couplegen.prompt_io import PromptBundle
@@ -101,8 +100,14 @@ class TestGenerateCommand:
         code = run(["generate", "--bundle", str(bundle_file), "--schedule",
                     str(schedule_file), "--out-dir", str(out_dir), "--dump-latents"])
         assert code == 0
-        latents = sorted(out_dir.glob("latent_e*_s*.f32t"))
-        assert len(latents) == 2 * 10
+        assert sorted(p.name for p in out_dir.glob("latent_*")) == [
+            f"latent_e{j}_s{i:03d}.npy" for j in (1, 2) for i in range(1, 11)
+        ]
+        cfg = PipelineConfig()
+        for path in out_dir.glob("latent_*"):
+            latent = np.load(path, allow_pickle=False)
+            assert latent.dtype == np.float32
+            assert latent.shape == (cfg.grid_side**2, cfg.d_model)
 
     def test_dump_latents_match_library(self, tmp_path, schedule_file):
         # the repeated entity's latents come from the first one's memo slot
@@ -118,7 +123,8 @@ class TestGenerateCommand:
             alone = PromptBundle(bundle.background, (entity,))
             sample(init_pipeline(PipelineConfig()), alone, sched, latent_log=log)
             for i, latent in enumerate(log[0], start=1):
-                dumped = load_f32t(out_dir / f"latent_e{j}_s{i:03d}.f32t")
+                dumped = np.load(out_dir / f"latent_e{j}_s{i:03d}.npy", allow_pickle=False)
+                assert dumped.dtype == np.float32
                 assert np.array_equal(dumped, latent.astype(np.float32))
 
     @pytest.mark.parametrize("flags", [[], ["--separate-noise", "--dump-latents"]])
@@ -136,11 +142,31 @@ class TestGenerateCommand:
         for j, (image, mask) in enumerate(zip(images, masks), start=1):
             assert np.array_equal(read_pgm(out_dir / f"entity_{j}.pgm"), image)
             assert np.array_equal(read_mask(out_dir / f"mask_{j}.pgm"), mask)
-        assert len(list(out_dir.glob("*.f32t"))) == sum(len(steps) for steps in log)
+        assert len(list(out_dir.glob("latent_*"))) == sum(len(steps) for steps in log)
+        assert not list(out_dir.glob("*.f32t"))
         for j, steps in enumerate(log, start=1):
             for i, latent in enumerate(steps, start=1):
-                dumped = load_f32t(out_dir / f"latent_e{j}_s{i:03d}.f32t")
+                dumped = np.load(out_dir / f"latent_e{j}_s{i:03d}.npy", allow_pickle=False)
+                assert dumped.dtype == np.float32 and dumped.shape == latent.shape
                 assert np.array_equal(dumped, latent.astype(np.float32))
+
+    def test_dumps_load_without_couplegen(self, tmp_path, bundle_file, schedule_file):
+        # the dumps are plain .npy files: an interpreter that never imports
+        # couplegen reads them with numpy alone
+        out_dir = tmp_path / "gen"
+        assert run(["generate", "--bundle", str(bundle_file), "--schedule", str(schedule_file),
+                    "--out-dir", str(out_dir), "--dump-latents"]) == 0
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "import numpy as np\n"
+            "arrays = [np.load(p, allow_pickle=False) for p in Path(sys.argv[1]).glob('*.npy')]\n"
+            "assert not any(m.split('.')[0] == 'couplegen' for m in sys.modules)\n"
+            "print(len(arrays), sorted({(a.dtype.str, a.shape) for a in arrays}))\n"
+        )
+        done = _fresh_python(script, str(out_dir))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "20 [('<f4', (64, 16))]"
 
     @pytest.mark.parametrize(
         "rows",
@@ -687,6 +713,9 @@ class TestExitCodes:
              "--max-evals"),
             (["optimize", "--bundle", "{bundle}", "--out-dir", "{out}", "--step-size", "0"],
              "--step-size"),
+            # below the step at which the search stops, so it would never move
+            (["optimize", "--bundle", "{bundle}", "--out-dir", "{out}", "--step-size",
+              "0.00005"], "--step-size"),
             (["optimize", "--bundle", "{bundle}", "--out-dir", "{out}", "--step-size", "inf"],
              "--step-size"),
             (["optimize", "--bundle", "{bundle}", "--out-dir", "{out}", "--step-size", "1e308"],
@@ -739,7 +768,8 @@ class TestExitCodes:
             (["sweep", "--family", "step01", "--centers", "3", "--bundle", "{bundle}",
               "--out", "{out}", "--noise-seeds", "1000000000000"], "--noise-seeds"),
         ],
-        ids=["max_evals", "step_size", "step_size_inf", "step_size_wide", "optimize_d_model", "generate_steps",
+        ids=["max_evals", "step_size", "step_size_below_min", "step_size_inf", "step_size_wide",
+             "optimize_d_model", "generate_steps",
              "generate_grid_side", "sweep_d_model", "sweep_steps", "sweep_scale",
              "sweep_centers", "arctan_scale", "sin_scale", "schedule_steps",
              "schedule_steps_bound", "generate_steps_bound", "sweep_steps_bound",
@@ -819,6 +849,8 @@ BAD_BUNDLES = {
     "blank_background": '{"background": "   ", "entities": ["a cat", "a dog"]}',
     "blank_entity": '{"background": "a room", "entities": ["a cat", " \\t\\n"]}',
     "no_entity": '{"background": "a room", "entities": []}',
+    # json.loads raises RecursionError, not ValueError, on this
+    "deeply_nested": "[" * 200000,
 }
 ONE_ENTITY = '{"background": "a room", "entities": ["a cat"]}'
 
@@ -843,7 +875,7 @@ class TestBundleEdge:
         out = tmp_path / "out"
         capsys.readouterr()
         assert run(_bundle_argv(command, str(bundle), str(schedule_file), str(out))) == 1
-        assert "Invalid value for --bundle:" in capsys.readouterr().err
+        assert f"Invalid value for --bundle: {bundle}: " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "optimize", "sweep"])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from couplegen.isotonic import (
+    MIN_STEP,
     NonFiniteObjectiveError,
     ObjectiveEvaluationError,
     SearchConfig,
@@ -242,3 +243,14 @@ class TestCoordinateSearch:
         with pytest.raises(ValueError, match="step"):
             SearchConfig(max_evals=5, init=ThetaSchedule(np.array([0.5])), step=step)
         assert SearchConfig(max_evals=5, init=ThetaSchedule(np.array([0.5])), step=1.0).step == 1.0
+
+    @pytest.mark.parametrize("step", [5e-5, math.nextafter(MIN_STEP, 0.0)])
+    def test_step_below_min_step_rejected(self, step):
+        # the search stops once its step falls below MIN_STEP, so a smaller
+        # first step would end it after the initial evaluation
+        with pytest.raises(ValueError, match="step"):
+            SearchConfig(max_evals=5, init=ThetaSchedule(np.array([0.5])), step=step)
+        cfg = SearchConfig(max_evals=5, init=ThetaSchedule(np.array([0.5])), step=MIN_STEP)
+        _, value, trace = coordinate_search(cfg, lambda sched: float(sched.values[0]))
+        assert len(trace) == 5
+        assert all(entry.accepted for entry in trace) and value > 0.5

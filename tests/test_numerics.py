@@ -1,4 +1,4 @@
-"""Kernel tests: masked softmax, splitmix64 RNG, .f32t files."""
+"""Kernel tests: masked softmax and the splitmix64 RNG."""
 
 import mpmath
 import numpy as np
@@ -11,8 +11,6 @@ from couplegen.numerics import (
     DegenerateRowError,
     Rng,
     ShapeError,
-    load_f32t,
-    save_f32t,
     softmax_rows,
 )
 
@@ -236,55 +234,3 @@ class TestRng:
         assert r.uniform(-2.0, 3.0) == -2.0 + 5.0 * ((ref[2] >> 11) * 2.0**-53)
         r.shuffle(list(range(9)))
         assert r.next_u64() == ref[11]
-
-
-@pytest.fixture(scope="module")
-def f32t_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("f32t") / "fuzz.f32t"
-
-
-class TestTensorFiles:
-    def test_roundtrip_2d(self, tmp_path):
-        arr = np.arange(12, dtype=np.float64).reshape(3, 4) / 7.0
-        path = tmp_path / "t.f32t"
-        save_f32t(path, arr)
-        back = load_f32t(path)
-        np.testing.assert_allclose(back, arr, atol=1e-6)
-        assert back.shape == (3, 4)
-
-    def test_header_layout(self, tmp_path):
-        path = tmp_path / "t.f32t"
-        save_f32t(path, np.zeros((2, 3)))
-        raw = path.read_bytes()
-        assert raw[:4] == b"F32T"
-        assert int.from_bytes(raw[4:8], "little") == 2
-        assert int.from_bytes(raw[8:12], "little") == 2
-        assert int.from_bytes(raw[12:16], "little") == 3
-        assert len(raw) == 16 + 6 * 4
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.f32t"
-        path.write_bytes(b"NOPE" + b"\0" * 16)
-        with pytest.raises(ValueError, match="magic"):
-            load_f32t(path)
-
-    @pytest.mark.parametrize("cut", [4, 6, 8, 12, 15])
-    def test_truncated_header_rejected(self, tmp_path, cut):
-        path = tmp_path / "t.f32t"
-        save_f32t(path, np.zeros((2, 3)))
-        path.write_bytes(path.read_bytes()[:cut])
-        with pytest.raises(ValueError, match="truncated header"):
-            load_f32t(path)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.sampled_from([b"", b"F32T", b"F32T\x02\x00\x00\x00", b"F32T\xff\xff\xff\xff"]),
-        st.binary(max_size=40),
-    )
-    def test_fuzz_array_or_value_error(self, f32t_path, prefix, payload):
-        f32t_path.write_bytes(prefix + payload)
-        try:
-            out = load_f32t(f32t_path)
-        except ValueError:
-            return
-        assert out.dtype == np.float64
