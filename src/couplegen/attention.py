@@ -38,21 +38,25 @@ Streams are (tokens, d) matrices or (E, tokens, d) stacks with a leading
 batch axis, every stream of a call having the same E and d.  The sampler
 stacks the coupled entities of one call that way: they share the weights and
 the theta of every step, so theta stays one float per call.  It also keeps
-the background and entity text of a step as one (2, E, tokens, d) stack,
-which a coupled call takes as the ``text`` of its ``CoupledStreamState``,
-whose two members are its ``background`` and ``entity``.  ``coupled_qkv_attention`` projects that
-stack by one product per weight and puts its members' keys and values on
-the token axis; ``branch_attention`` takes it as the texts of two branches
-over one image, whose Q, K and V are projected once and broadcast to both.
+the background and entity text of a step as one (2, E, tokens, d) stack.
+Every state is a (text, image) pair: a ``CoupledStreamState`` is a
+``StreamState`` whose text is that stack, and its ``background`` and
+``entity`` are the stack's two members.  ``coupled_qkv_attention``
+projects that stack by one product per weight and puts its members' keys
+and values on the token axis; ``branch_attention`` takes it as the texts
+of two branches over one image, whose Q, K and V are projected once and
+broadcast to both.
 Keys and values are concatenated on axis -2 and scored against their last
 two axes swapped, the softmax reduces over the last axis, and numpy runs
 the matrix products of a stack slice by slice, broadcasting an operand
 with fewer batch axes, so each slice of a stacked call equals the 2-D call
-on that slice bit for bit.  A state a caller builds checks its streams
-once and holds the float64 arrays the check returns.  The states computed
-from checked streams (attention results, and the states the sampler's
-blocks build over their arrays) are built by ``_computed`` or ``_coupled``
-and not checked again.
+on that slice bit for bit.  Streams are checked once, at the public edge:
+a state a caller builds checks its streams and holds the float64 arrays
+the check returns, and ``branch_attention`` checks its bare arrays.  The
+states computed from checked streams (attention results, and the states
+the sampler's double blocks build over their arrays) are built by
+``_computed`` and not checked again, and the sampler's last single block
+of a step calls the core on its arrays directly.
 
 The score block is computed into one flat float64 workspace per thread,
 owned by this module, and scaled and softmaxed there in place: the block is
@@ -63,7 +67,7 @@ the norm is a power of two, which gives the same bits) and
 ``softmax_rows(..., out=)`` normalises it, so no score temporary is
 allocated and every output is bit-identical to the same calls with fresh
 temporaries.  A call whose text output is not wanted (the sampler's last
-single block of a step, through ``_branch_image``) has no text run: the
+single block of a step, with ``text_queries=False``) has no text run: the
 text's keys and values stay, and the image rows are the same calls as in a
 full call, each row's softmax being its own.  A thread's workspace grows
 to the largest block it has seen and never shrinks.  A coupled call's
@@ -83,7 +87,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -143,57 +146,44 @@ def norm_for(d_text: int, d_img: int) -> NormConst:
 
 @dataclass(frozen=True)
 class StreamState:
+    """A text over an image; built by a caller, it holds the float64 arrays
+    _check_streams returns for its two streams."""
+
     text: np.ndarray
     image: np.ndarray
 
     def __post_init__(self):
-        _hold_checked(self)
+        text, image = _check_streams(text=self.text, image=self.image)
+        self.__dict__.update(text=text, image=image)
 
 
-@dataclass(frozen=True)
-class CoupledStreamState:
+class CoupledStreamState(StreamState):
     """The streams of a coupled attention call: a background and an entity
-    text of one shape over an image."""
+    text of one shape over an image.  Its text is their (2, ...) stack,
+    whose two members are its background and entity."""
 
-    background: np.ndarray
-    entity: np.ndarray
-    image: np.ndarray
+    def __init__(self, background, entity, image):
+        background, entity, image = _check_streams(background=background, entity=entity, image=image)
+        if background.shape != entity.shape:
+            raise ShapeError(f"background {background.shape} and entity {entity.shape} "
+                             "streams do not stack")
+        self.__dict__.update(text=np.stack((background, entity)), image=image)
 
-    def __post_init__(self):
-        _hold_checked(self)
-        if self.background.shape != self.entity.shape:
-            raise ShapeError(
-                f"background {self.background.shape} and entity {self.entity.shape} "
-                "streams do not stack"
-            )
+    @property
+    def background(self) -> np.ndarray:
+        return self.text[0]
 
-    @cached_property
-    def text(self) -> np.ndarray:
-        """The background and entity streams as one (2, ...) stack; a state
-        built by _coupled holds the stack its two streams are members of."""
-        return np.stack((self.background, self.entity))
+    @property
+    def entity(self) -> np.ndarray:
+        return self.text[1]
 
 
-def _hold_checked(state) -> None:
-    """Replace the fields of a state by the arrays _check_streams returns."""
-    # __match_args__ names the fields in order; a frozen dataclass keeps
-    # them in its __dict__
-    names = state.__match_args__
-    state.__dict__.update(zip(names, _check_streams(**{n: getattr(state, n) for n in names})))
-
-
-def _computed(cls, *streams, **cached):
-    """A cls state, with any cached property values, over streams computed
-    from checked ones, built without __post_init__: they are not checked again."""
+def _computed(cls, text, image):
+    """A cls state over streams computed from checked ones, built without a
+    check: for a CoupledStreamState, text is the (2, ...) stack."""
     state = object.__new__(cls)
-    state.__dict__.update(zip(cls.__match_args__, streams), **cached)
+    state.__dict__.update(text=text, image=image)
     return state
-
-
-def _coupled(text, image) -> CoupledStreamState:
-    """A computed state whose background and entity are the two members of
-    the (2, ...) text stack, which it holds as its text."""
-    return _computed(CoupledStreamState, text[0], text[1], image, text=text)
 
 
 def _check_streams(branches: bool = False, **streams) -> list[np.ndarray]:
@@ -330,7 +320,8 @@ def coupled_qkv_attention(
     """
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must be in [0, 1], got {theta}")
-    return _coupled(*_attention(state.text, state.image, w, norm, members=(1.0 - theta, theta)))
+    return _computed(CoupledStreamState,
+                     *_attention(state.text, state.image, w, norm, members=(1.0 - theta, theta)))
 
 
 def branch_attention(text, image, w: AttentionWeights, norm: NormConst):
@@ -343,13 +334,6 @@ def branch_attention(text, image, w: AttentionWeights, norm: NormConst):
     arrays.
     """
     return _attention(*_check_streams(branches=True, text=text, image=image), w, norm)
-
-
-def _branch_image(text, image, w: AttentionWeights, norm: NormConst) -> np.ndarray:
-    """The image output of branch_attention alone: the text's keys and
-    values stay, but its query rows are not scored."""
-    return _attention(*_check_streams(branches=True, text=text, image=image), w, norm,
-                      text_queries=False)[1]
 
 
 def merge_image_states(img_ent, img_bg, theta: float) -> np.ndarray:

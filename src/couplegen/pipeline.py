@@ -104,11 +104,11 @@ import numpy as np
 
 from .attention import (
     AttentionWeights,
+    CoupledStreamState,
     NormConst,
     StreamState,
-    _branch_image,
+    _attention,
     _computed,
-    _coupled,
     branch_attention,
     coupled_qkv_attention,
     joint_attention,
@@ -324,7 +324,8 @@ def run_double_block(text, image, w: DoubleBlockWeights, theta: float, norm: Nor
     if theta in (0.0, 1.0):
         attn = joint_attention(_computed(StreamState, text, image), w.attn, norm)
     else:
-        attn = coupled_qkv_attention(_coupled(text, image), w.attn, theta, norm)
+        state = _computed(CoupledStreamState, text, image)
+        attn = coupled_qkv_attention(state, w.attn, theta, norm)
     return (_residual(text, attn.text, w.attn.w_o, w.text_ff),
             _residual(image, attn.image, w.attn.w_o, w.image_ff))
 
@@ -337,14 +338,16 @@ def run_single_block(text, image, w: SingleBlockWeights, theta: float, norm: Nor
     At 0 < theta < 1 both branches of the text stack run as one
     branch_attention call.  At theta in {0, 1} the merge would keep only the
     live branch's image, and text is that stream alone, so only it runs.
-    Without keep_text the returned text is None: the text's query rows are
-    not scored and its residual does not run, and the image is unchanged.
+    Without keep_text the block calls the attention core itself, on arrays
+    the step computed, and the returned text is None: the text's query rows
+    are not scored and its residual does not run, and the image is
+    unchanged.
     """
     if keep_text:
         text_a, image_a = branch_attention(text, image, w.attn, norm)
         text = _residual(text, text_a, w.attn.w_o, w.ff)
     else:
-        text, image_a = None, _branch_image(text, image, w.attn, norm)
+        text, image_a = None, _attention(text, image, w.attn, norm, text_queries=False)[1]
     image = _residual(image, image_a, w.attn.w_o, w.ff)
     if theta not in (0.0, 1.0):
         img_bg, img_ent = image

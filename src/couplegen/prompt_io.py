@@ -76,14 +76,18 @@ class PromptBundle:
     entities: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.background.strip():
-            raise ValueError(f"background prompt is blank: {self.background!r}")
-        if len(self.entities) < 1:
-            raise ValueError("at least one entity prompt is required")
         object.__setattr__(self, "entities", tuple(self.entities))
-        for j, text in enumerate(self.entities, start=1):
+        names = [f"entity prompt {j}" for j in range(1, len(self.entities) + 1)]
+        for name, text in zip(["background prompt", *names], (self.background, *self.entities)):
             if not text.strip():
-                raise ValueError(f"entity prompt {j} is blank: {text!r}")
+                raise ValueError(f"{name} is blank: {text!r}")
+            # lone surrogates, which JSON's \ud800 escapes load to, are the
+            # only code points UTF-8, and so the text hash, cannot encode
+            if lone := re.search("[\ud800-\udfff]", text):
+                raise ValueError(f"{name} has a lone surrogate {lone[0]!r} at index "
+                                 f"{lone.start()}, which UTF-8 cannot encode")
+        if not self.entities:
+            raise ValueError("at least one entity prompt is required")
 
     def to_dict(self) -> dict:
         return {"background": self.background, "entities": list(self.entities)}

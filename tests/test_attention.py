@@ -25,6 +25,7 @@ from couplegen.attention import (
     norm_for,
 )
 from couplegen.numerics import Rng, ShapeError, softmax_rows
+from couplegen.pipeline import FeedForward, SingleBlockWeights, run_single_block
 
 from oracles import (
     oracle_branch_attention,
@@ -155,6 +156,21 @@ class TestCoupledAttention:
         for bg, ent in (((2, 4), (1, 4)), ((3, 1, 4), (3, 2, 4))):
             with pytest.raises(ShapeError, match=re.escape(f"background {bg} and entity {ent}")):
                 CoupledStreamState(np.zeros(bg), np.zeros(ent), np.zeros(bg[:-2] + (3, 4)))
+
+    def test_streams_are_members_of_the_text_stack(self):
+        # a coupled state is a (text, image) state whose text is the
+        # (2, ...) stack; its background and entity are its two members
+        rng = Rng(23)
+        d = 4
+        bg, ent = rng.fill(2, d, -1.0, 1.0), rng.fill(2, d, -1.0, 1.0)
+        state = CoupledStreamState(bg, ent, rng.fill(3, d, -1.0, 1.0))
+        out = coupled_qkv_attention(state, random_weights(rng, d), 0.5, norm_for(d, d))
+        assert isinstance(state, StreamState) and isinstance(out, StreamState)
+        assert np.array_equal(state.text, np.stack((bg, ent)))
+        for s in (state, out):
+            assert s.text.shape == (2, 2, d)
+            assert np.shares_memory(s.background, s.text) and np.shares_memory(s.entity, s.text)
+            assert np.array_equal(s.background, s.text[0]) and np.array_equal(s.entity, s.text[1])
 
     def test_theta_out_of_range(self):
         w = random_weights(Rng(1), 2)
@@ -440,22 +456,19 @@ class TestImageQueriesOnly:
     @settings(max_examples=60, deadline=None)
     @given(stacks())
     def test_equals_full_call(self, case):
+        # a zero feed-forward leaves the block's image its residual over
+        # the attention output: x + tanh(x @ 0) @ 0 is x
         w, bg, ent, img, theta = case
+        d = bg.shape[-1]
+        blk = SingleBlockWeights(attn=w, ff=FeedForward(np.zeros((d, d)), np.zeros((d, d))))
         text = bg if theta == 0.0 else ent if theta == 1.0 else np.stack((bg, ent))
-        norm = norm_for(bg.shape[-1], 0)
+        norm = norm_for(d, 0)
         for t, i in ((text, img), (text[..., 0, :, :], img[0])):
-            want = branch_attention(t, i, w, norm)[1]
-            assert np.array_equal(attention._branch_image(t, i, w, norm), want)
-
-    def test_rejects_what_branch_attention_rejects(self):
-        w = random_weights(Rng(0), 3)
-        for text, image in ((np.zeros((1, 3)), np.zeros((2, 4, 3))),
-                            (np.zeros((0, 3)), np.zeros((4, 3))),
-                            (np.zeros((2, 3)), np.zeros((4, 2)))):
-            with pytest.raises(ShapeError) as want:
-                branch_attention(text, image, w, NormConst(1.0))
-            with pytest.raises(ShapeError, match=f"^{re.escape(str(want.value))}$"):
-                attention._branch_image(text, image, w, NormConst(1.0))
+            got_text, got = run_single_block(t, i, blk, theta, norm, keep_text=False)
+            image = i + branch_attention(t, i, w, norm)[1] @ w.w_o
+            if theta not in (0.0, 1.0):
+                image = merge_image_states(image[1], image[0], theta)
+            assert got_text is None and np.array_equal(got, image)
 
 
 class TestSharedScoreBlock:

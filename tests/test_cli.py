@@ -851,6 +851,9 @@ BAD_BUNDLES = {
     "no_entity": '{"background": "a room", "entities": []}',
     # json.loads raises RecursionError, not ValueError, on this
     "deeply_nested": "[" * 200000,
+    # JSON escapes of lone surrogates load as str, which UTF-8 cannot encode
+    "surrogate_background": '{"background": "a \\ud800room", "entities": ["a cat", "a dog"]}',
+    "surrogate_entity": '{"background": "a room", "entities": ["a cat", "a \\udc80dog"]}',
 }
 ONE_ENTITY = '{"background": "a room", "entities": ["a cat"]}'
 

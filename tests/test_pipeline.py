@@ -138,7 +138,8 @@ class TestInit:
 
 def counted_core(monkeypatch) -> list:
     """The (text, keyword arguments) of every later call into the attention
-    core."""
+    core, through the public attention functions or from the pipeline's
+    last single block of a step, which calls the core itself."""
     calls = []
     core = attention._attention
 
@@ -147,6 +148,7 @@ def counted_core(monkeypatch) -> list:
         return core(text, image, *args, **kwargs)
 
     monkeypatch.setattr(attention, "_attention", counting)
+    monkeypatch.setattr(pipeline_module, "_attention", counting)
     return calls
 
 
@@ -253,13 +255,15 @@ class TestBlocks:
         assert calls == []
         assert isinstance(attn, CoupledStreamState)
         assert out_text.shape == state.text.shape and out_image.shape == state.image.shape
-        # the sampler's only checks are those of the bare-array single-block
-        # calls into the core, one per single block of a step with its two
+        # the sampler's only checks are those of branch_attention's bare
+        # arrays, in the single block before a step's last, with its two
         # branches stacked; the coupled calls of the double blocks are not
-        # checked, and the last single block scores no text query rows
+        # checked, and the last single block calls the core on its arrays,
+        # scoring no text query rows
         core_calls = counted_core(monkeypatch)
         sample(small_pipeline(), OTHER, constant_schedule(0.5))
-        assert len(calls) == 10 * 2
+        # branches=True is branch_attention's check, and no state's
+        assert calls == [["branches", "text", "image"]] * 10
         coupled, branch, last = {"members"}, set(), {"text_queries"}
         assert [set(kwargs) for _, kwargs in core_calls] == [coupled, coupled, branch, last] * 10
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import couplegen.prompt_io as prompt_io
+from couplegen.metric import HashAlignmentScorer
 from couplegen.prompt_io import (
     INSTRUCTION_MESSAGE,
     SYSTEM_MESSAGE,
@@ -33,6 +34,11 @@ TEXTS = st.text() | st.lists(
     st.sampled_from(["a", "cozy", "room", "Pikachu", "café", "猫", "🙂", "a\tb", " "]),
     max_size=12,
 ).map(" ".join)
+
+# Any code point: hypothesis leaves out category Cs, the surrogates, unless
+# asked, and JSON's \ud800 escapes load as such str.
+ANY_TEXT = st.text(st.characters(exclude_categories=()) | st.characters(categories=["Cs"]),
+                   max_size=10) | TEXTS
 
 PIKACHU = (
     "A cute Pikachu sits in a cozy room bathed in warm sunshine. "
@@ -315,6 +321,20 @@ class TestPromptBundle:
             PromptBundle(background, entities)
         with pytest.raises(ValueError, match=f"{name} is blank"):
             PromptBundle.from_dict({"background": background, "entities": list(entities)})
+
+    @settings(max_examples=200, deadline=None)
+    @given(ANY_TEXT, st.lists(ANY_TEXT, min_size=1, max_size=3))
+    def test_accepted_prompts_embed(self, background, entities):
+        # a bundle rejects, naming it, a prompt the text hash cannot take
+        try:
+            bundle = PromptBundle(background, tuple(entities))
+        except ValueError as err:
+            assert re.match(r"(background|entity) prompt", str(err))
+            return
+        scorer = HashAlignmentScorer()
+        for text in (bundle.background, *bundle.entities):
+            embed_prompt(text, 4, 3, seed=1)
+            scorer.text_embedding(text)
 
 
 class TestEmbedPrompt:
