@@ -318,6 +318,8 @@ def coupled_qkv_attention(
     theta == 1), so the boundary cases coincide exactly with
     ``joint_attention`` over the two surviving streams.
     """
+    if not isinstance(state, CoupledStreamState):
+        raise TypeError(f"coupled attention needs a CoupledStreamState, got {type(state).__name__}")
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must be in [0, 1], got {theta}")
     return _computed(CoupledStreamState,

@@ -41,24 +41,21 @@ __all__ = ["main", "run", "entrypoint"]
 STEPS_HELP = f"Sampling steps, at most {MAX_STEPS}."
 
 
-def _read_bundle(path) -> PromptBundle:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
-    return PromptBundle.from_dict(data)
-
-
 def _load_bundle(path: str, min_entities: int = 1) -> PromptBundle:
     """The bundle JSON at path; malformed or too deeply nested JSON, a bad
     bundle or fewer than min_entities entity prompts is a bad --bundle."""
-    [bundle] = _read_files(_read_bundle, [path], "--bundle")
-    if len(bundle.entities) < min_entities:
-        raise click.BadParameter(
-            f"{path}: scoring needs at least {min_entities} entity prompts, "
-            f"got {len(bundle.entities)}",
-            param_hint="--bundle",
-        )
+
+    def read(path) -> PromptBundle:
+        try:
+            bundle = PromptBundle.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+        if len(bundle.entities) < min_entities:
+            raise ValueError(f"scoring needs at least {min_entities} entity prompts, "
+                             f"got {len(bundle.entities)}")
+        return bundle
+
+    [bundle] = _read_files(read, [path], "--bundle")
     return bundle
 
 
@@ -336,9 +333,6 @@ def run(argv) -> int:
         main.main(args=list(argv), standalone_mode=False)
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
-        return 1
-    except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
         return 1
     except FileNotFoundError as exc:
         click.echo(f"usage error: missing file: {exc}", err=True)

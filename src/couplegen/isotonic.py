@@ -160,14 +160,14 @@ def coordinate_search(cfg: SearchConfig, objective: Callable[[ThetaSchedule], fl
     step = cfg.step
     rng = Rng(cfg.seed)
 
-    while len(trace) < cfg.max_evals and step >= MIN_STEP:
+    while step >= MIN_STEP:
         improved = False
         order = list(range(n))
         rng.shuffle(order)
         for i in order:
             for direction in (1.0, -1.0):
                 if len(trace) >= cfg.max_evals:
-                    break
+                    return ThetaSchedule(theta), best_value, trace
                 candidate = theta.copy()
                 candidate[i] += direction * step
                 candidate = pava_project(candidate, 0.0, 1.0)
@@ -177,8 +177,6 @@ def coordinate_search(cfg: SearchConfig, objective: Callable[[ThetaSchedule], fl
                     best_value = value
                     improved = True
                     break
-            if len(trace) >= cfg.max_evals:
-                break
         if not improved:
             step /= 2.0
 

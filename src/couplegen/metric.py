@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "validity_ratio",
     "background_similarity",
     "combined_metric",
-    "build_report",
 ]
 
 
@@ -163,11 +162,26 @@ def combined_metric(f_bg: float, f_ti: Sequence[float], lambdas: Lambdas) -> flo
 
 @dataclass(frozen=True)
 class MetricReport:
+    """The scores as floats and their combination f_c; an f_c that overflows
+    to +-inf raises WeightOverflowError naming lambda_bg if its term
+    overflowed, else lambda_ti."""
+
     f_bg: float
     f_ti: tuple[float, ...]
     validity_ratio: float
-    f_c: float
     lambdas: Lambdas
+    f_c: float = field(init=False)
+
+    def __post_init__(self):
+        f_bg, lambdas = float(self.f_bg), self.lambdas
+        f_c = combined_metric(f_bg, self.f_ti, lambdas)
+        if not math.isfinite(f_c):
+            weight = "lambda_ti" if math.isfinite(lambdas.lambda_bg * f_bg) else "lambda_bg"
+            raise WeightOverflowError(
+                weight, f"{weight} = {getattr(lambdas, weight)} makes f_c overflow to {f_c}"
+            )
+        self.__dict__.update(f_bg=f_bg, f_ti=tuple(float(x) for x in self.f_ti),
+                             validity_ratio=float(self.validity_ratio), f_c=f_c)
 
     def to_dict(self) -> dict:
         return {
@@ -181,21 +195,3 @@ class MetricReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-
-def build_report(f_bg: float, f_ti: Sequence[float], ratio: float, lambdas: Lambdas) -> MetricReport:
-    """The report of finite scores; an f_c that overflows to +-inf raises
-    WeightOverflowError naming lambda_bg if its term overflowed, else lambda_ti."""
-    f_c = combined_metric(f_bg, f_ti, lambdas)
-    if not math.isfinite(f_c):
-        weight = "lambda_ti" if math.isfinite(lambdas.lambda_bg * float(f_bg)) else "lambda_bg"
-        raise WeightOverflowError(
-            weight, f"{weight} = {getattr(lambdas, weight)} makes f_c overflow to {f_c}"
-        )
-    return MetricReport(
-        f_bg=float(f_bg),
-        f_ti=tuple(float(x) for x in f_ti),
-        validity_ratio=float(ratio),
-        f_c=f_c,
-        lambdas=lambdas,
-    )

@@ -134,7 +134,7 @@ def as_image(img) -> np.ndarray:
     a = np.asarray(img, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"image must be HxW, got shape {a.shape}")
-    if a.size and (a.min() < 0.0 or a.max() > 1.0):
+    if a.size and not (a.min() >= 0.0 and a.max() <= 1.0):  # NaN fails both
         raise ValueError("image values must lie in [0, 1]")
     return a
 

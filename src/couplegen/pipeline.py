@@ -120,7 +120,6 @@ from .metric import (
     Lambdas,
     MetricReport,
     background_similarity,
-    build_report,
     jer,
     validity_ratio,
 )
@@ -621,13 +620,17 @@ def render(
 
 
 def score_images(images, masks, entities, lambdas: Lambdas) -> MetricReport:
-    """Metric report for quantized images, their entity masks and prompts."""
+    """Metric report for quantized images, their entity masks and prompts,
+    one of each per entity."""
+    if not len(images) == len(masks) == len(entities):
+        raise ValueError(f"{len(images)} images, {len(masks)} masks and {len(entities)} "
+                         "entity prompts: need one of each per entity")
     union = jer(masks)
     ratio = validity_ratio(union)
     f_bg = background_similarity(images, union)
     scorer = HashAlignmentScorer()
     f_ti = [scorer.score(text, img) for text, img in zip(entities, images)]
-    return build_report(f_bg, f_ti, ratio, lambdas)
+    return MetricReport(f_bg, f_ti, ratio, lambdas)
 
 
 def generate_and_score(

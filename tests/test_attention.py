@@ -172,6 +172,15 @@ class TestCoupledAttention:
             assert np.shares_memory(s.background, s.text) and np.shares_memory(s.entity, s.text)
             assert np.array_equal(s.background, s.text[0]) and np.array_equal(s.entity, s.text[1])
 
+    @pytest.mark.parametrize("text_shape", [(1, 2), (3, 2), (2, 3, 2)])
+    def test_plain_stream_state_rejected(self, text_shape):
+        # a StreamState's text has no background and entity members to read
+        w = random_weights(Rng(1), 2)
+        image = np.zeros(text_shape[:-2] + (1, 2))
+        state = StreamState(np.zeros(text_shape), image)
+        with pytest.raises(TypeError, match="got StreamState"):
+            coupled_qkv_attention(state, w, 0.5, NormConst(2.0))
+
     def test_theta_out_of_range(self):
         w = random_weights(Rng(1), 2)
         state = CoupledStreamState(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)))

@@ -1,9 +1,12 @@
-"""The exactness invariants under other OpenBLAS kernels.
+"""The exactness invariants under other OpenBLAS kernels and numpy SIMD
+dispatch levels.
 
-OpenBLAS picks its kernels by CPU, and the pinned digests hold for one
-kernel only; the invariants must hold for every kernel.  Each test runs
+OpenBLAS picks its kernels by CPU, and numpy its SIMD loops (`np.exp`'s
+among them), so the pinned digests hold for one (core, dispatch level) pair
+only; the invariants must hold for every pair.  Each test runs
 `check_invariants` in a child process whose OPENBLAS_CORETYPE forces one
-kernel, and compares results within that child only, never across kernels.
+kernel, or whose NPY_DISABLE_CPU_FEATURES cuts numpy's dispatch to its
+baseline, and compares results within that child only, never across them.
 """
 
 import ctypes
@@ -120,19 +123,48 @@ def check_invariants() -> None:
     assert report == generate_and_score(init_pipeline(cfg), bundle, sched).to_dict()
 
 
-@pytest.mark.parametrize("core", list(CORES))
-def test_invariants_hold_under_core(core):
-    if CORES[core] not in _cpu_flags():
-        pytest.skip(f"the CPU lacks {CORES[core]}, which the {core} kernels need")
+def _in_child(code: str, **env) -> str:
+    """The stdout of code run in a child Python with env added to this
+    environment; the child fails the test if it exits non-zero."""
     here = Path(__file__).resolve().parent
-    code = ("from test_blas_cores import check_invariants, openblas_core\n"
-            "check_invariants()\n"
-            "print(openblas_core())\n")
     done = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "OPENBLAS_CORETYPE": core,
+        env={**os.environ, **env,
              "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])},
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[-1] in (core, "None")
+    return done.stdout
+
+
+def dispatch_targets() -> list:
+    """The targets numpy's SIMD loops dispatch to beyond its baseline that
+    this CPU has."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+@pytest.mark.parametrize("core", list(CORES))
+def test_invariants_hold_under_core(core):
+    if CORES[core] not in _cpu_flags():
+        pytest.skip(f"the CPU lacks {CORES[core]}, which the {core} kernels need")
+    code = ("from test_blas_cores import check_invariants, openblas_core\n"
+            "check_invariants()\n"
+            "print(openblas_core())\n")
+    out = _in_child(code, OPENBLAS_CORETYPE=core)
+    assert out.split()[-1] in (core, "None")
+
+
+def test_invariants_hold_at_baseline_dispatch():
+    targets = dispatch_targets()
+    if not targets:
+        pytest.skip("numpy dispatches to no target beyond its baseline on this CPU")
+    # the child first checks that numpy took the setting, so the leg cannot
+    # pass on the default loops
+    code = ("from test_blas_cores import check_invariants, dispatch_targets\n"
+            "assert dispatch_targets() == [], dispatch_targets()\n"
+            "check_invariants()\n")
+    _in_child(code, NPY_DISABLE_CPU_FEATURES=" ".join(targets))

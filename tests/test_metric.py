@@ -10,9 +10,9 @@ from couplegen.metric import (
     DegenerateMaskError,
     HashAlignmentScorer,
     Lambdas,
+    MetricReport,
     WeightOverflowError,
     background_similarity,
-    build_report,
     combined_metric,
     jer,
     validity_ratio,
@@ -227,7 +227,7 @@ class TestCombinedMetric:
 
 class TestReport:
     def test_fc_consistency_and_json_keys(self):
-        report = build_report(-0.25, [10.0, 20.0], 0.75, Lambdas())
+        report = MetricReport(-0.25, [10.0, 20.0], 0.75, Lambdas())
         assert report.f_c == combined_metric(-0.25, [10.0, 20.0], Lambdas())
         d = report.to_dict()
         assert set(d) == {"f_bg", "f_ti", "validity_ratio", "f_c", "lambda_bg", "lambda_ti"}
@@ -252,5 +252,5 @@ class TestReport:
         # both weights are finite, but a term of f_c overflows to +-inf,
         # which the JSON report cannot hold
         with pytest.raises(WeightOverflowError, match=name) as info:
-            build_report(f_bg, [41.0, 51.0], 1.0, lambdas)
+            MetricReport(f_bg, [41.0, 51.0], 1.0, lambdas)
         assert info.value.weight == name

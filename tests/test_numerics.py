@@ -1,4 +1,4 @@
-"""Kernel tests: masked softmax and the splitmix64 RNG."""
+"""Kernel tests: masked softmax, the splitmix64 RNG and the image check."""
 
 import mpmath
 import numpy as np
@@ -11,6 +11,7 @@ from couplegen.numerics import (
     DegenerateRowError,
     Rng,
     ShapeError,
+    as_image,
     softmax_rows,
 )
 
@@ -234,3 +235,26 @@ class TestRng:
         assert r.uniform(-2.0, 3.0) == -2.0 + 5.0 * ((ref[2] >> 11) * 2.0**-53)
         r.shuffle(list(range(9)))
         assert r.next_u64() == ref[11]
+
+
+class TestAsImage:
+    def test_keeps_unit_interval(self):
+        img = np.array([[0.0, 0.25], [0.5, 1.0]])
+        assert np.array_equal(as_image(img), img)
+        assert as_image(np.zeros((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1), (2, 3)])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf, -1e-300, 1.0 + 2**-52])
+    def test_rejects_values_outside(self, where, bad):
+        img = np.full((3, 4), 0.5)
+        img[where] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            as_image(img)
+
+    def test_rejects_all_nan(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            as_image(np.full((2, 2), np.nan))
+
+    def test_rejects_wrong_rank(self):
+        with pytest.raises(ShapeError):
+            as_image(np.zeros((2, 2, 1)))

@@ -29,7 +29,7 @@ from couplegen.attention import (
     joint_attention,
     merge_image_states,
 )
-from couplegen.metric import Lambdas, background_similarity, jer
+from couplegen.metric import Lambdas, WeightOverflowError, background_similarity, jer
 from couplegen.numerics import Rng
 from couplegen.pipeline import (
     CHUNK_SCORE_BYTES,
@@ -1251,6 +1251,25 @@ class TestGenerateAndScore:
         bg_img = quantize(sample_single_prompt(p, BUNDLE.background))
         masks = auto_masks(imgs, bg_img)
         assert rep.f_bg == background_similarity(imgs, jer(masks))
+
+    @pytest.mark.parametrize("n_images, n_masks, n_prompts", [(2, 2, 1), (2, 2, 3), (3, 2, 3),
+                                                              (2, 3, 2)])
+    def test_unequal_counts_rejected(self, n_images, n_masks, n_prompts):
+        # zip would score the shortest of the three and drop the rest
+        images = [np.full((8, 8), 0.5)] * n_images
+        masks = [np.zeros((8, 8), dtype=bool)] * n_masks
+        with pytest.raises(ValueError, match=f"{n_images} images, {n_masks} masks and "
+                                             f"{n_prompts} entity prompts"):
+            score_images(images, masks, ["a cat", "a dog", "an owl"][:n_prompts], Lambdas())
+
+    def test_nan_pixel_is_a_bad_image(self):
+        # not an f_c overflow blamed on lambda_bg
+        images = [np.full((8, 8), 0.5), np.full((8, 8), 0.5)]
+        images[1][3, 4] = np.nan
+        masks = [np.zeros((8, 8), dtype=bool)] * 2
+        with pytest.raises(ValueError, match=r"image values must lie in \[0, 1\]") as info:
+            score_images(images, masks, BUNDLE.entities, Lambdas())
+        assert not isinstance(info.value, WeightOverflowError)
 
     def test_needs_two_entities(self):
         p = small_pipeline()

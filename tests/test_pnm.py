@@ -22,6 +22,16 @@ def test_round_trips(tmp_path):
     assert np.array_equal(read_mask(tmp_path / "m.pgm"), mask)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -0.01, 1.01])
+def test_out_of_range_pixel_not_written(tmp_path, bad):
+    # a NaN pixel would be cast to 0 with only numpy's cast warning
+    gray = np.full((3, 4), 0.5)
+    gray[1, 2] = bad
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        write_pgm(tmp_path / "g.pgm", gray)
+    assert not (tmp_path / "g.pgm").exists()
+
+
 @pytest.mark.parametrize("magic", [b"P5"])
 @pytest.mark.parametrize(
     "dims, match",
