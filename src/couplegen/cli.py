@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .pipeline import render, score_images
 from .metric import background_similarity  # noqa: F401
 from .pipeline import sample, sample_single_prompt  # noqa: F401
 from .pnm import quantize  # noqa: F401
-from .prompt_io import PromptBundle, decompose, endpoint_from_env
+from .prompt_io import PromptBundle, decompose, endpoint_from_env, request_reply
 from .schedule import (
     FAMILY_ORDER,
     MAX_STEPS,
@@ -47,7 +48,7 @@ def _load_bundle(path: str, min_entities: int = 1) -> PromptBundle:
 
     def read(path) -> PromptBundle:
         try:
-            bundle = PromptBundle.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+            bundle = PromptBundle.from_dict(json.loads(_read_text(path)))
         except RecursionError:
             raise ValueError("JSON nested too deeply") from None
         if len(bundle.entities) < min_entities:
@@ -96,6 +97,10 @@ def _from_flags(cls, **kw):
     return cls(**kw)
 
 
+def _read_text(path) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
 def _read_files(reader, paths, hint: str) -> list:
     """Read every path with reader; a malformed file is a bad parameter."""
     arrays = []
@@ -105,6 +110,19 @@ def _read_files(reader, paths, hint: str) -> list:
         except ValueError as exc:
             raise click.BadParameter(f"{path}: {exc}", param_hint=hint) from exc
     return arrays
+
+
+@contextmanager
+def _output_file(path):
+    """path opened for writing UTF-8 text whatever the locale (a path the locale
+    could not decode keeps its bytes), before the work that fills it, so a bad
+    path costs no work; work that raises removes the file it opened."""
+    with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        try:
+            yield fh
+        except BaseException:
+            Path(path).unlink()
+            raise
 
 
 def _parse_centers(spec: str) -> list[float]:
@@ -135,16 +153,20 @@ def main():
 @click.option("--out", "out_path", required=True, help="Bundle JSON output path.")
 def decompose_cmd(prompts_path, fixture, out_path):
     """Split prompts into a shared background and per-prompt entities."""
-    [text] = _read_files(lambda p: p.read_text(encoding="utf-8"), [Path(prompts_path)], "--prompts")
+    [text] = _read_files(_read_text, [Path(prompts_path)], "--prompts")
     prompts = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(prompts) < 2:
         raise click.BadParameter(
             f"decompose needs at least 2 prompts, {prompts_path} holds {len(prompts)}",
             param_hint="--prompts",
         )
-    endpoint = fixture if fixture is not None else _checked("--fixture", endpoint_from_env)
-    bundle = decompose(prompts, endpoint)
-    Path(out_path).write_text(bundle.to_json() + "\n")
+    endpoint = None if fixture is not None else _checked("--fixture", endpoint_from_env)
+    with _output_file(out_path) as fh:
+        if endpoint is None:
+            [reply] = _read_files(_read_text, [Path(fixture)], "--fixture")
+        else:
+            reply = request_reply(prompts, endpoint)
+        fh.write(decompose(prompts, reply).to_json() + "\n")
     click.echo(f"wrote {out_path}")
 
 
@@ -267,12 +289,13 @@ def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
     )
 
     write_schedule_csv(out / "best_schedule.csv", best)
-    schedule_paths = []
-    for k, entry in enumerate(trace, start=1):
-        path = trace_dir / f"eval_{k:05d}.csv"
-        write_schedule_csv(path, entry.schedule)
-        schedule_paths.append(str(path))
-    isotonic.write_trace_csv(out / "trace.csv", trace, schedule_paths)
+    with _output_file(out / "trace.csv") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["eval_index", "value", "theta_csv_path"])
+        for k, entry in enumerate(trace, start=1):
+            path = trace_dir / f"eval_{k:05d}.csv"
+            write_schedule_csv(path, entry.schedule)
+            writer.writerow([k, f"{entry.value:.15g}", str(path)])
     click.echo(f"best value {value:.6g} after {len(trace)} evaluations")
 
 
@@ -298,21 +321,16 @@ def sweep_cmd(family, centers, scale, bundle_path, noise_seeds, out_path, **kw):
     _checked("--scale", ScheduleFamily, family, 0.0, scale)
     grid = [_checked("--centers", ScheduleFamily, family, c, scale) for c in grid_centers]
     _warn_truncated(bundle, cfg)
-    # opened before the first row renders, so a bad --out costs no rendering
-    with open(out_path, "w", newline="") as fh:
-        try:
-            # seeds outermost: every center of one seed shares the pipeline's theta == 0 trunk
-            by_seed = [
-                isotonic.grid_values(
-                    grid, cfg.steps,
-                    lambda sched: generate_and_score(pipeline, bundle, sched,
-                                                     noise_seed=cfg.noise_seed + s),
-                )
-                for s in range(noise_seeds)
-            ]
-        except BaseException:
-            Path(out_path).unlink()  # a sweep that fails leaves no table
-            raise
+    with _output_file(out_path) as fh:
+        # seeds outermost: every center of one seed shares the pipeline's theta == 0 trunk
+        by_seed = [
+            isotonic.grid_values(
+                grid, cfg.steps,
+                lambda sched: generate_and_score(pipeline, bundle, sched,
+                                                 noise_seed=cfg.noise_seed + s),
+            )
+            for s in range(noise_seeds)
+        ]
         writer = csv.DictWriter(fh, fieldnames=["family", "center", "scale", "f_bg", "f_ti_mean", "f_c"])
         writer.writeheader()
         for fam, reports in zip(grid, zip(*by_seed)):

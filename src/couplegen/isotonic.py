@@ -8,7 +8,6 @@ a cyclic pattern search whose proposals are projected back onto
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -182,12 +181,3 @@ def coordinate_search(cfg: SearchConfig, objective: Callable[[ThetaSchedule], fl
 
     return ThetaSchedule(theta), best_value, trace
 
-
-def write_trace_csv(path, trace: Sequence[TraceEntry], schedule_paths: Sequence[str]) -> None:
-    """Eval trace as CSV ``eval_index,value,theta_csv_path``, in UTF-8 whatever
-    the locale; a path the locale could not decode keeps its bytes."""
-    with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eval_index", "value", "theta_csv_path"])
-        for k, (entry, sched_path) in enumerate(zip(trace, schedule_paths), start=1):
-            writer.writerow([k, f"{entry.value:.15g}", sched_path])

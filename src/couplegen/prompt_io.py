@@ -1,9 +1,9 @@
-"""Prompt decomposition via an external chat endpoint, plus offline fixtures
-and the deterministic hash embedding used by the toy pipeline.
+"""Prompt decomposition via an external chat endpoint, plus the deterministic
+hash embedding used by the toy pipeline.
 
 The decomposition asks a language model to pull the shared background out of
-a set of prompts and keep one entity description per prompt.  Tests and
-offline runs read a canned reply from a fixture file instead of the network.
+a set of prompts and keep one entity description per prompt.  `request_reply`
+asks an endpoint and `decompose` parses a reply; this module opens no files.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +29,7 @@ __all__ = [
     "build_decomposition_request",
     "parse_decomposition",
     "decompose",
+    "request_reply",
     "endpoint_from_env",
     "embed_prompt",
 ]
@@ -173,22 +173,10 @@ def parse_decomposition(reply: str) -> PromptBundle:
     return PromptBundle(background=bg.group(1), entities=tuple(t for _, t in entities))
 
 
-def decompose(
-    prompts: Sequence[str],
-    endpoint: LlmEndpoint | str | Path,
-    sleep=time.sleep,
-) -> PromptBundle:
-    """Run the decomposition against an endpoint or an offline fixture.
-
-    A string/Path endpoint is read as the raw text of a canned model reply
-    (no network).  Network failures are retried with exponential backoff
-    before surfacing a TransportError.  A reply that does not parse, or whose
-    entity count differs from the number of prompts, raises ParseError.
-    """
-    if isinstance(endpoint, (str, Path)):
-        reply = Path(endpoint).read_text(encoding="utf-8")
-    else:
-        reply = _request_reply(prompts, endpoint, sleep)
+def decompose(prompts: Sequence[str], reply: str) -> PromptBundle:
+    """The bundle of a model reply to the decomposition of prompts.  A reply
+    that does not parse, or whose entity count differs from the number of
+    prompts, raises ParseError."""
     bundle = parse_decomposition(reply)
     if len(bundle.entities) != len(prompts):
         raise ParseError(
@@ -197,7 +185,9 @@ def decompose(
     return bundle
 
 
-def _request_reply(prompts: Sequence[str], endpoint: LlmEndpoint, sleep) -> str:
+def request_reply(prompts: Sequence[str], endpoint: LlmEndpoint, sleep=time.sleep) -> str:
+    """The endpoint's reply to the decomposition request for prompts; failed
+    requests are retried with exponential backoff, then raise TransportError."""
     # imported here: the HTTP stack (http.client, email, ssl, socket) is only
     # needed by a request, and loading it costs every other command start-up
     from urllib.request import Request, urlopen

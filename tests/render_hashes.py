@@ -13,7 +13,8 @@ and of the single-prompt reference image.
 
 Run it once with one commit's `src/` first on PYTHONPATH and once with
 another's, and compare the output: equal lines mean equal bits, on the
-same machine and BLAS kernel.  pytest does not collect this file.
+same machine and BLAS kernel.  pytest does not collect this file;
+`tests/test_scripts.py` runs it over the default config.
 """
 
 import hashlib
@@ -42,9 +43,9 @@ def sha256(arrays) -> str:
     return digest.hexdigest()
 
 
-def main() -> None:
+def main(configs=CONFIGS) -> None:
     print(f"couplegen from {couplegen.__file__}", file=sys.stderr)
-    for name, cfg in CONFIGS.items():
+    for name, cfg in configs.items():
         pipeline = init_pipeline(cfg)
         for kind, fam in FAMILIES.items():
             # centers at the same fraction of every config's steps

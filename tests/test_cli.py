@@ -2,6 +2,8 @@
 deterministic re-runs, and exit codes."""
 
 import ast
+import csv
+import io
 import json
 import os
 import shutil
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import couplegen.cli
+import couplegen.prompt_io
 from couplegen.cli import run
 from couplegen.pipeline import PipelineConfig, generate_and_score, init_pipeline, render, sample
 from couplegen.pnm import read_mask, read_pgm
@@ -368,6 +371,70 @@ class TestDecomposeCommand:
                     str(fixture), "--out", str(tmp_path / "b.json")])
         assert code == 2
 
+    def test_fixture_not_utf8_exit_1(self, tmp_path, capsys):
+        # as --prompts does; a fixture that decodes but does not parse exits 2
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("one\ntwo\n")
+        fixture = tmp_path / "reply.txt"
+        fixture.write_bytes(b"\xff\xfe bad")
+        out = tmp_path / "b.json"
+        capsys.readouterr()
+        assert run(["decompose", "--prompts", str(prompts), "--fixture", str(fixture),
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"usage error: Invalid value for --fixture: {fixture}: "
+            "'utf-8' codec can't decode byte 0xff in position 0"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["fixture", "endpoint"])
+    @pytest.mark.parametrize("out", ["missing_dir/b.json", "a_dir"], ids=["missing_dir", "dir"])
+    def test_bad_out_exit_1_before_the_reply(self, tmp_path, capsys, monkeypatch, source, out):
+        # --out is opened before the fixture is read or the endpoint asked
+        calls = []
+
+        def refused(*args, **kwargs):
+            calls.append(args)
+            raise ConnectionError("connection refused")
+
+        monkeypatch.setattr("urllib.request.urlopen", refused)
+        monkeypatch.setenv("COUPLEGEN_LLM_URL", "http://127.0.0.1:9")
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("one\ntwo\n")
+        fixture = tmp_path / "reply.txt"
+        fixture.write_text("nothing parseable here\n")
+        (tmp_path / "a_dir").mkdir()
+        out = tmp_path / out
+        argv = ["decompose", "--prompts", str(prompts), "--out", str(out)]
+        capsys.readouterr()
+        assert run(argv + (["--fixture", str(fixture)] if source == "fixture" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and str(out) in err
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "reply", [None, "nothing parseable here", "Background: bg\nEntity 1: only\n"],
+        ids=["refused", "malformed", "entity_count"],
+    )
+    def test_failed_request_leaves_no_file(self, tmp_path, monkeypatch, reply):
+        calls = []
+
+        def answer(*args, **kwargs):
+            calls.append(args)
+            if reply is None:
+                raise ConnectionError("connection refused")
+            return io.BytesIO(json.dumps({"choices": [{"message": {"content": reply}}]}).encode())
+
+        monkeypatch.setattr("urllib.request.urlopen", answer)
+        monkeypatch.setattr(couplegen.prompt_io, "RETRY_BACKOFF_S", 0.0)
+        monkeypatch.setenv("COUPLEGEN_LLM_URL", "http://127.0.0.1:9")
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("one\ntwo\n")
+        out = tmp_path / "b.json"
+        assert run(["decompose", "--prompts", str(prompts), "--out", str(out)]) == 2
+        assert len(calls) == (3 if reply is None else 1)
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("url", [None, "ftp://x"], ids=["unset", "not_http"])
     def test_no_usable_endpoint_exit_1(self, tmp_path, capsys, monkeypatch, url):
@@ -689,11 +756,23 @@ class TestOptimizeCommand:
                     "--out-dir", str(out_dir)])
         assert code == 0
         assert (out_dir / "best_schedule.csv").exists()
-        assert (out_dir / "trace.csv").exists()
         trace_files = sorted((out_dir / "trace").glob("eval_*.csv"))
         assert 1 <= len(trace_files) <= 5
         best = read_schedule_csv(out_dir / "best_schedule.csv")
         assert np.all(np.diff(best.values) >= 0)
+        # trace.csv: one row per evaluation, numbered from 1, with the value
+        # of the schedule file it names
+        with open(out_dir / "trace.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["eval_index", "value", "theta_csv_path"]
+        assert [row[0] for row in rows[1:]] == [str(k) for k in range(1, len(trace_files) + 1)]
+        assert [row[2] for row in rows[1:]] == [str(path) for path in trace_files]
+        pipeline = init_pipeline(PipelineConfig())
+        bundle = PromptBundle.from_dict(json.loads(bundle_file.read_text()))
+        assert [row[1] for row in rows[1:]] == [
+            f"{generate_and_score(pipeline, bundle, read_schedule_csv(path)).f_c:.15g}"
+            for path in trace_files
+        ]
 
 
 class TestExitCodes:

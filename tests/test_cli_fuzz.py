@@ -1,0 +1,241 @@
+"""A grammar fuzz of the CLI edge: `--centers` specs, the float and int flags,
+and the bytes of the `--bundle`, `--schedule`, `--prompts` and `--fixture`
+files.
+
+Each case mutates one input of one command and runs `cli.run` in-process at
+d4, 3x3, 2 steps, one double and one single block, with 2 entities.  A case
+exits 0 or 1, and exit 1 is a usage error; the one exit 2 it may reach is a
+`--fixture` reply that decodes but does not parse or names the wrong number
+of entities.  An accepted case writes only finite numbers.
+
+Memory and time are bounded by the grammars: no legal size drawn is above the
+tiny config (`--d-model 3072` is legal and allocates gigabytes), and the
+noise-seed and center counts are at most 3 or above the bound of 1000, which
+is rejected before anything renders.
+"""
+
+import contextlib
+import csv
+import io
+import json
+import math
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from couplegen import pnm
+from couplegen.cli import run
+from couplegen.prompt_io import ParseError, decompose
+from couplegen.schedule import FAMILY_ORDER
+
+TINY = {"--d-model": "4", "--grid-side": "3", "--steps": "2", "--double-blocks": "1",
+        "--single-blocks": "1"}
+BUNDLE = '{"background": "a quiet room", "entities": ["a cat", "a dog"]}\n'
+SCHEDULE = "step,theta\n1,0.25\n2,0.75\n"
+PROMPTS = "a cat in a quiet room\na dog in a quiet room\n"
+FIXTURE = "Background: a quiet room\nEntity 1: a cat\nEntity 2: a dog\n"
+
+# command -> its flags at a run that exits 0: the value of a FILES flag is
+# the text of its file, and an OUTS value names the output under the case's
+# directory
+COMMANDS = {
+    "schedule": {"--family": "arctan", "--center": "1", "--steps": "2", "--out": "out.csv"},
+    "generate": {"--bundle": BUNDLE, "--schedule": SCHEDULE, "--out-dir": "out", **TINY},
+    "evaluate": {"--bundle": BUNDLE, "--out": "out.json"},
+    "optimize": {"--bundle": BUNDLE, "--max-evals": "2", "--out-dir": "out", **TINY},
+    "sweep": {"--family": "step01", "--centers": "1", "--bundle": BUNDLE, "--out": "out.csv",
+              **TINY},
+    "decompose": {"--prompts": PROMPTS, "--fixture": FIXTURE, "--out": "out.json"},
+}
+FILES = {"--bundle": "bundle.json", "--schedule": "schedule.csv", "--prompts": "prompts.txt",
+         "--fixture": "fixture.txt"}
+OUTS = {"out", "out.csv", "out.json"}
+
+# --- numbers ---------------------------------------------------------------
+
+FLOATS = ["0", "-0", "5e-324", "-5e-324", "2.2250738585072009e-308", "1e308", "-1e308",
+          "inf", "-inf", "nan", "1e309", "", " ", "abc", "1,5", "0x10", "1e", "--1"]
+FLOAT_FLAGS = {"schedule": ["--center", "--scale"], "sweep": ["--scale"],
+               "optimize": ["--step-size"], "evaluate": ["--lambda-bg", "--lambda-ti"]}
+
+SIZES = {"--d-model": 3072, "--text-tokens": 512, "--grid-side": 64, "--double-blocks": 19,
+         "--single-blocks": 38, "--steps": 1000}
+SEEDS = ["--weight-seed", "--noise-seed"]
+INTS = [-1, 0, 1, 2, 10**20, "1e3"]
+
+
+def _int_cases():
+    """(command, flag, values): each bound and bound + 1, but no legal value
+    that renders above the tiny config or more than a few times."""
+    yield "schedule", "--steps", INTS + [1000, 1001]  # a 1000-row CSV is cheap
+    for command in ("generate", "optimize", "sweep"):
+        for flag, most in SIZES.items():
+            yield command, flag, INTS[:4] + [most + 1] + INTS[4:]
+        for flag in SEEDS:
+            yield command, flag, INTS
+    yield "optimize", "--max-evals", INTS  # the search stops itself, after 49 here
+    yield "optimize", "--search-seed", INTS
+    yield "sweep", "--noise-seeds", INTS[:4] + [3, 1001] + INTS[4:]
+
+
+def _centers():
+    """Signed ints and floats, nan, inf, 1e309 and blanks, joined by ',' or
+    '..': a range of at most 3 or above 1000 centers, 1 to 3 list items, or 1001."""
+    ints = st.integers(-3, 12)
+    token = st.one_of(ints.map(str), st.sampled_from(
+        ["-0", "+2", "1.5", "-0.5", "2e0", "nan", "inf", "-inf", "1e309", "", " "]))
+    span = st.sampled_from([-1, 0, 1, 2, 1000, 10**20])
+    int_range = st.builds(lambda lo, d: f"{lo}..{lo + d}", ints, span)
+    any_range = st.builds(lambda lo, hi: f"{lo}..{hi}", token, token)
+    items = st.lists(token, min_size=1, max_size=3).map(",".join)
+    return st.one_of(int_range, any_range, items, token.map(lambda t: ",".join([t or "3"] * 1001)))
+
+
+# --- file bytes ------------------------------------------------------------
+
+# the text of each file flag, the tokens a mutation replaces, and what it
+# puts in their place
+GRAMMARS = {
+    "--bundle": (BUNDLE, r'"(?:[^"\\]|\\.)*"|[\[\]{},:]', [
+        '""', '"   "', '"a \\ud800room"', '"\\udc80"', "1e999", "NaN", "-Infinity", "null",
+        "true", "3", "[]", "{}", '["a cat"]', '"a cat", "a fox"', "[" * 50, '"entities"', ",",
+    ]),
+    "--schedule": (SCHEDULE, r"[^,\n]+|\n", [
+        "nan", "inf", "-inf", "1e309", "-0", "0", "1", "2", "3", "-1", "0.5", "1.0", "5e-324",
+        "", "x", "1,2", '"0.5"', "\n", "\n\n", "\n3,1\n", "step", "theta",
+    ]),
+    "--prompts": (PROMPTS, r"[^\n]+|\n", ["", " ", "\t", "a fox", "a fox\na cat", "\n", "\x0b"]),
+    "--fixture": (FIXTURE, r"[^\n:]+|:|\n", [
+        "Background", "Entity 1", "Entity 2", "Entity 3", "Entity 0", "Entity 01", "entity 1",
+        "", " ", "a fox", ":", "\n", "\n\n", "\nEntity 3: a fox\n", " ",
+    ]),
+}
+BYTE_EDITS = [b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\x00", b"\xef\xbb\xbf", b"\r", b"\r\n"]
+
+
+@st.composite
+def _file_bytes(draw, flag):
+    """The flag's text with up to two tokens replaced, then up to two byte
+    edits: an invalid UTF-8 sequence, NUL, BOM or CR inserted, every newline
+    made CRLF, or the tail cut."""
+    text, pattern, replacements = GRAMMARS[flag]
+    for _ in range(draw(st.integers(0, 2))):
+        tokens = [m.span() for m in re.finditer(pattern, text)] or [(0, 0)]
+        start, end = draw(st.sampled_from(tokens))
+        text = text[:start] + draw(st.sampled_from(replacements)) + text[end:]
+    data = text.encode("utf-8")
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(["insert", "crlf", "cut"]))
+        if edit == "insert":
+            data = data[:at] + draw(st.sampled_from(BYTE_EDITS)) + data[at:]
+        elif edit == "crlf":
+            data = data.replace(b"\n", b"\r\n")
+        else:
+            data = data[:at]
+    return data
+
+
+def _cases():
+    """(command, flag, value): one input of one command, mutated."""
+    floats = [st.tuples(st.just(c), st.sampled_from(flags), st.sampled_from(FLOATS))
+              for c, flags in FLOAT_FLAGS.items()]
+    ints = [st.tuples(st.just(c), st.just(flag), st.sampled_from(values).map(str))
+            for c, flag, values in _int_cases()]
+    files = [st.tuples(st.just(c), st.just(flag), _file_bytes(flag))
+             for c, flags in COMMANDS.items() for flag in flags if flag in FILES]
+    families = st.tuples(st.sampled_from(["schedule", "sweep"]), st.just("--family"),
+                         st.sampled_from(list(FAMILY_ORDER)))
+    centers = st.tuples(st.just("sweep"), st.just("--centers"), _centers())
+    return st.one_of(*floats, *ints, *files, families, centers)
+
+
+# --- the run ---------------------------------------------------------------
+
+
+def _argv(tmp: Path, command: str, flag: str, value) -> list:
+    flags = {**COMMANDS[command], flag: value}
+    argv = [command]
+    if command == "evaluate":
+        image, mask = np.full((3, 3), 0.5), np.zeros((3, 3), dtype=bool)
+        image[0, 0], mask[0, 0] = 0.25, True
+        for j in (1, 2):
+            pnm.write_pgm(tmp / f"entity_{j}.pgm", image * j)
+            pnm.write_mask(tmp / f"mask_{j}.pgm", mask)
+            argv += ["--image", str(tmp / f"entity_{j}.pgm"), "--mask", str(tmp / f"mask_{j}.pgm")]
+    for name, text in flags.items():
+        if name in FILES:
+            path = tmp / FILES[name]
+            path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+            text = str(path)
+        elif text in OUTS:
+            text = str(tmp / text)
+        argv += [name, text]
+    return argv
+
+
+def _pinned_reply_error(tmp: Path) -> bool:
+    """Whether decompose's prompts read and its fixture decodes, but the reply
+    does not parse or names another number of entities than there are prompts."""
+    try:
+        text = (tmp / "prompts.txt").read_text(encoding="utf-8")
+        reply = (tmp / "fixture.txt").read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        return False
+    prompts = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if len(prompts) < 2:
+        return False
+    try:
+        decompose(prompts, reply)
+    except ParseError:
+        return True
+    return False
+
+
+def _numbers(path: Path) -> list:
+    """Every number in an output file: each CSV field that parses as a float
+    and each number in a JSON document; images hold bytes and count none."""
+    numbers = []
+    if path.suffix == ".csv":
+        with open(path, newline="", encoding="utf-8") as fh:
+            for field in (f for row in csv.reader(fh) for f in row):
+                try:
+                    numbers.append(float(field))
+                except ValueError:
+                    pass
+    elif path.suffix == ".json":
+        def keep(text):
+            numbers.append(float(text))
+
+        json.loads(path.read_text(encoding="utf-8"), parse_float=keep, parse_constant=keep)
+    return numbers
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_cases())
+def test_cli_edge(case):
+    command, flag, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = _argv(tmp, command, flag, value)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        written = [p for name in sorted(OUTS) for p in [tmp / name, *(tmp / name).rglob("*")]
+                   if p.is_file()]
+        if command == "decompose" and _pinned_reply_error(tmp):
+            assert code == 2 and err.getvalue().startswith("runtime error:"), err.getvalue()
+            assert written == []
+            return
+        assert code in (0, 1), err.getvalue()
+        if code == 1:
+            assert err.getvalue().startswith("usage error:"), err.getvalue()
+            assert written == []
+            return
+        assert written
+        for path in written:
+            assert all(math.isfinite(x) for x in _numbers(path)), path

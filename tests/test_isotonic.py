@@ -1,9 +1,6 @@
 """Monotone projection and derivative-free search tests."""
 
-import csv
 import math
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +16,6 @@ from couplegen.isotonic import (
     coordinate_search,
     grid_search,
     pava_project,
-    write_trace_csv,
 )
 from couplegen.schedule import ScheduleFamily, ThetaSchedule, make_schedule, validate
 
@@ -199,12 +195,6 @@ class TestCoordinateSearch:
         last = [entry for entry in trace if entry.accepted][-1]
         assert value == last.value
         assert np.array_equal(best.values, last.schedule.values)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "trace.csv"
-            write_trace_csv(path, trace, [f"eval_{k}.csv" for k in range(len(trace))])
-            with open(path, newline="", encoding="utf-8") as fh:
-                rows = list(csv.reader(fh))
-        assert [row[0] for row in rows[1:]] == [str(k) for k in range(1, len(trace) + 1)]
 
     def test_invalid_init_rejected(self):
         cfg = SearchConfig(max_evals=10, init=ThetaSchedule(np.array([0.9, 0.1])))

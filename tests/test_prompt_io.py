@@ -25,6 +25,7 @@ from couplegen.prompt_io import (
     decompose,
     embed_prompt,
     parse_decomposition,
+    request_reply,
 )
 
 from oracles import oracle_embed_prompt
@@ -217,26 +218,27 @@ class TestDecompose:
     def test_fixture_mode(self, tmp_path):
         fixture = tmp_path / "reply.txt"
         fixture.write_text(FIGURE_REPLY)
-        bundle = decompose([PIKACHU, GIRL], fixture)
+        bundle = decompose([PIKACHU, GIRL], fixture.read_text())
         assert bundle == parse_decomposition(FIGURE_REPLY)
 
     def test_fixture_with_three_entities(self, tmp_path):
         fixture = tmp_path / "reply.txt"
         fixture.write_text("Background: bg\nEntity 1: a\nEntity 2: b\nEntity 3: c\n")
-        bundle = decompose(["p1", "p2", "p3"], fixture)
+        bundle = decompose(["p1", "p2", "p3"], fixture.read_text())
         assert len(bundle.entities) == 3
 
     def test_fixture_entity_count_must_match_prompts(self, tmp_path):
         fixture = tmp_path / "reply.txt"
         fixture.write_text("Background: bg\nEntity 1: a\n")
         with pytest.raises(ParseError, match="1 entities for 3 prompts"):
-            decompose(["p1", "p2", "p3"], fixture)
+            decompose(["p1", "p2", "p3"], fixture.read_text())
 
     def test_network_entity_count_must_match_prompts(self, monkeypatch):
         monkeypatch.setattr("urllib.request.urlopen", lambda *a, **k: fake_response(FIGURE_REPLY))
         ep = LlmEndpoint(base_url="http://example.invalid/v1", model="m")
         with pytest.raises(ParseError, match="2 entities for 3 prompts"):
-            decompose([PIKACHU, GIRL, "a third prompt"], ep, sleep=lambda s: None)
+            p = [PIKACHU, GIRL, "a third prompt"]
+            decompose(p, request_reply(p, ep, sleep=lambda s: None))
 
     def test_unreachable_endpoint_retries_then_fails(self, monkeypatch):
         attempts = []
@@ -248,13 +250,14 @@ class TestDecompose:
         monkeypatch.setattr("urllib.request.urlopen", failing_post)
         ep = LlmEndpoint(base_url="http://unreachable.invalid/v1", model="m")
         with pytest.raises(TransportError, match="after 3 attempts"):
-            decompose([PIKACHU, GIRL], ep, sleep=lambda s: None)
+            request_reply([PIKACHU, GIRL], ep, sleep=lambda s: None)
         assert len(attempts) == 3
 
     def test_network_mode_parses_choices(self, monkeypatch):
         monkeypatch.setattr("urllib.request.urlopen", lambda *a, **k: fake_response(FIGURE_REPLY))
         ep = LlmEndpoint(base_url="http://example.invalid/v1", model="m")
-        bundle = decompose([PIKACHU, GIRL], ep, sleep=lambda s: None)
+        p = [PIKACHU, GIRL]
+        bundle = decompose(p, request_reply(p, ep, sleep=lambda s: None))
         assert bundle.entities == ("A cute Pikachu sits.", "A beautiful girl stands.")
 
     def test_posts_json_to_local_server_and_retries_non_2xx(self, monkeypatch):
@@ -282,7 +285,8 @@ class TestDecompose:
         sleeps = []
         try:
             ep = LlmEndpoint(f"http://127.0.0.1:{server.server_port}/v1", "m", api_key="k")
-            bundle = decompose([PIKACHU, GIRL], ep, sleep=sleeps.append)
+            p = [PIKACHU, GIRL]
+            bundle = decompose(p, request_reply(p, ep, sleep=sleeps.append))
         finally:
             server.shutdown()
             server.server_close()
