@@ -3,8 +3,11 @@
 Subcommands: decompose, schedule, generate, evaluate, optimize, sweep.
 Every run is deterministic given its flags; all randomness comes from the
 explicit --weight-seed / --noise-seed flags and outputs carry no timestamps.
-Exit codes: 0 success, 1 usage error (bad flags, missing files, a directory
-where a file goes or a file where a directory goes), 2 runtime error.
+Exit codes: 0 success, 1 usage error (bad flags or bad input files), 2
+runtime error.  The CLI opens only the paths its user names, so an OSError
+that names a path (missing, of the wrong kind, too long, a symlink loop) is
+a usage error naming that path; one that names none, such as a failed
+write, is a runtime error.
 """
 
 from __future__ import annotations
@@ -352,15 +355,13 @@ def run(argv) -> int:
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         return 1
-    except FileNotFoundError as exc:
-        click.echo(f"usage error: missing file: {exc}", err=True)
-        return 1
-    except (IsADirectoryError, NotADirectoryError, FileExistsError) as exc:
-        click.echo(f"usage error: wrong kind of path: {exc}", err=True)
-        return 1
     except click.exceptions.Exit as exc:  # --help and friends
         return int(exc.exit_code)
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 2
+        # the CLI opens only the user's paths, so an OSError naming a path is bad input
+        if isinstance(exc, OSError) and exc.filename is not None:
+            click.echo(f"usage error: {exc}", err=True)
+            return 1
         click.echo(f"runtime error: {exc}", err=True)
         return 2
     return 0

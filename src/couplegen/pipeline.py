@@ -46,9 +46,10 @@ An entity render looks its key up once and resumes from the deepest
 prefix: the longest common theta prefix with a trajectory of the same
 background, seed and entity text, or, on the trunk's background and noise
 stream, the trunk's leading zeros.  A coordinate-search proposal that
-first changes theta_i thus recomputes only steps i..N.  The new trajectory
-shares the prefix's arrays and appends a read-only copy of each step it
-renders, so no stored array is ever written and an eviction cannot take a
+first changes theta_i thus recomputes only steps i..N.  The lookup
+returns the prefix as a new list of the stored arrays, its length being
+the resume depth, and the render appends a read-only copy of each step to
+it, so no stored array is ever written and an eviction cannot take a
 prefix from a render under way.  Every entity of a call is looked up
 before any is stored.  A lookup leaves the LRU order as it is: the
 matched entries are refreshed, in lookup order, and the new ones stored
@@ -75,7 +76,7 @@ text, so the chunks of a call are independent work.  The calling thread
 builds every chunk's inputs (text stack, noise or resume latents); a call
 with one chunk renders it inline.  A call with more list-schedules the
 chunks' steps on one module-level thread pool with a worker per CPU the
-process may run on: each of min(workers, chunks) loops takes the ready
+process may run on: each of min(workers, chunks) loops takes the idle
 chunk with the most entity-steps (steps times stack size) left, advances
 it one step and puts it back.  So no worker idles while a chunk has steps
 left, and no chunk is advanced by two threads at once.  3 one-entity
@@ -221,23 +222,21 @@ class TrajectoryMemo:
         self.trunk: dict = {}  # at most one entry
         self.entries: OrderedDict = OrderedDict()
 
-    def lookup(self, key: tuple) -> tuple[int, list[np.ndarray], tuple | None]:
-        """(depth, latents, match) of the trajectory with key's background
-        and seed and key's entity text or None that shares the longest theta
-        prefix with key, depth being that prefix's length and match its
-        entry's key (None for the trunk); (0, [], None) when none does.  The
-        order of the entries is left as it is (see `refresh`)."""
-        depth, best = 0, None
-        for other in [*self.entries, *self.trunk]:
+    def lookup(self, key: tuple) -> tuple[list[np.ndarray], tuple | None]:
+        """(prefix, match): the leading latents, as a new list, that key's
+        theta tuple shares with the trajectory of key's background and seed
+        and key's entity text or None that shares the most, and match that
+        entry's key (None for the trunk); ([], None) when none shares a
+        step.  The prefix's length is the depth to resume from.  The order
+        of the entries is left as it is (see `refresh`)."""
+        prefix, match = [], None
+        for other, latents in [*self.entries.items(), *self.trunk.items()]:
             if other[:2] == key[:2] and other[2] in (key[2], None):
                 n = _common_prefix(other[3], key[3])
-                if n > depth:
-                    depth, best = n, other
-        if best is None:
-            return 0, [], None
-        if best in self.trunk:
-            return depth, self.trunk[best], None
-        return depth, self.entries[best], best
+                if n > len(prefix):
+                    # the trunk's entity text is None, and refresh skips it
+                    prefix, match = latents[:n], other if other[2] is not None else None
+        return prefix, match
 
     def refresh(self, matches) -> None:
         """Move the entries of the given lookup matches, in order, to the
@@ -460,26 +459,27 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's thr
 def _render(pipeline: Pipeline, work: list) -> list:
     """The final stacks of _trajectory(pipeline, *inputs) for each inputs in
     work, in order.  One chunk renders inline.  More are list-scheduled one
-    step at a time on min(workers, chunks) pool loops: each takes the ready
-    chunk with the most entity-steps left (the earliest on a tie) and
-    advances it one step, so no chunk is advanced by two threads at once.
+    step at a time on min(workers, chunks) pool loops: each takes, out of
+    one table of the idle chunks' entity-steps left, the chunk with the most
+    (the earliest on a tie), advances it one step and puts it back unless it
+    is done, so no chunk is advanced by two threads at once.
     Once a step raises no loop starts another; the running steps finish and
     the first error in chunk order propagates."""
     runs = [_trajectory(pipeline, *inputs) for inputs in work]
     finals = [x for _, x, *_ in work]
-    left = [len(thetas) * len(x) for _, x, thetas, *_ in work]  # entity-steps
-    ready = {j for j, n in enumerate(left) if n}
-    errors: list = [None] * len(work)
+    # the entity-steps left of each chunk that no loop is advancing
+    idle = {j: len(thetas) * len(x) for j, (_, x, thetas, _) in enumerate(work) if len(thetas)}
+    errors: dict = {}
     lock = threading.Lock()
     stop = threading.Event()
 
     def advance():
         while True:
             with lock:
-                if stop.is_set() or not ready:
+                if stop.is_set() or not idle:
                     return
-                j = max(ready, key=lambda i: (left[i], -i))
-                ready.remove(j)
+                j = max(idle, key=lambda i: (idle[i], -i))
+                n = idle.pop(j)
             try:
                 finals[j] = next(runs[j])
             except Exception as exc:  # noqa: BLE001 - raised in chunk order by the caller
@@ -487,10 +487,9 @@ def _render(pipeline: Pipeline, work: list) -> list:
                     errors[j] = exc
                     stop.set()
                 return
-            with lock:
-                left[j] -= len(finals[j])
-                if left[j]:
-                    ready.add(j)
+            if n := n - len(finals[j]):
+                with lock:
+                    idle[j] = n
 
     if len(work) < 2:
         advance()
@@ -504,9 +503,8 @@ def _render(pipeline: Pipeline, work: list) -> list:
         finally:  # also when the calling thread is interrupted
             stop.set()
             wait(loops)
-    error = next((exc for exc in errors if exc is not None), None)
-    if error is not None:
-        raise error
+    if errors:
+        raise errors[min(errors)]
     return finals
 
 
@@ -546,12 +544,12 @@ def sample(
     keep = limit > 0 or latent_log is not None
     keys = [(bundle.background, noise_seed if shared_noise else noise_seed + j, entity, theta_key)
             for j, entity in enumerate(bundle.entities)]
-    # every entity is looked up before any store can evict its prefix
-    found = [pipeline.memo.lookup(key) for key in keys]
-    latents = [prefix[:depth] for depth, prefix, _ in found]  # shared, grown by the render
+    # every entity is looked up before any store can evict its prefix; each
+    # prefix is a new list, which the render grows to a whole trajectory
+    latents, matches = zip(*(pipeline.memo.lookup(key) for key in keys))
     groups: dict = {}
-    for j, (depth, *_) in enumerate(found):
-        groups.setdefault(depth, []).append(j)
+    for j, prefix in enumerate(latents):
+        groups.setdefault(len(prefix), []).append(j)
     images: list = [None] * len(keys)
     for j in groups.pop(cfg.steps, []):
         images[j] = _readout(cfg, latents[j][-1])
@@ -571,7 +569,7 @@ def sample(
     finals = _render(pipeline, work)
     # refreshed and stored here, in lookup and then chunk order, once every
     # chunk has rendered, so a render that raises leaves the memo as it was
-    pipeline.memo.refresh(match for *_, match in found)
+    pipeline.memo.refresh(matches)
     for (_, chunk), x in zip(chunks, finals):
         for j, xj in zip(chunk, x):
             images[j] = _readout(cfg, xj)

@@ -154,7 +154,7 @@ _ENTITY_RE = re.compile(r"^[^\S\n]*Entity[^\S\n]+([0-9]+):[^\S\n]*(.*?)[^\S\n]*$
 
 def parse_decomposition(reply: str) -> PromptBundle:
     """Extract the first Background line and the numbered Entity lines;
-    every value must be non-empty."""
+    every value must be non-empty, and the values must make a PromptBundle."""
     bg = _BACKGROUND_RE.search(reply)
     if bg is None:
         raise ParseError("reply has no 'Background:' line", reply)
@@ -170,7 +170,10 @@ def parse_decomposition(reply: str) -> PromptBundle:
     numbers = [num for num, _ in entities]
     if numbers != list(range(1, len(entities) + 1)):
         raise ParseError(f"entity numbers {numbers} are not exactly 1..{len(entities)}", reply)
-    return PromptBundle(background=bg.group(1), entities=tuple(t for _, t in entities))
+    try:
+        return PromptBundle(background=bg.group(1), entities=tuple(t for _, t in entities))
+    except ValueError as exc:  # such as a value with a lone surrogate
+        raise ParseError(f"reply makes no bundle: {exc}", reply) from None
 
 
 def decompose(prompts: Sequence[str], reply: str) -> PromptBundle:
@@ -190,6 +193,7 @@ def request_reply(prompts: Sequence[str], endpoint: LlmEndpoint, sleep=time.slee
     requests are retried with exponential backoff, then raise TransportError."""
     # imported here: the HTTP stack (http.client, email, ssl, socket) is only
     # needed by a request, and loading it costs every other command start-up
+    from urllib.error import HTTPError
     from urllib.request import Request, urlopen
 
     payload = build_decomposition_request(prompts, model=endpoint.model)
@@ -207,6 +211,8 @@ def request_reply(prompts: Sequence[str], endpoint: LlmEndpoint, sleep=time.slee
             with urlopen(request, timeout=REQUEST_TIMEOUT_S) as resp:
                 return json.load(resp)["choices"][0]["message"]["content"]
         except Exception as exc:  # noqa: BLE001 - network/HTTP/JSON failures all retry
+            if isinstance(exc, HTTPError):
+                exc.close()  # a non-2xx reply holds its connection until closed
             last_error = exc
     raise TransportError(f"decomposition failed after {RETRY_ATTEMPTS} attempts: {last_error}")
 

@@ -885,9 +885,19 @@ class TestExitCodes:
               "{out}"], "{dir}"),
             (["evaluate", "--image", "{dir}", "--image", "{img}", "--mask", "{mask}", "--mask",
               "{mask}", "--bundle", "{bundle}", "--out", "{out}"], "{dir}"),
+            # any OSError that names a path; these four once exited 2
+            (["schedule", "--family", "arctan", "--center", "5", "--out", "{long}.csv"],
+             "{long}.csv"),
+            (["generate", "--bundle", "{long}.json", "--schedule", "{schedule}", "--out-dir",
+              "{out}"], "{long}.json"),
+            (["generate", "--bundle", "{bundle}", "--schedule", "{schedule}", "--out-dir",
+              "{long}"], "{long}"),
+            (["schedule", "--family", "arctan", "--center", "5", "--out", "{loop}/s.csv"],
+             "{loop}/s.csv"),
         ],
         ids=["generate_out_dir_file", "optimize_out_dir_file", "schedule_out_dir",
-             "sweep_out_dir", "evaluate_out_dir", "bundle_dir", "schedule_dir", "image_dir"],
+             "sweep_out_dir", "evaluate_out_dir", "bundle_dir", "schedule_dir", "image_dir",
+             "schedule_out_too_long", "bundle_too_long", "out_dir_too_long", "symlink_loop"],
     )
     def test_wrong_path_kind_exit_1_names_path(
         self, tmp_path, bundle_file, schedule_file, capsys, monkeypatch, argv, bad
@@ -902,9 +912,11 @@ class TestExitCodes:
         mask[0, 0] = True
         paths = {"bundle": bundle_file, "schedule": schedule_file, "out": tmp_path / "out",
                  "file": tmp_path / "a_file", "dir": tmp_path / "a_dir",
-                 "img": tmp_path / "img.pgm", "mask": tmp_path / "mask.pgm"}
+                 "img": tmp_path / "img.pgm", "mask": tmp_path / "mask.pgm",
+                 "long": tmp_path / ("a" * 300), "loop": tmp_path / "loop"}
         paths["file"].write_text("x")
         paths["dir"].mkdir()
+        paths["loop"].symlink_to("loop")
         pnm.write_pgm(paths["img"], np.full((8, 8), 0.5))
         pnm.write_mask(paths["mask"], mask)
         capsys.readouterr()
@@ -913,6 +925,16 @@ class TestExitCodes:
         assert err.startswith("usage error:") and bad.format(**paths) in err
         assert not paths["out"].exists()
         assert renders == []
+
+    def test_os_error_without_path_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a failed write names no path, so it stays a runtime error
+        def full_disk(path, sched):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(couplegen.cli, "write_schedule_csv", full_disk)
+        argv = ["schedule", "--family", "arctan", "--center", "5", "--out", str(tmp_path / "s.csv")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("runtime error: [Errno 28] No space left")
 
 
 BAD_BUNDLES = {

@@ -1,12 +1,14 @@
 """A grammar fuzz of the CLI edge: `--centers` specs, the float and int flags,
-and the bytes of the `--bundle`, `--schedule`, `--prompts` and `--fixture`
-files.
+the bytes of the `--bundle`, `--schedule`, `--prompts` and `--fixture` files
+and of the `evaluate --image` and `--mask` PGM files, and the `--out` and
+`--out-dir` paths.
 
 Each case mutates one input of one command and runs `cli.run` in-process at
 d4, 3x3, 2 steps, one double and one single block, with 2 entities.  A case
 exits 0 or 1, and exit 1 is a usage error; the one exit 2 it may reach is a
 `--fixture` reply that decodes but does not parse or names the wrong number
-of entities.  An accepted case writes only finite numbers.
+of entities.  An accepted case writes only finite numbers, and a rejected
+one writes no file.
 
 Memory and time are bounded by the grammars: no legal size drawn is above the
 tiny config (`--d-model 3072` is legal and allocates gigabytes), and the
@@ -19,15 +21,14 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from couplegen import pnm
 from couplegen.cli import run
 from couplegen.prompt_io import ParseError, decompose
 from couplegen.schedule import FAMILY_ORDER
@@ -53,7 +54,7 @@ COMMANDS = {
 }
 FILES = {"--bundle": "bundle.json", "--schedule": "schedule.csv", "--prompts": "prompts.txt",
          "--fixture": "fixture.txt"}
-OUTS = {"out", "out.csv", "out.json"}
+OUTS = ("--out", "--out-dir")
 
 # --- numbers ---------------------------------------------------------------
 
@@ -140,6 +141,65 @@ def _file_bytes(draw, flag):
     return data
 
 
+# --- PGM bytes -------------------------------------------------------------
+
+PGM_HEADER = [b"P5", b"3", b"3", b"255"]  # magic, width, height, maxval
+# the 3x3 rasters of the two images and the masks that evaluate reads
+IMAGES = [bytes([64] + [128] * 8), bytes([128] + [255] * 8)]
+MASK = bytes([255] + [0] * 8)
+HEADER_TOKENS = [b"P2", b"P6", b"p5", b"", b"0", b"1", b"2", b"3", b"4", b"9", b"-3", b"+3",
+                 b"03", b"3.0", b"255", b"256", b"65535", b"0255", b"1e2", b"x", b"9" * 30]
+SEPARATORS = [b"\n", b" ", b"\t", b"\r\n", b"  ", b"", b"\n# a comment\n", b" #c 3\n", b"#\n"]
+# mask values other than 0 and 255, and bytes a header reader could take for its own
+RASTER_BYTES = [0, 1, 9, 10, 13, 32, 35, 128, 254, 255]
+
+
+def _pgm(raster: bytes) -> bytes:
+    return b"P5\n3 3\n255\n" + raster
+
+
+@st.composite
+def _pgm_bytes(draw, flag):
+    """The first --image or --mask file of evaluate with up to two header
+    tokens replaced, every separator drawn (comments among them), and its
+    raster's bytes changed, cut short or run long."""
+    header = list(PGM_HEADER)
+    for _ in range(draw(st.integers(0, 2))):
+        header[draw(st.integers(0, 3))] = draw(st.sampled_from(HEADER_TOKENS))
+    data = header[0]
+    for token in header[1:]:
+        data += draw(st.sampled_from(SEPARATORS)) + token
+    data += draw(st.sampled_from([b"\n", b" ", b"\r\n", b"\n#c\n", b""]))
+    raster = bytearray(MASK if flag == "--mask" else IMAGES[0])
+    for _ in range(draw(st.integers(0, 2))):
+        raster[draw(st.integers(0, 8))] = draw(st.sampled_from(RASTER_BYTES))
+    return data + (raster * 2)[:draw(st.sampled_from([9, 0, 8, 10, 18]))]
+
+
+# --- output paths ----------------------------------------------------------
+
+# a regular file, a directory and a symlink to itself, which _argv makes under
+# the case's directory; "missing" and "café" are not made
+EXISTING = ["a_file", "a_dir", "loop"]
+THROUGH = ["", "a_file/", "a_dir/", "loop/", "missing/", "café/"]
+NAMES = ["out", "café", "猫 🙂", os.fsdecode(b"\xff\xfe")]  # the last is not UTF-8
+
+
+@st.composite
+def _out_path(draw, suffix):
+    """An output path under the case's directory, maybe through a file, a
+    directory, a symlink loop or a missing directory: an existing path, a
+    non-ASCII or undecodable name, or a last component of 254 to 256 bytes."""
+    path = draw(st.sampled_from(THROUGH))
+    kind = draw(st.sampled_from(["existing", "name", "long"]))
+    if kind == "existing":
+        return path + draw(st.sampled_from(EXISTING))
+    name = draw(st.sampled_from(NAMES)) if kind == "name" else draw(st.sampled_from("aé")) * 120
+    if kind == "long":
+        name += "b" * (draw(st.integers(254, 256)) - len((name + suffix).encode()))
+    return path + name + suffix
+
+
 def _cases():
     """(command, flag, value): one input of one command, mutated."""
     floats = [st.tuples(st.just(c), st.sampled_from(flags), st.sampled_from(FLOATS))
@@ -160,22 +220,33 @@ def _cases():
 def _argv(tmp: Path, command: str, flag: str, value) -> list:
     flags = {**COMMANDS[command], flag: value}
     argv = [command]
+    (tmp / "a_file").write_text("x")
+    (tmp / "a_dir").mkdir()
+    (tmp / "loop").symlink_to("loop")
     if command == "evaluate":
-        image, mask = np.full((3, 3), 0.5), np.zeros((3, 3), dtype=bool)
-        image[0, 0], mask[0, 0] = 0.25, True
-        for j in (1, 2):
-            pnm.write_pgm(tmp / f"entity_{j}.pgm", image * j)
-            pnm.write_mask(tmp / f"mask_{j}.pgm", mask)
+        for j, image in enumerate(IMAGES, start=1):
+            (tmp / f"entity_{j}.pgm").write_bytes(_pgm(image))
+            (tmp / f"mask_{j}.pgm").write_bytes(_pgm(MASK))
             argv += ["--image", str(tmp / f"entity_{j}.pgm"), "--mask", str(tmp / f"mask_{j}.pgm")]
+        if flag in ("--image", "--mask"):
+            first = "entity_1.pgm" if flag == "--image" else "mask_1.pgm"
+            (tmp / first).write_bytes(flags.pop(flag))
     for name, text in flags.items():
         if name in FILES:
             path = tmp / FILES[name]
             path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
             text = str(path)
-        elif text in OUTS:
+        elif name in OUTS:
             text = str(tmp / text)
         argv += [name, text]
     return argv
+
+
+def _files(tmp: Path) -> dict:
+    """The bytes of every regular file under tmp, by path; symlinks are not
+    followed."""
+    return {path: path.read_bytes() for root, _, names in os.walk(tmp)
+            for path in (Path(root, name) for name in names) if path.is_file()}
 
 
 def _pinned_reply_error(tmp: Path) -> bool:
@@ -201,7 +272,8 @@ def _numbers(path: Path) -> list:
     and each number in a JSON document; images hold bytes and count none."""
     numbers = []
     if path.suffix == ".csv":
-        with open(path, newline="", encoding="utf-8") as fh:
+        # trace.csv keeps the bytes of an output path that is not UTF-8
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
             for field in (f for row in csv.reader(fh) for f in row):
                 try:
                     numbers.append(float(field))
@@ -215,18 +287,17 @@ def _numbers(path: Path) -> list:
     return numbers
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=_cases())
-def test_cli_edge(case):
-    command, flag, value = case
+def _check(command: str, flag: str, value) -> None:
+    """Run the case: it exits 0 and writes only finite numbers, or exits 1
+    with a usage error and writes no file, or is decompose's pinned exit 2."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         argv = _argv(tmp, command, flag, value)
+        before = _files(tmp)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
-        written = [p for name in sorted(OUTS) for p in [tmp / name, *(tmp / name).rglob("*")]
-                   if p.is_file()]
+        written = [path for path, data in _files(tmp).items() if before.get(path) != data]
         if command == "decompose" and _pinned_reply_error(tmp):
             assert code == 2 and err.getvalue().startswith("runtime error:"), err.getvalue()
             assert written == []
@@ -239,3 +310,26 @@ def test_cli_edge(case):
         assert written
         for path in written:
             assert all(math.isfinite(x) for x in _numbers(path)), path
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_cases())
+def test_cli_edge(case):
+    _check(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(flag=st.sampled_from(["--image", "--mask"]), data=st.data())
+def test_pgm_edge(flag, data):
+    _check("evaluate", flag, data.draw(_pgm_bytes(flag)))
+
+
+OUT_FLAGS = [(command, flag, Path(value).suffix) for command, flags in COMMANDS.items()
+             for flag, value in flags.items() if flag in OUTS]
+
+
+@settings(max_examples=100, deadline=None)
+@given(out=st.sampled_from(OUT_FLAGS), data=st.data())
+def test_out_path_edge(out, data):
+    command, flag, suffix = out
+    _check(command, flag, data.draw(_out_path(suffix)))

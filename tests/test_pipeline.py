@@ -1105,12 +1105,12 @@ class SamplerMemoMachine(RuleBasedStateMachine):
         background, seed, _, thetas = keys[0]
         if thetas[0] == 0.0:
             trunk = (background, seed, None, (0.0,) * TINY.steps)
-            model.trunk = {trunk: model.trunk.get(trunk)}
+            model.trunk = {trunk: [None] * TINY.steps}  # a prefix is all the model reads
         groups: dict = {}
         matches = []
         for key in keys:
-            depth, _, match = model.lookup(key)
-            groups.setdefault(depth, []).append(key)
+            prefix, match = model.lookup(key)
+            groups.setdefault(len(prefix), []).append(key)
             matches.append(match)
         model.refresh(matches)
         groups.pop(TINY.steps, None)

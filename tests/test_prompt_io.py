@@ -1,10 +1,12 @@
 """Prompt decomposition request/parse tests, fixture-mode decompose, and the
 deterministic hash embedding."""
 
+import gc
 import io
 import json
 import re
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -137,7 +139,8 @@ def oracle_decomposition(reply: str):
     reply reads like an LF one.  The first line that starts with
     "Background:" gives the background; every line of the form
     "Entity <ASCII digits>: ..." gives an entity; other lines are ignored.
-    Every value must be non-empty and the entity numbers exactly 1..n.
+    Every value must be non-empty, the entity numbers exactly 1..n and the
+    values a PromptBundle's (no lone surrogate).
     """
     background, entities = None, []
     for line in reply.split("\n"):
@@ -157,7 +160,10 @@ def oracle_decomposition(reply: str):
         or [num for num, _ in entities] != list(range(1, len(entities) + 1))
     ):
         return None
-    return PromptBundle(background, tuple(value for _, value in entities))
+    try:
+        return PromptBundle(background, tuple(value for _, value in entities))
+    except ValueError:
+        return None
 
 
 BLANKS = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\u3000"])
@@ -207,6 +213,15 @@ class TestParseFuzz:
     def test_empty_value_does_not_take_the_next_line(self, reply):
         with pytest.raises(ParseError):
             parse_decomposition(reply)
+
+    @pytest.mark.parametrize("reply", ["Background:0\nEntity 1:\ud800",
+                                       "Background: a \udfff room\nEntity 1: a fox"],
+                             ids=["entity", "background"])
+    def test_lone_surrogate_is_a_parse_error(self, reply):
+        # the oracle found it: the bundle's ValueError once escaped without the reply
+        with pytest.raises(ParseError, match="lone surrogate") as caught:
+            parse_decomposition(reply)
+        assert caught.value.reply == reply
 
     def test_crlf_reply(self):
         assert parse_decomposition(FIGURE_REPLY.replace("\n", "\r\n")) == parse_decomposition(
@@ -261,7 +276,8 @@ class TestDecompose:
         assert bundle.entities == ("A cute Pikachu sits.", "A beautiful girl stands.")
 
     def test_posts_json_to_local_server_and_retries_non_2xx(self, monkeypatch):
-        # the real transport against a loopback server: 503, then 200
+        # the real transport against a loopback server: 503, then 200; the
+        # 503's socket was once left open until garbage collection
         monkeypatch.setenv("no_proxy", "*")
         statuses, seen = [503, 200], []
 
@@ -284,14 +300,18 @@ class TestDecompose:
         thread.start()
         sleeps = []
         try:
-            ep = LlmEndpoint(f"http://127.0.0.1:{server.server_port}/v1", "m", api_key="k")
-            p = [PIKACHU, GIRL]
-            bundle = decompose(p, request_reply(p, ep, sleep=sleeps.append))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                ep = LlmEndpoint(f"http://127.0.0.1:{server.server_port}/v1", "m", api_key="k")
+                p = [PIKACHU, GIRL]
+                bundle = decompose(p, request_reply(p, ep, sleep=sleeps.append))
+                gc.collect()
         finally:
             server.shutdown()
             server.server_close()
             thread.join(timeout=10)
         assert not thread.is_alive()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
         assert bundle == parse_decomposition(FIGURE_REPLY)
         assert sleeps == [prompt_io.RETRY_BACKOFF_S]
         want = build_decomposition_request([PIKACHU, GIRL], model="m")
