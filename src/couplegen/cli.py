@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
@@ -128,6 +129,23 @@ def _output_file(path):
             raise
 
 
+def _make_dirs(path: Path) -> None:
+    """path and its missing parents made as directories; when one cannot be
+    made, those made before it are removed, so a failed call leaves none."""
+    missing = [path]
+    while not os.path.lexists(missing[-1].parent):
+        missing.append(missing[-1].parent)
+    made = []
+    try:
+        for directory in reversed(missing):
+            directory.mkdir(exist_ok=True)
+            made.append(directory)
+    except BaseException:
+        for directory in reversed(made):
+            directory.rmdir()
+        raise
+
+
 def _parse_centers(spec: str) -> list[float]:
     """'3..12' expands to integer centers, counted from its ends first;
     otherwise a comma-separated list.  Either names 1 to MAX_STEPS centers."""
@@ -209,7 +227,7 @@ def generate_cmd(bundle_path, schedule_path, out_dir, separate_noise, dump_laten
     _warn_truncated(bundle, cfg)
     pipeline = init_pipeline(cfg)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dirs(out)
     latent_log = [] if dump_latents else None
     images, background_image, masks = render(
         pipeline, bundle, sched, shared_noise=not separate_noise, latent_log=latent_log
@@ -239,8 +257,9 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
     bundle = _load_bundle(bundle_path, min_entities=2)
     lambdas = _from_flags(Lambdas, lambda_bg=lambda_bg, lambda_ti=lambda_ti)
     if len(image_paths) != len(bundle.entities):
-        raise click.UsageError(
-            f"bundle has {len(bundle.entities)} entities but {len(image_paths)} images given"
+        raise click.BadParameter(
+            f"{bundle_path} has {len(bundle.entities)} entities but {len(image_paths)} "
+            "images given", param_hint="--bundle",
         )
     images = _read_files(pnm.read_pgm, image_paths, "--image")
     masks = _read_files(pnm.read_mask, mask_paths, "--mask")
@@ -252,13 +271,15 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
                     f"{path} is {a.shape[1]}x{a.shape[0]}, {image_paths[0]} is {w}x{h}",
                     param_hint=hint,
                 )
-    try:
-        report = score_images(images, masks, bundle.entities, lambdas)
-    except DegenerateMaskError as exc:
-        raise click.BadParameter(str(exc), param_hint="--mask") from exc
-    except WeightOverflowError as exc:
-        raise click.BadParameter(str(exc), param_hint="--" + exc.weight.replace("_", "-")) from exc
-    Path(out_path).write_text(report.to_json() + "\n")
+    with _output_file(out_path) as fh:
+        try:
+            report = score_images(images, masks, bundle.entities, lambdas)
+        except DegenerateMaskError as exc:
+            raise click.BadParameter(str(exc), param_hint="--mask") from exc
+        except WeightOverflowError as exc:
+            raise click.BadParameter(str(exc),
+                                     param_hint="--" + exc.weight.replace("_", "-")) from exc
+        fh.write(report.to_json() + "\n")
     click.echo(f"wrote {out_path}")
 
 
@@ -285,7 +306,7 @@ def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
     )
     out = Path(out_dir)
     trace_dir = out / "trace"
-    trace_dir.mkdir(parents=True, exist_ok=True)
+    _make_dirs(trace_dir)
     _warn_truncated(bundle, cfg)
     best, value, trace = isotonic.coordinate_search(
         search, lambda sched: generate_and_score(pipeline, bundle, sched).f_c

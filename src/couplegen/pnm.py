@@ -1,9 +1,11 @@
 """Binary PGM (P5) grayscale image and mask files.
 
 Pixel value v maps to the real v / 255.  Masks are PGM files restricted to
-{0, 255}; anything else is rejected.  Readers accept only maxval 255,
-positive decimal dimensions and exactly the raster those dimensions need;
-anything else raises ValueError.
+{0, 255}: one comparison pass finds any other byte, and the error names the
+distinct ones in ascending order.  That check does not use np.unique, whose
+first call under numpy 2.x imports numpy.ma, which no command otherwise
+loads.  Readers accept only maxval 255, positive decimal dimensions and
+exactly the raster those dimensions need; anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def write_mask(path, mask) -> None:
 
 def read_mask(path) -> np.ndarray:
     data, h, w = _read_raster(path, "mask")
-    bad = np.setdiff1d(np.unique(data), [0, 255])
+    bad = data[(data != 0) & (data != 255)]
     if bad.size:
-        raise ValueError(f"mask contains values other than 0/255: {bad.tolist()}")
+        raise ValueError(f"mask contains values other than 0/255: {sorted(set(bad.tolist()))}")
     return (data.reshape(h, w) == 255)

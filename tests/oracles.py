@@ -7,7 +7,8 @@ oracles (`per_stream_attention` and the per-stream sampler `exact_latents`)
 are the other kind: numpy code that makes, for each stream and branch, the
 same products on the same operands as the package made before it stacked
 streams and branches, so that the stacked sampler can be compared with them
-bit for bit.
+bit for bit.  `setdiff_read_mask` is the mask reader as it was before it
+stopped calling `np.unique`, kept to pin its accepted inputs and messages.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import numpy as np
 
 from couplegen.numerics import DegenerateRowError, Rng
+from couplegen.pnm import _read_raster
 from couplegen.prompt_io import embed_prompt
 
 
@@ -156,6 +158,15 @@ def pixelwise_union(masks):
         for x in range(w):
             out[y, x] = any(bool(m[y, x]) for m in masks)
     return out
+
+
+def setdiff_read_mask(path):
+    """pnm.read_mask with its bad bytes found by np.setdiff1d over np.unique."""
+    data, h, w = _read_raster(path, "mask")
+    bad = np.setdiff1d(np.unique(data), [0, 255])
+    if bad.size:
+        raise ValueError(f"mask contains values other than 0/255: {bad.tolist()}")
+    return data.reshape(h, w) == 255
 
 
 def scalar_background_score(images, mask):

@@ -18,6 +18,7 @@ import couplegen.cli
 import couplegen.prompt_io
 from couplegen.cli import run
 from couplegen.pipeline import PipelineConfig, generate_and_score, init_pipeline, render, sample
+from couplegen.pipeline import score_images
 from couplegen.pnm import read_mask, read_pgm
 from couplegen.prompt_io import PromptBundle
 from couplegen.schedule import ScheduleFamily, make_schedule, read_schedule_csv
@@ -314,6 +315,26 @@ class TestEvaluateCommand:
         assert run(args) == 1
         assert f"Invalid value for {flag}:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_entity_count_mismatch_names_bundle(self, tmp_path, capsys):
+        # once a bare "usage error: bundle has 3 entities but 2 images given"
+        from couplegen import pnm
+
+        bundle = tmp_path / "three.json"
+        bundle.write_text('{"background": "a room", "entities": ["a cat", "a fox", "a dog"]}')
+        args = ["evaluate", "--bundle", str(bundle), "--out", str(tmp_path / "r.json")]
+        for j in (1, 2):
+            pnm.write_pgm(tmp_path / f"img_{j}.pgm", np.full((8, 8), 0.5))
+            pnm.write_mask(tmp_path / f"mask_{j}.pgm", np.zeros((8, 8), dtype=bool))
+            args += ["--image", str(tmp_path / f"img_{j}.pgm"),
+                     "--mask", str(tmp_path / f"mask_{j}.pgm")]
+        capsys.readouterr()
+        assert run(args) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: Invalid value for --bundle: {bundle} has 3 entities but 2 images "
+            "given\n"
+        )
+        assert not (tmp_path / "r.json").exists()
 
     def test_count_mismatch_exit_1(self, tmp_path, bundle_file):
         code = run(["evaluate", "--image", "a.pgm", "--mask", "m1.pgm",
@@ -689,6 +710,39 @@ def test_decompose_fixture_leaves_http_stack_unloaded(tmp_path):
                                                         "A beautiful girl stands."]
 
 
+def test_commands_load_no_numpy_submodule(tmp_path):
+    # under numpy 2.x, np.unique imports numpy.ma on its first call; under
+    # numpy 1.x, import numpy already loads it
+    bundle, sched = str(tmp_path / "bundle.json"), str(tmp_path / "s.csv")
+    Path(bundle).write_text('{"background": "a quiet room", "entities": ["a cat", "a dog"]}')
+    tiny = ["--d-model", "4", "--grid-side", "3", "--steps", "2", "--double-blocks", "1",
+            "--single-blocks", "1"]
+    pairs = [a for j in (1, 2) for a in ("--image", str(tmp_path / f"gen/entity_{j}.pgm"),
+                                         "--mask", str(tmp_path / f"gen/mask_{j}.pgm"))]
+    argvs = [
+        ["schedule", "--family", "arctan", "--center", "1", "--steps", "2", "--out", sched],
+        ["generate", "--bundle", bundle, "--schedule", sched, "--out-dir", str(tmp_path / "gen"),
+         "--dump-latents", *tiny],
+        ["evaluate", "--bundle", bundle, "--out", str(tmp_path / "r.json"), *pairs],
+        ["optimize", "--bundle", bundle, "--max-evals", "2", "--out-dir", str(tmp_path / "opt"),
+         *tiny],
+        ["sweep", "--family", "step01", "--centers", "1", "--bundle", bundle,
+         "--out", str(tmp_path / "sweep.csv"), *tiny],
+    ]
+    script = (
+        "import json, sys\n"
+        "import numpy\n"
+        "loaded = set(sys.modules)\n"
+        "from couplegen.cli import run\n"
+        "codes = [run(argv) for argv in json.loads(sys.argv[1])]\n"
+        "new = set(sys.modules) - loaded\n"
+        "print(codes, sorted(m for m in new if m.split('.')[0] == 'numpy'))\n"
+    )
+    done = _fresh_python(script, json.dumps(argvs))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+
+
 def _cli_in_locale(utf8: bool, *args) -> subprocess.CompletedProcess:
     """python -m couplegen under the C locale with locale coercion off: in UTF-8
     mode, or with UTF-8 mode off, where the locale encoding is ASCII."""
@@ -894,20 +948,31 @@ class TestExitCodes:
               "{long}"], "{long}"),
             (["schedule", "--family", "arctan", "--center", "5", "--out", "{loop}/s.csv"],
              "{loop}/s.csv"),
+            (["evaluate", "--image", "{img}", "--image", "{img}", "--mask", "{mask}", "--mask",
+              "{mask}", "--bundle", "{bundle}", "--out", "{out}/r.json"], "{out}/r.json"),
+            # the missing parent that the failed call made is removed again
+            (["generate", "--bundle", "{bundle}", "--schedule", "{schedule}", "--out-dir",
+              "{out}/" + "a" * 256], "{out}/" + "a" * 256),
+            (["optimize", "--bundle", "{bundle}", "--max-evals", "2", "--out-dir",
+              "{out}/" + "a" * 256], "{out}/" + "a" * 256),
         ],
         ids=["generate_out_dir_file", "optimize_out_dir_file", "schedule_out_dir",
              "sweep_out_dir", "evaluate_out_dir", "bundle_dir", "schedule_dir", "image_dir",
-             "schedule_out_too_long", "bundle_too_long", "out_dir_too_long", "symlink_loop"],
+             "schedule_out_too_long", "bundle_too_long", "out_dir_too_long", "symlink_loop",
+             "evaluate_out_missing_dir", "generate_out_dir_new_parent",
+             "optimize_out_dir_new_parent"],
     )
     def test_wrong_path_kind_exit_1_names_path(
         self, tmp_path, bundle_file, schedule_file, capsys, monkeypatch, argv, bad
     ):
         from couplegen import pnm
 
-        # the path is checked before anything renders
+        # the path is checked before anything renders or is scored
         renders = []
         monkeypatch.setattr(couplegen.cli, "generate_and_score",
                             lambda *a, **k: renders.append(a) or generate_and_score(*a, **k))
+        monkeypatch.setattr(couplegen.cli, "score_images",
+                            lambda *a, **k: renders.append(a) or score_images(*a, **k))
         mask = np.zeros((8, 8), dtype=bool)
         mask[0, 0] = True
         paths = {"bundle": bundle_file, "schedule": schedule_file, "out": tmp_path / "out",

@@ -5,10 +5,11 @@ and of the `evaluate --image` and `--mask` PGM files, and the `--out` and
 
 Each case mutates one input of one command and runs `cli.run` in-process at
 d4, 3x3, 2 steps, one double and one single block, with 2 entities.  A case
-exits 0 or 1, and exit 1 is a usage error; the one exit 2 it may reach is a
-`--fixture` reply that decodes but does not parse or names the wrong number
-of entities.  An accepted case writes only finite numbers, and a rejected
-one writes no file.
+exits 0 or 1, and exit 1 is a usage error that names the mutated flag or
+path; the one exit 2 it may reach is a `--fixture` reply that decodes but
+does not parse or names the wrong number of entities.  An accepted case
+writes only finite numbers, and a rejected one writes no file and makes no
+directory.
 
 Memory and time are bounded by the grammars: no legal size drawn is above the
 tiny config (`--d-model 3072` is legal and allocates gigabytes), and the
@@ -217,9 +218,11 @@ def _cases():
 # --- the run ---------------------------------------------------------------
 
 
-def _argv(tmp: Path, command: str, flag: str, value) -> list:
+def _argv(tmp: Path, command: str, flag: str, value) -> tuple:
+    """The argv of the case, and the path that the mutated flag names (None
+    for a flag that names none)."""
     flags = {**COMMANDS[command], flag: value}
-    argv = [command]
+    argv, mutated = [command], None
     (tmp / "a_file").write_text("x")
     (tmp / "a_dir").mkdir()
     (tmp / "loop").symlink_to("loop")
@@ -231,6 +234,7 @@ def _argv(tmp: Path, command: str, flag: str, value) -> list:
         if flag in ("--image", "--mask"):
             first = "entity_1.pgm" if flag == "--image" else "mask_1.pgm"
             (tmp / first).write_bytes(flags.pop(flag))
+            mutated = str(tmp / first)
     for name, text in flags.items():
         if name in FILES:
             path = tmp / FILES[name]
@@ -238,15 +242,27 @@ def _argv(tmp: Path, command: str, flag: str, value) -> list:
             text = str(path)
         elif name in OUTS:
             text = str(tmp / text)
+        if name == flag and (name in FILES or name in OUTS):
+            mutated = text
         argv += [name, text]
-    return argv
+    return argv, mutated
 
 
-def _files(tmp: Path) -> dict:
-    """The bytes of every regular file under tmp, by path; symlinks are not
-    followed."""
-    return {path: path.read_bytes() for root, _, names in os.walk(tmp)
-            for path in (Path(root, name) for name in names) if path.is_file()}
+def _tree(tmp: Path) -> dict:
+    """Every directory and regular file under tmp, by path: a directory maps
+    to None and a file to its bytes; symlinks are not followed."""
+    tree = {}
+    for root, dirs, names in os.walk(tmp):
+        tree.update((Path(root, name), None) for name in dirs)
+        tree.update((path, path.read_bytes()) for path in (Path(root, name) for name in names)
+                    if path.is_file())
+    return tree
+
+
+def _names(err: str, flag: str, path) -> bool:
+    """Whether err names the flag, or the path as it is or as an OSError
+    quotes it."""
+    return flag in err or path is not None and (path in err or repr(path)[1:-1] in err)
 
 
 def _pinned_reply_error(tmp: Path) -> bool:
@@ -289,15 +305,17 @@ def _numbers(path: Path) -> list:
 
 def _check(command: str, flag: str, value) -> None:
     """Run the case: it exits 0 and writes only finite numbers, or exits 1
-    with a usage error and writes no file, or is decompose's pinned exit 2."""
+    with a usage error that names the flag or its path and writes nothing,
+    or is decompose's pinned exit 2."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        argv = _argv(tmp, command, flag, value)
-        before = _files(tmp)
+        argv, mutated = _argv(tmp, command, flag, value)
+        before = _tree(tmp)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
-        written = [path for path, data in _files(tmp).items() if before.get(path) != data]
+        written = [path for path, data in _tree(tmp).items()
+                   if path not in before or before[path] != data]
         if command == "decompose" and _pinned_reply_error(tmp):
             assert code == 2 and err.getvalue().startswith("runtime error:"), err.getvalue()
             assert written == []
@@ -305,11 +323,13 @@ def _check(command: str, flag: str, value) -> None:
         assert code in (0, 1), err.getvalue()
         if code == 1:
             assert err.getvalue().startswith("usage error:"), err.getvalue()
+            assert _names(err.getvalue(), flag, mutated), err.getvalue()
             assert written == []
             return
         assert written
         for path in written:
-            assert all(math.isfinite(x) for x in _numbers(path)), path
+            if path.is_file():
+                assert all(math.isfinite(x) for x in _numbers(path)), path
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from couplegen.pnm import read_mask, read_pgm, write_mask, write_pgm
+from oracles import setdiff_read_mask
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +89,32 @@ def test_readers_return_array_or_value_error(pnm_path, header, body):
         except ValueError:
             continue
         assert isinstance(out, np.ndarray) and out.ndim == 2 and out.size > 0
+
+
+def test_bad_mask_bytes_named_once_in_order(tmp_path):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5\n2 2\n255\n" + bytes([7, 3, 7, 0]))
+    with pytest.raises(ValueError) as info:
+        read_mask(path)
+    assert str(info.value) == "mask contains values other than 0/255: [3, 7]"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_read_mask_matches_setdiff_oracle(pnm_path, width, height, data):
+    # rasters one byte short, exact or one byte long, mostly 0 and 255
+    size = width * height
+    raster = data.draw(st.lists(st.sampled_from([0, 255]) | st.integers(0, 255),
+                                min_size=size - 1, max_size=size + 1))
+    pnm_path.write_bytes(b"P5\n%d %d\n255\n" % (width, height) + bytes(raster))
+    outcomes = []
+    for reader in (read_mask, setdiff_read_mask):
+        try:
+            outcomes.append(reader(pnm_path))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    got, want = outcomes
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == bool and np.array_equal(got, want)
