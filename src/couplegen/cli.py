@@ -13,10 +13,11 @@ write, is a runtime error.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import fields
 from pathlib import Path
 
@@ -118,31 +119,50 @@ def _read_files(reader, paths, hint: str) -> list:
 
 @contextmanager
 def _output_file(path):
-    """path opened for writing UTF-8 text whatever the locale (a path the locale
-    could not decode keeps its bytes), before the work that fills it, so a bad
-    path costs no work; work that raises removes the file it opened."""
-    with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        try:
-            yield fh
-        except BaseException:
-            Path(path).unlink()
-            raise
+    """A text buffer whose contents become path's once the work that fills it
+    succeeds, as UTF-8 whatever the locale (a path the locale could not decode
+    keeps its bytes).  path is opened for writing before the work but not
+    truncated, so a bad path costs no work, and work that raises leaves a file
+    that was there as it was and removes one that was not."""
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        created = True
+    except FileExistsError:
+        # writable, and not truncated: an input that is also the output stays readable
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT))
+        created = False
+    buffer = io.StringIO()
+    try:
+        yield buffer
+        with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
+            fh.write(buffer.getvalue())
+    except BaseException:
+        if created:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _make_dirs(path: Path) -> None:
     """path and its missing parents made as directories; when one cannot be
-    made, those made before it are removed, so a failed call leaves none."""
+    made, those this call made are removed, so a failed call leaves none.  A
+    directory that appears meanwhile is used and left alone."""
     missing = [path]
     while not os.path.lexists(missing[-1].parent):
         missing.append(missing[-1].parent)
     made = []
     try:
         for directory in reversed(missing):
-            directory.mkdir(exist_ok=True)
-            made.append(directory)
+            try:
+                directory.mkdir()
+            except FileExistsError:
+                if not directory.is_dir():
+                    raise
+            else:
+                made.append(directory)
     except BaseException:
         for directory in reversed(made):
-            directory.rmdir()
+            with suppress(OSError):  # keep the first error, not the cleanup's
+                directory.rmdir()
         raise
 
 

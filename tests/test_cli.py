@@ -293,6 +293,24 @@ class TestEvaluateCommand:
         assert run(args) == 1
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("out_name", ["bundle.json", "r.json"], ids=["bundle", "report"])
+    def test_full_cover_mask_keeps_existing_out(self, tmp_path, bundle_file, out_name):
+        # --out names the bundle, or an earlier report: a failed run leaves it as it was
+        from couplegen import pnm
+
+        out = tmp_path / out_name
+        if not out.exists():
+            out.write_text('{"f_c": 0.5}\n')
+        before = out.read_bytes()
+        args = ["evaluate", "--bundle", str(bundle_file), "--out", str(out)]
+        for j in (1, 2):
+            pnm.write_pgm(tmp_path / f"img_{j}.pgm", np.full((8, 8), 0.25 * j))
+            pnm.write_mask(tmp_path / f"mask_{j}.pgm", np.ones((8, 8), dtype=bool))
+            args += ["--image", str(tmp_path / f"img_{j}.pgm"),
+                     "--mask", str(tmp_path / f"mask_{j}.pgm")]
+        assert run(args) == 1
+        assert out.read_bytes() == before
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--lambda-bg", "-1"), ("--lambda-bg", "nan"), ("--lambda-ti", "inf"),
@@ -358,6 +376,20 @@ class TestDecomposeCommand:
         data = json.loads(out.read_text())
         assert data["background"] == "A cozy room bathed in warm sunshine."
         assert data["entities"] == ["A cute Pikachu sits.", "A beautiful girl stands."]
+
+    def test_fixture_named_as_out(self, tmp_path):
+        # the fixture is read in full before --out, the same file, is written
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text(
+            "A cute Pikachu sits in a cozy room.\nA beautiful girl stands in a cozy room.\n"
+        )
+        fixture = tmp_path / "reply.txt"
+        fixture.write_text(FIXTURE_REPLY)
+        code = run(["decompose", "--prompts", str(prompts), "--fixture",
+                    str(fixture), "--out", str(fixture)])
+        assert code == 0
+        assert json.loads(fixture.read_text())["entities"] == ["A cute Pikachu sits.",
+                                                               "A beautiful girl stands."]
 
     def test_malformed_fixture_exit_2(self, tmp_path):
         prompts = tmp_path / "prompts.txt"
@@ -586,6 +618,17 @@ class TestSweepCommand:
         assert "pipeline exploded" in err
         assert len(calls) == 2
         assert not out.exists()
+
+    def test_failing_center_keeps_bundle_named_as_out(self, tmp_path, bundle_file, monkeypatch):
+        def failing(pipeline, bundle, sched, **kwargs):
+            raise RuntimeError("pipeline exploded")
+
+        monkeypatch.setattr(couplegen.cli, "generate_and_score", failing)
+        before = bundle_file.read_bytes()
+        code = run(["sweep", "--family", "step01", "--centers", "3",
+                    "--bundle", str(bundle_file), "--out", str(bundle_file)])
+        assert code == 2
+        assert bundle_file.read_bytes() == before
 
     def test_zero_noise_seeds_exit_1(self, tmp_path, bundle_file):
         code = run(["sweep", "--family", "step01", "--centers", "3", "--bundle",
@@ -990,6 +1033,37 @@ class TestExitCodes:
         assert err.startswith("usage error:") and bad.format(**paths) in err
         assert not paths["out"].exists()
         assert renders == []
+
+    def test_failed_out_dir_keeps_a_parent_made_meanwhile(self, tmp_path, monkeypatch):
+        # another process makes new/ after the CLI found it missing: the CLI
+        # uses it and, when it fails later, leaves it
+        parent = tmp_path / "new"
+        lexists = os.path.lexists
+        monkeypatch.setattr(couplegen.cli.os.path, "lexists",
+                            lambda p: False if Path(p) == parent else lexists(p))
+        parent.mkdir()
+        long = parent / ("a" * 256)
+        with pytest.raises(OSError) as raised:
+            couplegen.cli._make_dirs(long)
+        assert raised.value.filename == str(long)
+        assert parent.is_dir()
+
+    def test_failed_cleanup_keeps_the_first_error(self, tmp_path, monkeypatch):
+        # new/ fills up before the CLI removes it again: the error that stopped
+        # the command is reported, not the cleanup's "Directory not empty"
+        parent, long = tmp_path / "new", tmp_path / "new" / ("a" * 256)
+        mkdir = Path.mkdir
+
+        def crowded(self, *args, **kwargs):
+            if self == long:
+                (parent / "other").write_text("x")
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", crowded)
+        with pytest.raises(OSError) as raised:
+            couplegen.cli._make_dirs(long)
+        assert raised.value.filename == str(long)
+        assert "File name too long" in str(raised.value)
 
     def test_os_error_without_path_exit_2(self, tmp_path, monkeypatch, capsys):
         # a failed write names no path, so it stays a runtime error

@@ -8,8 +8,9 @@ d4, 3x3, 2 steps, one double and one single block, with 2 entities.  A case
 exits 0 or 1, and exit 1 is a usage error that names the mutated flag or
 path; the one exit 2 it may reach is a `--fixture` reply that decodes but
 does not parse or names the wrong number of entities.  An accepted case
-writes only finite numbers, and a rejected one writes no file and makes no
-directory.
+writes only finite numbers, and a rejected one leaves the case's directory
+as it was: it writes, removes and makes no file or directory.  An output path
+may name one of the command's inputs.
 
 Memory and time are bounded by the grammars: no legal size drawn is above the
 tiny config (`--d-model 3072` is legal and allocates gigabytes), and the
@@ -189,12 +190,16 @@ NAMES = ["out", "café", "猫 🙂", os.fsdecode(b"\xff\xfe")]  # the last is no
 @st.composite
 def _out_path(draw, suffix):
     """An output path under the case's directory, maybe through a file, a
-    directory, a symlink loop or a missing directory: an existing path, a
-    non-ASCII or undecodable name, or a last component of 254 to 256 bytes."""
+    directory, a symlink loop or a missing directory: an existing path (an
+    input file among them), a non-ASCII or undecodable name, or a last
+    component of 254 to 256 bytes."""
     path = draw(st.sampled_from(THROUGH))
     kind = draw(st.sampled_from(["existing", "name", "long"]))
     if kind == "existing":
-        return path + draw(st.sampled_from(EXISTING))
+        # or an input file, made for the commands that read it, whose suffix
+        # keeps _numbers reading what the output holds
+        inputs = [name for name in FILES.values() if Path(name).suffix in (suffix, ".txt")]
+        return path + draw(st.sampled_from(EXISTING + inputs))
     name = draw(st.sampled_from(NAMES)) if kind == "name" else draw(st.sampled_from("aé")) * 120
     if kind == "long":
         name += "b" * (draw(st.integers(254, 256)) - len((name + suffix).encode()))
@@ -305,26 +310,29 @@ def _numbers(path: Path) -> list:
 
 def _check(command: str, flag: str, value) -> None:
     """Run the case: it exits 0 and writes only finite numbers, or exits 1
-    with a usage error that names the flag or its path and writes nothing,
-    or is decompose's pinned exit 2."""
+    with a usage error that names the flag or its path and changes nothing
+    under the case's directory, or is decompose's pinned exit 2, which changes
+    nothing either."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         argv, mutated = _argv(tmp, command, flag, value)
         before = _tree(tmp)
+        pinned = command == "decompose" and _pinned_reply_error(tmp)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
-        written = [path for path, data in _tree(tmp).items()
+        after = _tree(tmp)
+        written = [path for path, data in after.items()
                    if path not in before or before[path] != data]
-        if command == "decompose" and _pinned_reply_error(tmp):
+        if pinned:
             assert code == 2 and err.getvalue().startswith("runtime error:"), err.getvalue()
-            assert written == []
+            assert after == before
             return
         assert code in (0, 1), err.getvalue()
         if code == 1:
             assert err.getvalue().startswith("usage error:"), err.getvalue()
             assert _names(err.getvalue(), flag, mutated), err.getvalue()
-            assert written == []
+            assert after == before
             return
         assert written
         for path in written:
