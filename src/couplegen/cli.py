@@ -13,7 +13,6 @@ write, is a runtime error.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import sys
@@ -117,40 +116,45 @@ def _read_files(reader, paths, hint: str) -> list:
     return arrays
 
 
+def _write_text(path, data) -> None:
+    """data, a string or a list of CSV rows, as path's contents in UTF-8
+    whatever the locale; a path the locale could not decode keeps its bytes."""
+    with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        if isinstance(data, str):
+            fh.write(data)
+        else:
+            csv.writer(fh).writerows(data)
+
+
 @contextmanager
-def _output_file(path):
-    """A text buffer whose contents become path's once the work that fills it
-    succeeds, as UTF-8 whatever the locale (a path the locale could not decode
-    keeps its bytes).  path is opened for writing before the work but not
-    truncated, so a bad path costs no work, and work that raises leaves a file
-    that was there as it was and removes one that was not."""
-    try:
-        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-        created = True
-    except FileExistsError:
-        # writable, and not truncated: an input that is also the output stays readable
-        os.close(os.open(path, os.O_WRONLY | os.O_CREAT))
-        created = False
-    buffer = io.StringIO()
-    try:
-        yield buffer
-        with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
-            fh.write(buffer.getvalue())
-    except BaseException:
-        if created:
-            Path(path).unlink(missing_ok=True)
-        raise
+def _outputs(*paths, out_dir: Path | None = None):
+    """A list for the work to fill with (path, write, data) entries, each
+    written as write(path, data) once the work succeeds.
 
+    Before the work, out_dir and its missing parents are made and paths are
+    claimed; after it, every entry's path is claimed before the first write.
+    To claim a path is to create it with O_EXCL when it is missing, or else
+    to open it for writing without truncating it, so an input named as an
+    output stays readable, and a directory or a dangling symlink fails
+    before any write.  When anything raises, what this call made is removed,
+    newest first, and what was there is left as it was; a directory that
+    appears meanwhile is used and left alone."""
+    made = []  # (remove, path) in the order made
 
-def _make_dirs(path: Path) -> None:
-    """path and its missing parents made as directories; when one cannot be
-    made, those this call made are removed, so a failed call leaves none.  A
-    directory that appears meanwhile is used and left alone."""
-    missing = [path]
-    while not os.path.lexists(missing[-1].parent):
-        missing.append(missing[-1].parent)
-    made = []
+    def claim(paths):
+        for path in paths:
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            except FileExistsError:
+                os.close(os.open(path, os.O_WRONLY))
+            else:
+                made.append((os.unlink, path))
+
+    writes = []
     try:
+        missing = [out_dir] if out_dir is not None else []
+        while missing and not os.path.lexists(missing[-1].parent):
+            missing.append(missing[-1].parent)
         for directory in reversed(missing):
             try:
                 directory.mkdir()
@@ -158,11 +162,16 @@ def _make_dirs(path: Path) -> None:
                 if not directory.is_dir():
                     raise
             else:
-                made.append(directory)
+                made.append((os.rmdir, directory))
+        claim(paths)
+        yield writes
+        claim(path for path, _, _ in writes)
+        for path, write, data in writes:
+            write(path, data)
     except BaseException:
-        for directory in reversed(made):
+        for remove, path in reversed(made):
             with suppress(OSError):  # keep the first error, not the cleanup's
-                directory.rmdir()
+                remove(path)
         raise
 
 
@@ -202,12 +211,12 @@ def decompose_cmd(prompts_path, fixture, out_path):
             param_hint="--prompts",
         )
     endpoint = None if fixture is not None else _checked("--fixture", endpoint_from_env)
-    with _output_file(out_path) as fh:
+    with _outputs(out_path) as writes:
         if endpoint is None:
             [reply] = _read_files(_read_text, [Path(fixture)], "--fixture")
         else:
             reply = request_reply(prompts, endpoint)
-        fh.write(decompose(prompts, reply).to_json() + "\n")
+        writes.append((out_path, _write_text, decompose(prompts, reply).to_json() + "\n"))
     click.echo(f"wrote {out_path}")
 
 
@@ -222,7 +231,8 @@ def schedule_cmd(family, center, scale, steps, out_path):
     _checked("--scale", ScheduleFamily, family, 0.0, scale)
     fam = _checked("--center", ScheduleFamily, family, center, scale)
     sched = _checked("--steps", make_schedule, fam, steps)
-    write_schedule_csv(out_path, sched)
+    with _outputs() as writes:
+        writes.append((out_path, write_schedule_csv, sched))
     click.echo(f"wrote {out_path}")
 
 
@@ -247,19 +257,18 @@ def generate_cmd(bundle_path, schedule_path, out_dir, separate_noise, dump_laten
     _warn_truncated(bundle, cfg)
     pipeline = init_pipeline(cfg)
     out = Path(out_dir)
-    _make_dirs(out)
     latent_log = [] if dump_latents else None
-    images, background_image, masks = render(
-        pipeline, bundle, sched, shared_noise=not separate_noise, latent_log=latent_log
-    )
-    if dump_latents:
-        for j, steps_log in enumerate(latent_log, start=1):
+    with _outputs(out_dir=out) as writes:
+        images, background_image, masks = render(
+            pipeline, bundle, sched, shared_noise=not separate_noise, latent_log=latent_log
+        )
+        for j, steps_log in enumerate(latent_log or [], start=1):
             for i, latent in enumerate(steps_log, start=1):
-                np.save(out / f"latent_e{j}_s{i:03d}.npy", latent.astype("<f4"))
-    pnm.write_pgm(out / "background.pgm", background_image)
-    for j, (img, mask) in enumerate(zip(images, masks), start=1):
-        pnm.write_pgm(out / f"entity_{j}.pgm", img)
-        pnm.write_mask(out / f"mask_{j}.pgm", mask)
+                writes.append((out / f"latent_e{j}_s{i:03d}.npy", np.save, latent.astype("<f4")))
+        writes.append((out / "background.pgm", pnm.write_pgm, background_image))
+        for j, (img, mask) in enumerate(zip(images, masks), start=1):
+            writes.append((out / f"entity_{j}.pgm", pnm.write_pgm, img))
+            writes.append((out / f"mask_{j}.pgm", pnm.write_mask, mask))
     click.echo(f"wrote {len(images)} images to {out}")
 
 
@@ -291,7 +300,7 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
                     f"{path} is {a.shape[1]}x{a.shape[0]}, {image_paths[0]} is {w}x{h}",
                     param_hint=hint,
                 )
-    with _output_file(out_path) as fh:
+    with _outputs(out_path) as writes:
         try:
             report = score_images(images, masks, bundle.entities, lambdas)
         except DegenerateMaskError as exc:
@@ -299,7 +308,7 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
         except WeightOverflowError as exc:
             raise click.BadParameter(str(exc),
                                      param_hint="--" + exc.weight.replace("_", "-")) from exc
-        fh.write(report.to_json() + "\n")
+        writes.append((out_path, _write_text, report.to_json() + "\n"))
     click.echo(f"wrote {out_path}")
 
 
@@ -325,21 +334,18 @@ def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
         max_evals=max_evals, init=init, step=step_size, seed=search_seed,
     )
     out = Path(out_dir)
-    trace_dir = out / "trace"
-    _make_dirs(trace_dir)
     _warn_truncated(bundle, cfg)
-    best, value, trace = isotonic.coordinate_search(
-        search, lambda sched: generate_and_score(pipeline, bundle, sched).f_c
-    )
-
-    write_schedule_csv(out / "best_schedule.csv", best)
-    with _output_file(out / "trace.csv") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eval_index", "value", "theta_csv_path"])
+    with _outputs(out / "best_schedule.csv", out / "trace.csv", out_dir=out / "trace") as writes:
+        best, value, trace = isotonic.coordinate_search(
+            search, lambda sched: generate_and_score(pipeline, bundle, sched).f_c
+        )
+        writes.append((out / "best_schedule.csv", write_schedule_csv, best))
+        rows = [["eval_index", "value", "theta_csv_path"]]
         for k, entry in enumerate(trace, start=1):
-            path = trace_dir / f"eval_{k:05d}.csv"
-            write_schedule_csv(path, entry.schedule)
-            writer.writerow([k, f"{entry.value:.15g}", str(path)])
+            path = out / "trace" / f"eval_{k:05d}.csv"
+            writes.append((path, write_schedule_csv, entry.schedule))
+            rows.append([k, f"{entry.value:.15g}", str(path)])
+        writes.append((out / "trace.csv", _write_text, rows))
     click.echo(f"best value {value:.6g} after {len(trace)} evaluations")
 
 
@@ -365,7 +371,7 @@ def sweep_cmd(family, centers, scale, bundle_path, noise_seeds, out_path, **kw):
     _checked("--scale", ScheduleFamily, family, 0.0, scale)
     grid = [_checked("--centers", ScheduleFamily, family, c, scale) for c in grid_centers]
     _warn_truncated(bundle, cfg)
-    with _output_file(out_path) as fh:
+    with _outputs(out_path) as writes:
         # seeds outermost: every center of one seed shares the pipeline's theta == 0 trunk
         by_seed = [
             isotonic.grid_values(
@@ -375,17 +381,15 @@ def sweep_cmd(family, centers, scale, bundle_path, noise_seeds, out_path, **kw):
             )
             for s in range(noise_seeds)
         ]
-        writer = csv.DictWriter(fh, fieldnames=["family", "center", "scale", "f_bg", "f_ti_mean", "f_c"])
-        writer.writeheader()
+        rows = [["family", "center", "scale", "f_bg", "f_ti_mean", "f_c"]]
         for fam, reports in zip(grid, zip(*by_seed)):
-            writer.writerow({
-                "family": family,
-                "center": fam.center,
-                "scale": scale,
-                "f_bg": float(np.mean([r.f_bg for r in reports])),
-                "f_ti_mean": float(np.mean([np.mean(r.f_ti) for r in reports])),
-                "f_c": float(np.mean([r.f_c for r in reports])),
-            })
+            rows.append([
+                family, fam.center, scale,
+                float(np.mean([r.f_bg for r in reports])),
+                float(np.mean([np.mean(r.f_ti) for r in reports])),
+                float(np.mean([r.f_c for r in reports])),
+            ])
+        writes.append((out_path, _write_text, rows))
     click.echo(f"wrote {out_path}")
 
 

@@ -22,6 +22,7 @@ from couplegen.pipeline import score_images
 from couplegen.pnm import read_mask, read_pgm
 from couplegen.prompt_io import PromptBundle
 from couplegen.schedule import ScheduleFamily, make_schedule, read_schedule_csv
+from test_cli_fuzz import _tree
 
 FIXTURE_REPLY = (
     "Background: A cozy room bathed in warm sunshine.\n"
@@ -1044,7 +1045,8 @@ class TestExitCodes:
         parent.mkdir()
         long = parent / ("a" * 256)
         with pytest.raises(OSError) as raised:
-            couplegen.cli._make_dirs(long)
+            with couplegen.cli._outputs(out_dir=long):
+                pass
         assert raised.value.filename == str(long)
         assert parent.is_dir()
 
@@ -1061,9 +1063,91 @@ class TestExitCodes:
 
         monkeypatch.setattr(Path, "mkdir", crowded)
         with pytest.raises(OSError) as raised:
-            couplegen.cli._make_dirs(long)
+            with couplegen.cli._outputs(out_dir=long):
+                pass
         assert raised.value.filename == str(long)
         assert "File name too long" in str(raised.value)
+
+    def test_generate_bad_entity_path_writes_nothing(
+        self, tmp_path, bundle_file, schedule_file, capsys
+    ):
+        # entity_2.pgm is claimed before background.pgm, entity_1.pgm and
+        # mask_1.pgm are written, so none of them is left behind
+        out = tmp_path / "g"
+        (out / "entity_2.pgm").mkdir(parents=True)
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert run(["generate", "--bundle", str(bundle_file), "--schedule", str(schedule_file),
+                    "--out-dir", str(out)]) == 1
+        assert str(out / "entity_2.pgm") in capsys.readouterr().err
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("name", ["trace.csv", "best_schedule.csv"])
+    def test_optimize_bad_output_path_costs_no_search(
+        self, tmp_path, bundle_file, capsys, monkeypatch, name
+    ):
+        renders = []
+        monkeypatch.setattr(couplegen.cli, "generate_and_score",
+                            lambda *a, **k: renders.append(a) or generate_and_score(*a, **k))
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert run(["optimize", "--bundle", str(bundle_file), "--max-evals", "3",
+                    "--out-dir", str(out)]) == 1
+        assert str(out / name) in capsys.readouterr().err
+        assert _tree(tmp_path) == before
+        assert renders == []
+
+    @pytest.mark.parametrize("cover", [False, True], ids=["scores", "full_cover_mask"])
+    def test_dangling_symlink_out_exit_1(self, tmp_path, bundle_file, capsys, cover):
+        # an --out that is a dangling symlink is rejected before the work, and
+        # its target is not created, whether or not the scoring would succeed
+        from couplegen import pnm
+
+        out = tmp_path / "dangling.json"
+        out.symlink_to("target.json")
+        args = ["evaluate", "--bundle", str(bundle_file), "--out", str(out)]
+        for j in (1, 2):
+            mask = np.full((8, 8), cover)
+            mask[0, 0] = True
+            pnm.write_pgm(tmp_path / f"img_{j}.pgm", np.full((8, 8), 0.25 * j))
+            pnm.write_mask(tmp_path / f"mask_{j}.pgm", mask)
+            args += ["--image", str(tmp_path / f"img_{j}.pgm"),
+                     "--mask", str(tmp_path / f"mask_{j}.pgm")]
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and str(out) in err
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                        reason="root is not denied by a directory's mode bits")
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["generate", "--bundle", "{bundle}", "--schedule", "{schedule}", "--out-dir",
+              "{ro}/new"], "{ro}/new"),
+            (["sweep", "--family", "step01", "--centers", "3", "--bundle", "{bundle}",
+              "--out", "{ro}/s.csv"], "{ro}/s.csv"),
+        ],
+        ids=["generate", "sweep"],
+    )
+    def test_read_only_parent_exit_1(self, tmp_path, bundle_file, schedule_file, capsys,
+                                     argv, bad):
+        paths = {"bundle": bundle_file, "schedule": schedule_file, "ro": tmp_path / "ro"}
+        paths["ro"].mkdir()
+        paths["ro"].chmod(0o555)
+        try:
+            before = _tree(paths["ro"])
+            capsys.readouterr()
+            assert run([a.format(**paths) for a in argv]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and bad.format(**paths) in err
+            assert _tree(paths["ro"]) == before
+        finally:
+            paths["ro"].chmod(0o755)
 
     def test_os_error_without_path_exit_2(self, tmp_path, monkeypatch, capsys):
         # a failed write names no path, so it stays a runtime error

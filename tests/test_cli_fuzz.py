@@ -1,7 +1,7 @@
 """A grammar fuzz of the CLI edge: `--centers` specs, the float and int flags,
 the bytes of the `--bundle`, `--schedule`, `--prompts` and `--fixture` files
-and of the `evaluate --image` and `--mask` PGM files, and the `--out` and
-`--out-dir` paths.
+and of the `evaluate --image` and `--mask` PGM files, the `--out` and
+`--out-dir` paths, and what stands at the names written inside `--out-dir`.
 
 Each case mutates one input of one command and runs `cli.run` in-process at
 d4, 3x3, 2 steps, one double and one single block, with 2 entities.  A case
@@ -28,6 +28,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -180,9 +181,10 @@ def _pgm_bytes(draw, flag):
 
 # --- output paths ----------------------------------------------------------
 
-# a regular file, a directory and a symlink to itself, which _argv makes under
-# the case's directory; "missing" and "café" are not made
-EXISTING = ["a_file", "a_dir", "loop"]
+# a regular file, a directory, a symlink to itself and a symlink to a path that
+# is not there, which _argv makes under the case's directory; "missing" and
+# "café" are not made
+EXISTING = ["a_file", "a_dir", "loop", "dangling"]
 THROUGH = ["", "a_file/", "a_dir/", "loop/", "missing/", "café/"]
 NAMES = ["out", "café", "猫 🙂", os.fsdecode(b"\xff\xfe")]  # the last is not UTF-8
 
@@ -204,6 +206,25 @@ def _out_path(draw, suffix):
     if kind == "long":
         name += "b" * (draw(st.integers(254, 256)) - len((name + suffix).encode()))
     return path + name + suffix
+
+
+# what generate and optimize write inside --out-dir (generate's latents under
+# --dump-latents), and what can stand at such a name before the run: the
+# output directory holds one of these there and nothing else
+INNER = {"generate": ["background.pgm", "entity_1.pgm", "entity_2.pgm", "mask_1.pgm",
+                      "mask_2.pgm", "latent_e1_s001.npy"],
+         "optimize": ["trace.csv", "best_schedule.csv", "trace/eval_00001.csv",
+                      "trace/eval_00002.csv"]}
+OBSTACLES = ["a_dir", "loop", "dangling"]
+
+
+def _obstacle(path: Path, kind: str) -> None:
+    """path made as a directory, a symlink to itself or a dangling symlink."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if kind == "a_dir":
+        path.mkdir()
+    else:
+        path.symlink_to(path.name if kind == "loop" else "no_such_target")
 
 
 def _cases():
@@ -230,7 +251,13 @@ def _argv(tmp: Path, command: str, flag: str, value) -> tuple:
     argv, mutated = [command], None
     (tmp / "a_file").write_text("x")
     (tmp / "a_dir").mkdir()
-    (tmp / "loop").symlink_to("loop")
+    _obstacle(tmp / "loop", "loop")
+    _obstacle(tmp / "dangling", "dangling")
+    if isinstance(value, tuple):  # (--out-dir, a name inside it, its obstacle)
+        out_dir, name, kind = value
+        _obstacle(tmp / out_dir / name, kind)
+        flags[flag] = out_dir
+        argv += ["--dump-latents"] if name.startswith("latent_") else []
     if command == "evaluate":
         for j, image in enumerate(IMAGES, start=1):
             (tmp / f"entity_{j}.pgm").write_bytes(_pgm(image))
@@ -248,19 +275,19 @@ def _argv(tmp: Path, command: str, flag: str, value) -> tuple:
         elif name in OUTS:
             text = str(tmp / text)
         if name == flag and (name in FILES or name in OUTS):
-            mutated = text
+            mutated = str(tmp / text / value[1]) if isinstance(value, tuple) else text
         argv += [name, text]
     return argv, mutated
 
 
 def _tree(tmp: Path) -> dict:
-    """Every directory and regular file under tmp, by path: a directory maps
-    to None and a file to its bytes; symlinks are not followed."""
+    """Every entry under tmp, by path: a symlink maps to its target, a
+    directory to None and a file to its bytes; symlinks are not followed."""
     tree = {}
     for root, dirs, names in os.walk(tmp):
-        tree.update((Path(root, name), None) for name in dirs)
-        tree.update((path, path.read_bytes()) for path in (Path(root, name) for name in names)
-                    if path.is_file())
+        for path in (Path(root, name) for name in dirs + names):
+            tree[path] = (os.readlink(path) if path.is_symlink()
+                          else None if path.is_dir() else path.read_bytes())
     return tree
 
 
@@ -308,11 +335,11 @@ def _numbers(path: Path) -> list:
     return numbers
 
 
-def _check(command: str, flag: str, value) -> None:
-    """Run the case: it exits 0 and writes only finite numbers, or exits 1
-    with a usage error that names the flag or its path and changes nothing
-    under the case's directory, or is decompose's pinned exit 2, which changes
-    nothing either."""
+def _check(command: str, flag: str, value) -> int:
+    """Run the case and return its exit code: it exits 0 and writes only
+    finite numbers, or exits 1 with a usage error that names the flag or its
+    path and changes nothing under the case's directory, or is decompose's
+    pinned exit 2, which changes nothing either."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         argv, mutated = _argv(tmp, command, flag, value)
@@ -327,17 +354,18 @@ def _check(command: str, flag: str, value) -> None:
         if pinned:
             assert code == 2 and err.getvalue().startswith("runtime error:"), err.getvalue()
             assert after == before
-            return
+            return code
         assert code in (0, 1), err.getvalue()
         if code == 1:
             assert err.getvalue().startswith("usage error:"), err.getvalue()
             assert _names(err.getvalue(), flag, mutated), err.getvalue()
             assert after == before
-            return
+            return code
         assert written
         for path in written:
             if path.is_file():
                 assert all(math.isfinite(x) for x in _numbers(path)), path
+        return code
 
 
 @settings(max_examples=300, deadline=None)
@@ -361,3 +389,16 @@ OUT_FLAGS = [(command, flag, Path(value).suffix) for command, flags in COMMANDS.
 def test_out_path_edge(out, data):
     command, flag, suffix = out
     _check(command, flag, data.draw(_out_path(suffix)))
+
+
+# every name inside --out-dir with every obstacle, and a dangling symlink as
+# each --out: each is rejected before any output is written
+BLOCKED = ([(command, "--out-dir", ("out", name, kind))
+            for command, names in INNER.items() for name in names for kind in OBSTACLES]
+           + [(command, flag, "dangling") for command, flag, _ in OUT_FLAGS if flag == "--out"])
+
+
+@pytest.mark.parametrize("command, flag, value", BLOCKED,
+                         ids=lambda v: "/".join(v[1:]) if isinstance(v, tuple) else None)
+def test_blocked_output_edge(command, flag, value):
+    assert _check(command, flag, value) == 1
