@@ -24,7 +24,7 @@ import click
 import numpy as np
 
 from . import isotonic, pnm
-from .metric import DegenerateMaskError, Lambdas, WeightOverflowError
+from .metric import Lambdas
 from .pipeline import MAX_SIZES, PipelineConfig, generate_and_score, init_pipeline
 from .pipeline import render, score_images
 # not called here; perfbench/tracer.py wraps these names of this module
@@ -86,19 +86,16 @@ def _pipeline_options(fn):
     return fn
 
 
-def _checked(hint: str, build, *args, **kwargs):
-    """build(*args, **kwargs); a ValueError it raises is a bad value of hint."""
+def _checked(hint: str | None, build, *args, **kwargs):
+    """build(*args, **kwargs).  A numerics.FieldError it raises is a bad value
+    of the running command's flag whose parameter has the field's name, when
+    there is one; any other ValueError is a bad value of hint."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
+        flags = {p.name: p.opts[0] for p in click.get_current_context().command.params}
+        hint = flags.get(getattr(exc, "field", None), hint)
         raise click.BadParameter(str(exc), param_hint=hint) from exc
-
-
-def _from_flags(cls, **kw):
-    """The cls of the --flags in kw, each checked on its own."""
-    for name, value in kw.items():
-        _checked("--" + name.replace("_", "-"), cls, **{name: value})
-    return cls(**kw)
 
 
 def _read_text(path) -> str:
@@ -228,8 +225,7 @@ def decompose_cmd(prompts_path, fixture, out_path):
 @click.option("--out", "out_path", required=True)
 def schedule_cmd(family, center, scale, steps, out_path):
     """Write a theta schedule CSV for a parameterized family."""
-    _checked("--scale", ScheduleFamily, family, 0.0, scale)
-    fam = _checked("--center", ScheduleFamily, family, center, scale)
+    fam = _checked(None, ScheduleFamily, family, center, scale)
     sched = _checked("--steps", make_schedule, fam, steps)
     with _outputs() as writes:
         writes.append((out_path, write_schedule_csv, sched))
@@ -247,7 +243,7 @@ def schedule_cmd(family, center, scale, steps, out_path):
 def generate_cmd(bundle_path, schedule_path, out_dir, separate_noise, dump_latents, **kw):
     """Render per-entity images (PGM) plus auto-threshold masks."""
     bundle = _load_bundle(bundle_path)
-    cfg = _from_flags(PipelineConfig, **kw)
+    cfg = _checked(None, PipelineConfig, **kw)
     [sched] = _read_files(read_schedule_csv, [schedule_path], "--schedule")
     if len(sched) != cfg.steps:
         raise click.BadParameter(
@@ -257,18 +253,23 @@ def generate_cmd(bundle_path, schedule_path, out_dir, separate_noise, dump_laten
     _warn_truncated(bundle, cfg)
     pipeline = init_pipeline(cfg)
     out = Path(out_dir)
+    entities = range(1, len(bundle.entities) + 1)
+    npy_paths = [out / f"latent_e{j}_s{i:03d}.npy" for j in entities
+                 for i in range(1, cfg.steps + 1) if dump_latents]
+    pgm_paths = [(out / f"entity_{j}.pgm", out / f"mask_{j}.pgm") for j in entities]
     latent_log = [] if dump_latents else None
-    with _outputs(out_dir=out) as writes:
+    # every file is named before the render, so a path that cannot be written costs none
+    with _outputs(*npy_paths, out / "background.pgm", *sum(pgm_paths, ()), out_dir=out) as writes:
         images, background_image, masks = render(
             pipeline, bundle, sched, shared_noise=not separate_noise, latent_log=latent_log
         )
-        for j, steps_log in enumerate(latent_log or [], start=1):
-            for i, latent in enumerate(steps_log, start=1):
-                writes.append((out / f"latent_e{j}_s{i:03d}.npy", np.save, latent.astype("<f4")))
+        latents = (latent for steps_log in latent_log or [] for latent in steps_log)
+        for path, latent in zip(npy_paths, latents):
+            writes.append((path, np.save, latent.astype("<f4")))
         writes.append((out / "background.pgm", pnm.write_pgm, background_image))
-        for j, (img, mask) in enumerate(zip(images, masks), start=1):
-            writes.append((out / f"entity_{j}.pgm", pnm.write_pgm, img))
-            writes.append((out / f"mask_{j}.pgm", pnm.write_mask, mask))
+        for (image_path, mask_path), img, mask in zip(pgm_paths, images, masks):
+            writes.append((image_path, pnm.write_pgm, img))
+            writes.append((mask_path, pnm.write_mask, mask))
     click.echo(f"wrote {len(images)} images to {out}")
 
 
@@ -284,7 +285,7 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
     if len(image_paths) != len(mask_paths):
         raise click.UsageError("need one --mask per --image")
     bundle = _load_bundle(bundle_path, min_entities=2)
-    lambdas = _from_flags(Lambdas, lambda_bg=lambda_bg, lambda_ti=lambda_ti)
+    lambdas = _checked(None, Lambdas, lambda_bg, lambda_ti)
     if len(image_paths) != len(bundle.entities):
         raise click.BadParameter(
             f"{bundle_path} has {len(bundle.entities)} entities but {len(image_paths)} "
@@ -301,13 +302,9 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
                     param_hint=hint,
                 )
     with _outputs(out_path) as writes:
-        try:
-            report = score_images(images, masks, bundle.entities, lambdas)
-        except DegenerateMaskError as exc:
-            raise click.BadParameter(str(exc), param_hint="--mask") from exc
-        except WeightOverflowError as exc:
-            raise click.BadParameter(str(exc),
-                                     param_hint="--" + exc.weight.replace("_", "-")) from exc
+        # an overflowing weight names its --lambda flag; past the checks above, the one
+        # other rejection is of masks that cover every pixel
+        report = _checked("--mask", score_images, images, masks, bundle.entities, lambdas)
         writes.append((out_path, _write_text, report.to_json() + "\n"))
     click.echo(f"wrote {out_path}")
 
@@ -315,24 +312,20 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
 @main.command("optimize")
 @click.option("--bundle", "bundle_path", required=True)
 @click.option("--max-evals", default=200, show_default=True)
-@click.option("--step-size", default=isotonic.SearchConfig.step, show_default=True,
+@click.option("--step-size", "step", default=isotonic.SearchConfig.step, show_default=True,
               help=f"First search step, from {isotonic.MIN_STEP} to 1.")
 @click.option("--search-seed", default=isotonic.SearchConfig.seed, show_default=True)
 @click.option("--out-dir", required=True)
 @_pipeline_options
-def optimize_cmd(bundle_path, max_evals, step_size, search_seed, out_dir, **kw):
+def optimize_cmd(bundle_path, max_evals, step, search_seed, out_dir, **kw):
     """Pattern-search the schedule against the combined metric."""
     bundle = _load_bundle(bundle_path, min_entities=2)
-    cfg = _from_flags(PipelineConfig, **kw)
+    cfg = _checked(None, PipelineConfig, **kw)
     pipeline = init_pipeline(cfg)
     init = make_schedule(
         ScheduleFamily(kind="arctan", center=cfg.steps / 5.0, scale=0.5), cfg.steps
     )
-    _checked("--max-evals", isotonic.SearchConfig, max_evals=max_evals, init=init)
-    search = _checked(
-        "--step-size", isotonic.SearchConfig,
-        max_evals=max_evals, init=init, step=step_size, seed=search_seed,
-    )
+    search = _checked(None, isotonic.SearchConfig, max_evals, init, step, search_seed)
     out = Path(out_dir)
     _warn_truncated(bundle, cfg)
     with _outputs(out / "best_schedule.csv", out / "trace.csv", out_dir=out / "trace") as writes:
@@ -365,10 +358,9 @@ def sweep_cmd(family, centers, scale, bundle_path, noise_seeds, out_path, **kw):
         raise click.BadParameter(f"must be from 1 to {MAX_STEPS}, got {noise_seeds}",
                                  param_hint="--noise-seeds")
     bundle = _load_bundle(bundle_path, min_entities=2)
-    cfg = _from_flags(PipelineConfig, **kw)
+    cfg = _checked(None, PipelineConfig, **kw)
     pipeline = init_pipeline(cfg)
     grid_centers = _checked("--centers", _parse_centers, centers)
-    _checked("--scale", ScheduleFamily, family, 0.0, scale)
     grid = [_checked("--centers", ScheduleFamily, family, c, scale) for c in grid_centers]
     _warn_truncated(bundle, cfg)
     with _outputs(out_path) as writes:

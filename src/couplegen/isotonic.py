@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import Rng
+from .numerics import FieldError, Rng
 from .schedule import FAMILY_ORDER, ScheduleFamily, ThetaSchedule, make_schedule, validate
 
 __all__ = [
@@ -50,11 +50,11 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.max_evals < 1:
-            raise ValueError(f"max_evals must be >= 1, got {self.max_evals}")
+            raise FieldError("max_evals", f"max_evals must be >= 1, got {self.max_evals}")
         if not (MIN_STEP <= self.step <= 1.0):
             # below MIN_STEP the search stops before its first move; a step
             # wider than the [0, 1] theta box clamps every proposal to it
-            raise ValueError(f"step must be in [{MIN_STEP}, 1], got {self.step}")
+            raise FieldError("step", f"step must be in [{MIN_STEP}, 1], got {self.step}")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import Rng, ShapeError, as_image, as_mask, text_seed, uniform_rows
+from .numerics import FieldError, Rng, ShapeError, as_image, as_mask, text_seed, uniform_rows
 
 __all__ = [
     "DegenerateMaskError",
@@ -35,13 +35,9 @@ class DegenerateMaskError(ValueError):
     """Raised when the joint entity region covers the whole frame (R = 0)."""
 
 
-class WeightOverflowError(ValueError):
+class WeightOverflowError(FieldError):
     """Raised when a finite lambda weight makes the combined metric overflow;
-    `weight` names it ("lambda_bg" or "lambda_ti")."""
-
-    def __init__(self, weight: str, message: str):
-        super().__init__(message)
-        self.weight = weight
+    `field` names it ("lambda_bg" or "lambda_ti")."""
 
 
 @dataclass(frozen=True)
@@ -53,7 +49,7 @@ class Lambdas:
         for name in ("lambda_bg", "lambda_ti"):
             value = getattr(self, name)
             if not (0.0 <= value < math.inf):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+                raise FieldError(name, f"{name} must be finite and nonnegative, got {value}")
 
 
 def jer(masks: Sequence[np.ndarray]) -> np.ndarray:

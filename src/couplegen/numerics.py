@@ -20,6 +20,7 @@ import hashlib
 import numpy as np
 
 __all__ = [
+    "FieldError",
     "ShapeError",
     "DegenerateRowError",
     "Rng",
@@ -38,6 +39,15 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+class FieldError(ValueError):
+    """Raised when a config rejects the value of one of its fields; `field`
+    names that field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 class ShapeError(ValueError):

@@ -124,7 +124,7 @@ from .metric import (
     jer,
     validity_ratio,
 )
-from .numerics import Rng
+from .numerics import FieldError, Rng
 from .pnm import quantize
 from .prompt_io import PromptBundle, embed_prompt
 from .schedule import MAX_STEPS, ThetaSchedule
@@ -173,9 +173,9 @@ class PipelineConfig:
         for name, most in MAX_SIZES.items():
             value = getattr(self, name)
             if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+                raise FieldError(name, f"{name} must be >= 1, got {value}")
             if value > most:
-                raise ValueError(f"{name} must be <= {most}, got {value}")
+                raise FieldError(name, f"{name} must be <= {most}, got {value}")
 
     @property
     def image_tokens(self) -> int:

@@ -15,6 +15,8 @@ from typing import Optional
 
 import numpy as np
 
+from .numerics import FieldError
+
 __all__ = [
     "ScheduleFamily",
     "ThetaSchedule",
@@ -43,16 +45,17 @@ class ScheduleFamily:
 
     def __post_init__(self):
         if self.kind not in FAMILY_ORDER:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if not math.isfinite(self.center):
-            raise ValueError(f"center must be finite, got {self.center}")
+            raise FieldError("kind", f"unknown family kind {self.kind!r}")
+        # scale before center: when both are bad, name the value every center of a grid shares
         if self.kind in ("arctan", "sin"):
             if not (math.isfinite(self.scale) and self.scale > 0.0):
-                raise ValueError(
-                    f"{self.kind} requires a positive finite scale, got {self.scale}"
+                raise FieldError(
+                    "scale", f"{self.kind} requires a positive finite scale, got {self.scale}"
                 )
         elif not math.isfinite(self.scale):
-            raise ValueError(f"scale must be finite, got {self.scale}")
+            raise FieldError("scale", f"scale must be finite, got {self.scale}")
+        if not math.isfinite(self.center):
+            raise FieldError("center", f"center must be finite, got {self.center}")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,11 @@ import pytest
 import couplegen.cli
 import couplegen.prompt_io
 from couplegen.cli import run
-from couplegen.pipeline import PipelineConfig, generate_and_score, init_pipeline, render, sample
-from couplegen.pipeline import score_images
+from couplegen.isotonic import SearchConfig
+from couplegen.metric import Lambdas, MetricReport
+from couplegen.numerics import FieldError
+from couplegen.pipeline import MAX_SIZES, PipelineConfig, generate_and_score, init_pipeline
+from couplegen.pipeline import render, sample, score_images
 from couplegen.pnm import read_mask, read_pgm
 from couplegen.prompt_io import PromptBundle
 from couplegen.schedule import ScheduleFamily, make_schedule, read_schedule_csv
@@ -873,6 +878,11 @@ class TestOptimizeCommand:
         ]
 
 
+# evaluate's --image and --mask flags for the 8x8 files under {dir}
+_PAIRS = [a for j in (1, 2) for a in ("--image", f"{{dir}}/img_{j}.pgm",
+                                      "--mask", f"{{dir}}/mask_{j}.pgm")]
+
+
 class TestExitCodes:
     def test_help_exit_0(self):
         assert run(["--help"]) == 0
@@ -1082,6 +1092,68 @@ class TestExitCodes:
         assert str(out / "entity_2.pgm") in capsys.readouterr().err
         assert _tree(tmp_path) == before
 
+    @pytest.mark.parametrize(
+        "name, flags",
+        [("entity_2.pgm", []), ("latent_e1_s001.npy", ["--dump-latents"])],
+        ids=["entity", "latent"],
+    )
+    def test_generate_bad_output_path_costs_no_render(
+        self, tmp_path, bundle_file, schedule_file, capsys, monkeypatch, name, flags
+    ):
+        # every file name is known from the bundle, --steps and --dump-latents,
+        # so each is claimed before the render
+        renders = []
+        monkeypatch.setattr(couplegen.cli, "render",
+                            lambda *a, **k: renders.append(a) or render(*a, **k))
+        out = tmp_path / "g"
+        (out / name).mkdir(parents=True)
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert run(["generate", "--bundle", str(bundle_file), "--schedule", str(schedule_file),
+                    "--out-dir", str(out), *flags]) == 1
+        assert str(out / name) in capsys.readouterr().err
+        assert _tree(tmp_path) == before
+        assert renders == []
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["schedule", "--family", "sin", "--center", "nan", "--scale", "0", "--out",
+              "{out}"], "--scale"),
+            (["optimize", "--bundle", "{bundle}", "--out-dir", "{out}", "--max-evals", "0",
+              "--step-size", "0"], "--max-evals"),
+            (["generate", "--bundle", "{bundle}", "--schedule", "{schedule}", "--out-dir",
+              "{out}", "--d-model", "0", "--steps", "0"], "--d-model"),
+            (["evaluate", "--bundle", "{bundle}", "--out", "{out}", "--lambda-bg", "-1",
+              "--lambda-ti", "nan", *_PAIRS], "--lambda-bg"),
+            (["sweep", "--family", "sin", "--centers", "3,nan", "--scale", "0", "--bundle",
+              "{bundle}", "--out", "{out}"], "--scale"),
+            # center is the field ScheduleFamily names; sweep has no --center
+            (["sweep", "--family", "arctan", "--centers", "3,inf", "--bundle", "{bundle}",
+              "--out", "{out}"], "--centers"),
+            # a DegenerateMaskError names no field
+            (["evaluate", "--bundle", "{bundle}", "--out", "{out}",
+              *[a.replace("mask_", "cover_") for a in _PAIRS]], "--mask"),
+        ],
+        ids=["schedule", "optimize", "generate", "evaluate_lambdas", "sweep_scale",
+             "sweep_centers", "evaluate_full_cover"],
+    )
+    def test_first_of_two_bad_values_names_flag(
+        self, tmp_path, bundle_file, schedule_file, capsys, argv, flag
+    ):
+        from couplegen import pnm
+
+        for j in (1, 2):
+            pnm.write_pgm(tmp_path / f"img_{j}.pgm", np.full((8, 8), 0.25 * j))
+            pnm.write_mask(tmp_path / f"mask_{j}.pgm", np.zeros((8, 8), dtype=bool))
+            pnm.write_mask(tmp_path / f"cover_{j}.pgm", np.ones((8, 8), dtype=bool))
+        out = tmp_path / "out"
+        paths = {"bundle": bundle_file, "schedule": schedule_file, "out": out, "dir": tmp_path}
+        capsys.readouterr()
+        assert run([a.format(**paths) for a in argv]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: Invalid value for {flag}:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", ["trace.csv", "best_schedule.csv"])
     def test_optimize_bad_output_path_costs_no_search(
         self, tmp_path, bundle_file, capsys, monkeypatch, name
@@ -1269,3 +1341,58 @@ class TestTruncationWarning:
             f"warning: --text-tokens 9 drops 'the window' from '{entity}'",
             f"warning: --text-tokens 9 drops 'the window' from '{entity}'",
         ]
+
+
+_INIT = make_schedule(ScheduleFamily("step01", 1.0), 2)
+# (build, the class whose fields the error names, field, today's message):
+# every rejection of a config the CLI builds from its flags
+CONFIG_REJECTIONS = [
+    *[(partial(PipelineConfig, **{name: 0}), PipelineConfig, name,
+       f"{name} must be >= 1, got 0") for name in MAX_SIZES],
+    *[(partial(PipelineConfig, **{name: most + 1}), PipelineConfig, name,
+       f"{name} must be <= {most}, got {most + 1}") for name, most in MAX_SIZES.items()],
+    (partial(Lambdas, -1.0), Lambdas, "lambda_bg",
+     "lambda_bg must be finite and nonnegative, got -1.0"),
+    (partial(Lambdas, float("nan")), Lambdas, "lambda_bg",
+     "lambda_bg must be finite and nonnegative, got nan"),
+    (partial(Lambdas, 1.0, float("inf")), Lambdas, "lambda_ti",
+     "lambda_ti must be finite and nonnegative, got inf"),
+    (partial(Lambdas, float("-inf"), float("-inf")), Lambdas, "lambda_bg",
+     "lambda_bg must be finite and nonnegative, got -inf"),
+    (partial(SearchConfig, 0, _INIT), SearchConfig, "max_evals", "max_evals must be >= 1, got 0"),
+    (partial(SearchConfig, 1, _INIT, 0.00005), SearchConfig, "step",
+     "step must be in [0.0001, 1], got 5e-05"),
+    (partial(SearchConfig, 1, _INIT, float("nan")), SearchConfig, "step",
+     "step must be in [0.0001, 1], got nan"),
+    (partial(SearchConfig, 0, _INIT, 2.0), SearchConfig, "max_evals",
+     "max_evals must be >= 1, got 0"),
+    (partial(ScheduleFamily, "cosine", 1.0), ScheduleFamily, "kind",
+     "unknown family kind 'cosine'"),
+    (partial(ScheduleFamily, "arctan", float("inf")), ScheduleFamily, "center",
+     "center must be finite, got inf"),
+    (partial(ScheduleFamily, "arctan", 1.0, 0.0), ScheduleFamily, "scale",
+     "arctan requires a positive finite scale, got 0.0"),
+    (partial(ScheduleFamily, "step01", 1.0, float("nan")), ScheduleFamily, "scale",
+     "scale must be finite, got nan"),
+    # scale is checked before center
+    (partial(ScheduleFamily, "sin", float("nan"), -1.0), ScheduleFamily, "scale",
+     "sin requires a positive finite scale, got -1.0"),
+    (partial(MetricReport, -0.06, [41.0, 51.0], 1.0, Lambdas(300.0, 1e308)), Lambdas,
+     "lambda_ti", "lambda_ti = 1e+308 makes f_c overflow to inf"),
+    (partial(MetricReport, -1e10, [41.0, 51.0], 1.0, Lambdas(1e308, 1.0)), Lambdas,
+     "lambda_bg", "lambda_bg = 1e+308 makes f_c overflow to -inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, owner, field, message", CONFIG_REJECTIONS,
+    ids=[f"{i}-{owner.__name__}.{field}" for i, (_, owner, field, _) in enumerate(CONFIG_REJECTIONS)],
+)
+def test_config_rejection_names_its_field(build, owner, field, message):
+    # cli._checked names the flag of the field, so each rejection must say
+    # which field of its class it rejects, with the message it always had
+    with pytest.raises(FieldError) as info:
+        build()
+    assert info.value.field == field
+    assert field in {f.name for f in fields(owner)}
+    assert str(info.value) == message

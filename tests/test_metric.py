@@ -253,4 +253,4 @@ class TestReport:
         # which the JSON report cannot hold
         with pytest.raises(WeightOverflowError, match=name) as info:
             MetricReport(f_bg, [41.0, 51.0], 1.0, lambdas)
-        assert info.value.weight == name
+        assert info.value.field == name
