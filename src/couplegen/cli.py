@@ -4,10 +4,10 @@ Subcommands: decompose, schedule, generate, evaluate, optimize, sweep.
 Every run is deterministic given its flags; all randomness comes from the
 explicit --weight-seed / --noise-seed flags and outputs carry no timestamps.
 Exit codes: 0 success, 1 usage error (bad flags or bad input files), 2
-runtime error.  The CLI opens only the paths its user names, so an OSError
-that names a path (missing, of the wrong kind, too long, a symlink loop) is
-a usage error naming that path; one that names none, such as a failed
-write, is a runtime error.
+runtime error, 130 interrupted (Ctrl-C).  The CLI opens only the paths its
+user names, so an OSError that names a path (missing, of the wrong kind, too
+long, a symlink loop) is a usage error naming that path; one that names
+none, such as a failed write, is a runtime error.
 """
 
 from __future__ import annotations
@@ -46,6 +46,20 @@ __all__ = ["main", "run", "entrypoint"]
 STEPS_HELP = f"Sampling steps, at most {MAX_STEPS}."
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """message and a newline to sys.stderr (err) or sys.stdout as they are at
+    this call.  Naming the stream keeps it out of click's stream cache, which
+    would hold a StringIO for the rest of the process; a message the stream
+    cannot encode is written with backslash escapes, so a run that did its
+    work does not fail over its summary line."""
+    stream = sys.stderr if err else sys.stdout
+    try:
+        click.echo(message, file=stream)
+    except UnicodeEncodeError as exc:
+        escaped = message.encode(exc.encoding, "backslashreplace").decode(exc.encoding)
+        click.echo(escaped, file=stream)
+
+
 def _load_bundle(path: str, min_entities: int = 1) -> PromptBundle:
     """The bundle JSON at path; malformed or too deeply nested JSON, a bad
     bundle or fewer than min_entities entity prompts is a bad --bundle."""
@@ -70,7 +84,7 @@ def _warn_truncated(bundle: PromptBundle, cfg: PipelineConfig) -> None:
     for text in (bundle.background, *bundle.entities):
         dropped = text.split()[cfg.text_tokens:]
         if dropped:
-            click.echo(
+            _echo(
                 f"warning: --text-tokens {cfg.text_tokens} drops {' '.join(dropped)!r} "
                 f"from {text!r}",
                 err=True,
@@ -214,7 +228,7 @@ def decompose_cmd(prompts_path, fixture, out_path):
         else:
             reply = request_reply(prompts, endpoint)
         writes.append((out_path, _write_text, decompose(prompts, reply).to_json() + "\n"))
-    click.echo(f"wrote {out_path}")
+    _echo(f"wrote {out_path}")
 
 
 @main.command("schedule")
@@ -229,7 +243,7 @@ def schedule_cmd(family, center, scale, steps, out_path):
     sched = _checked("--steps", make_schedule, fam, steps)
     with _outputs() as writes:
         writes.append((out_path, write_schedule_csv, sched))
-    click.echo(f"wrote {out_path}")
+    _echo(f"wrote {out_path}")
 
 
 @main.command("generate")
@@ -270,7 +284,7 @@ def generate_cmd(bundle_path, schedule_path, out_dir, separate_noise, dump_laten
         for (image_path, mask_path), img, mask in zip(pgm_paths, images, masks):
             writes.append((image_path, pnm.write_pgm, img))
             writes.append((mask_path, pnm.write_mask, mask))
-    click.echo(f"wrote {len(images)} images to {out}")
+    _echo(f"wrote {len(images)} images to {out}")
 
 
 @main.command("evaluate")
@@ -306,7 +320,7 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
         # other rejection is of masks that cover every pixel
         report = _checked("--mask", score_images, images, masks, bundle.entities, lambdas)
         writes.append((out_path, _write_text, report.to_json() + "\n"))
-    click.echo(f"wrote {out_path}")
+    _echo(f"wrote {out_path}")
 
 
 @main.command("optimize")
@@ -339,7 +353,7 @@ def optimize_cmd(bundle_path, max_evals, step, search_seed, out_dir, **kw):
             writes.append((path, write_schedule_csv, entry.schedule))
             rows.append([k, f"{entry.value:.15g}", str(path)])
         writes.append((out / "trace.csv", _write_text, rows))
-    click.echo(f"best value {value:.6g} after {len(trace)} evaluations")
+    _echo(f"best value {value:.6g} after {len(trace)} evaluations")
 
 
 @main.command("sweep")
@@ -382,24 +396,28 @@ def sweep_cmd(family, centers, scale, bundle_path, noise_seeds, out_path, **kw):
                 float(np.mean([r.f_c for r in reports])),
             ])
         writes.append((out_path, _write_text, rows))
-    click.echo(f"wrote {out_path}")
+    _echo(f"wrote {out_path}")
 
 
 def run(argv) -> int:
-    """Dispatch argv and map outcomes to exit codes (0 ok, 1 usage, 2 runtime)."""
+    """Dispatch argv and map outcomes to exit codes (0 ok, 1 usage, 2 runtime,
+    130 interrupted)."""
     try:
         main.main(args=list(argv), standalone_mode=False)
     except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+        _echo(f"usage error: {exc.format_message()}", err=True)
         return 1
     except click.exceptions.Exit as exc:  # --help and friends
         return int(exc.exit_code)
+    except click.Abort:  # click's form of a KeyboardInterrupt
+        _echo("interrupted", err=True)
+        return 130
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 2
         # the CLI opens only the user's paths, so an OSError naming a path is bad input
         if isinstance(exc, OSError) and exc.filename is not None:
-            click.echo(f"usage error: {exc}", err=True)
+            _echo(f"usage error: {exc}", err=True)
             return 1
-        click.echo(f"runtime error: {exc}", err=True)
+        _echo(f"runtime error: {exc}", err=True)
         return 2
     return 0
 
