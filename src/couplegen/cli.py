@@ -203,7 +203,27 @@ def _parse_centers(spec: str) -> list[float]:
     return [float(c) for c in centers]
 
 
-@click.group()
+def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    """The --help callback: the page through _echo, so click caches no stream."""
+    if value and not ctx.resilient_parsing:
+        _echo(ctx.get_help())
+        ctx.exit()
+
+
+class _Command(click.Command):
+    """A command whose --help page is printed by _show_help."""
+
+    def get_help_option(self, ctx: click.Context) -> click.Option:
+        option = super().get_help_option(ctx)
+        option.callback = _show_help
+        return option
+
+
+class _Group(_Command, click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def main():
     """Coupled image generation toolkit."""
 

@@ -73,24 +73,25 @@ default config holds up to 25 entities per chunk (81 KiB each), and d32,
 
 Once an entity leaves the trunk its trajectory depends only on its own
 text, so the chunks of a call are independent work.  The calling thread
-builds every chunk's inputs (text stack, noise or resume latents); a call
-with one chunk renders it inline.  A call with more list-schedules the
-chunks' steps on one module-level thread pool with a worker per CPU the
-process may run on: each of min(workers, chunks) loops takes the idle
-chunk with the most entity-steps (steps times stack size) left, advances
-it one step and puts it back.  So no worker idles while a chunk has steps
-left, and no chunk is advanced by two threads at once.  3 one-entity
-chunks on 2 workers (a d32, 16x16 sweep row) take about 2.0 chunk-times
-this way, where whole chunks took about 2.3: two threads give about 1.5x
-the throughput of one there, since they contend for the GIL.  numpy releases
-the GIL inside the products and elementwise passes, which make up most of
-a render from d32 up.  Each chunk makes the same numpy calls on the same
-operands in the same order whichever thread runs each step, so the bits
-do not depend on the pool.  When every chunk has finished, the calling
-thread reads out the images and stores the entries in chunk order, so the
-memo ends as a serial render leaves it.  Once a step raises, no loop
-starts another: the running steps finish, the first error in chunk order
-propagates and nothing is stored.
+builds every chunk's inputs (text stack, noise or resume latents), then
+list-schedules the chunks' steps on min(workers, chunks) loops, workers
+being the CPUs the process may run on: the calling thread runs one loop
+itself and a module-level pool of workers - 1 threads the others, so one
+chunk, or one CPU, starts no thread.  Each loop takes the idle chunk with
+the most entity-steps (steps times stack size) left, advances it one step
+and puts it back.  So no loop idles while a chunk has steps left, and no
+chunk is advanced by two threads at once.  3 one-entity chunks on 2 loops
+(a d32, 16x16 sweep row) take about 1.8 chunk-times this way, where one
+loop takes about 3.0: two threads give about 1.6x the throughput of one
+there, since they contend for the GIL.  numpy releases the GIL inside the
+products and elementwise passes, which make up most of a render from d32
+up.  Each chunk makes the same numpy calls on the same operands in the same
+order whichever thread runs each step, so the bits do not depend on the
+pool.  When every chunk has finished, the calling thread reads out the
+images and stores the entries in chunk order, so the memo ends as a serial
+render leaves it.  Once a step raises, no loop starts another: the running
+steps finish, the first error in chunk order propagates and nothing is
+stored.
 """
 
 from __future__ import annotations
@@ -265,34 +266,37 @@ class Pipeline:
     )
 
 
-def _square(rng: Rng, d: int) -> np.ndarray:
-    return rng.fill(d, d, -WEIGHT_RANGE, WEIGHT_RANGE)
-
-
-def _attention_weights(rng: Rng, d: int) -> AttentionWeights:
+def _attention_weights(squares) -> AttentionWeights:
     return AttentionWeights(
-        w_q=_square(rng, d), w_k=_square(rng, d), w_v=_square(rng, d), w_o=_square(rng, d)
+        w_q=next(squares), w_k=next(squares), w_v=next(squares), w_o=next(squares)
     )
 
 
-def _feed_forward(rng: Rng, d: int) -> FeedForward:
-    return FeedForward(w1=_square(rng, d), w2=_square(rng, d))
+def _feed_forward(squares) -> FeedForward:
+    return FeedForward(w1=next(squares), w2=next(squares))
 
 
 def init_pipeline(cfg: PipelineConfig) -> Pipeline:
-    """Deterministic weights from the weight seed, drawn in a fixed order."""
-    rng = Rng(cfg.weight_seed)
+    """Deterministic weights from the weight seed, drawn in a fixed order.
+
+    Every (d_model, d_model) weight comes out of one Rng.fill, cut into
+    rows in that order and copied into an array of its own; splitmix64 is
+    counter-based, so each equals the draw of that one matrix."""
     d = cfg.d_model
+    # 4 attention weights and 2 per feed-forward: 2 feed-forwards in a double block, 1 in a single
+    count = 8 * cfg.double_blocks + 6 * cfg.single_blocks
+    drawn = Rng(cfg.weight_seed).fill(count * d, d, -WEIGHT_RANGE, WEIGHT_RANGE)
+    squares = (drawn[i * d:(i + 1) * d].copy() for i in range(count))
     doubles = tuple(
         DoubleBlockWeights(
-            attn=_attention_weights(rng, d),
-            text_ff=_feed_forward(rng, d),
-            image_ff=_feed_forward(rng, d),
+            attn=_attention_weights(squares),
+            text_ff=_feed_forward(squares),
+            image_ff=_feed_forward(squares),
         )
         for _ in range(cfg.double_blocks)
     )
     singles = tuple(
-        SingleBlockWeights(attn=_attention_weights(rng, d), ff=_feed_forward(rng, d))
+        SingleBlockWeights(attn=_attention_weights(squares), ff=_feed_forward(squares))
         for _ in range(cfg.single_blocks)
     )
     return Pipeline(
@@ -442,14 +446,15 @@ def _workers() -> int:
 
 
 # concurrent.futures and the logging it imports (about 6 ms of start-up on
-# a 2-core Xeon VM) are imported by the first call with more than one chunk
+# a 2-core Xeon VM) are imported by the first call that submits a loop
 @cache
 def _executor():
-    """The pool that renders the chunks of a call, one worker per CPU this
-    process may run on; created on first use."""
+    """The pool that runs the list-scheduling loops of `_render` beside the
+    calling thread's own, one thread fewer than the CPUs this process may
+    run on; created by the first call that submits a loop."""
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(_workers(), thread_name_prefix="couplegen-chunk")
+    return ThreadPoolExecutor(_workers() - 1, thread_name_prefix="couplegen-chunk")
 
 
 if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
@@ -458,13 +463,15 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's thr
 
 def _render(pipeline: Pipeline, work: list) -> list:
     """The final stacks of _trajectory(pipeline, *inputs) for each inputs in
-    work, in order.  One chunk renders inline.  More are list-scheduled one
-    step at a time on min(workers, chunks) pool loops: each takes, out of
-    one table of the idle chunks' entity-steps left, the chunk with the most
+    work, in order, list-scheduled one step at a time on min(workers,
+    chunks) loops: the calling thread runs one and the pool the others, so
+    one chunk, or one CPU, starts no thread.  Each loop takes, out of one
+    table of the idle chunks' entity-steps left, the chunk with the most
     (the earliest on a tie), advances it one step and puts it back unless it
     is done, so no chunk is advanced by two threads at once.
     Once a step raises no loop starts another; the running steps finish and
-    the first error in chunk order propagates."""
+    the first error in chunk order propagates.  The call returns or raises
+    only after every pool loop has returned."""
     runs = [_trajectory(pipeline, *inputs) for inputs in work]
     finals = [x for _, x, *_ in work]
     # the entity-steps left of each chunk that no loop is advancing
@@ -491,18 +498,15 @@ def _render(pipeline: Pipeline, work: list) -> list:
                 with lock:
                     idle[j] = n
 
-    if len(work) < 2:
+    loops = [_executor().submit(advance) for _ in range(min(_workers(), len(work)) - 1)]
+    try:
         advance()
-    else:
-        from concurrent.futures import wait
-
-        loops = [_executor().submit(advance) for _ in range(min(_workers(), len(work)))]
-        try:
-            for loop in loops:
-                loop.result()
-        finally:  # also when the calling thread is interrupted
-            stop.set()
-            wait(loops)
+        for loop in loops:
+            loop.result()
+    finally:  # also when the calling thread's own step raises or it is interrupted
+        stop.set()
+        for loop in loops:
+            loop.exception()  # waits until the loop returns
     if errors:
         raise errors[min(errors)]
     return finals
@@ -529,7 +533,7 @@ def sample(
     zeros.  A schedule that starts at theta == 0 first renders the trunk of
     the base stream.  The entities that resume at the same depth are
     rendered as stacks (see `_chunks`), and the steps of a call's chunks
-    on the pool (see `_render`).
+    on the calling thread and the pool (see `_render`).
     """
     cfg = pipeline.config
     if len(schedule) != cfg.steps:

@@ -729,12 +729,29 @@ def _fresh_python(code: str, *args) -> subprocess.CompletedProcess:
     "module", ["concurrent.futures", "urllib.request", "http.client", "ssl", "email"]
 )
 def test_cli_import_leaves_module_unloaded(module):
-    # the sampler imports concurrent.futures on its first call with more than
-    # one chunk, and decompose the HTTP stack when it sends a request; loading
-    # them at start-up costs every command time and memory
+    # the sampler imports concurrent.futures on its first call that submits a
+    # loop to its pool, and decompose the HTTP stack when it sends a request;
+    # loading them at start-up costs every command time and memory
     done = _fresh_python(f"import sys, couplegen.cli; print({module!r} in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_default_generate_starts_no_pool(tmp_path, schedule_file):
+    # a default-config bundle of 2 entities is one chunk, which the calling
+    # thread renders alone, so the pool and concurrent.futures never load
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text('{"background": "a quiet room", "entities": ["a cat", "a dog"]}')
+    script = (
+        "import sys, threading\n"
+        "from couplegen.cli import run\n"
+        "code = run(sys.argv[1:])\n"
+        "print(code, 'concurrent.futures' in sys.modules, threading.active_count())\n"
+    )
+    done = _fresh_python(script, "generate", "--bundle", str(bundle), "--schedule",
+                         str(schedule_file), "--out-dir", str(tmp_path / "gen"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False 1"
 
 
 def test_decompose_fixture_leaves_http_stack_unloaded(tmp_path):

@@ -94,11 +94,22 @@ def _run_on_fresh_streams(argv) -> tuple:
     return code, texts, [ref() is not None for ref in refs]
 
 
-# --help is left out: click prints a help page through its own cached lookup
-# of sys.stdout, which keeps that stream alive
-@pytest.mark.parametrize("outcome", ["success", "usage", "runtime"])
-@pytest.mark.parametrize("command", list(FAILING_CALL))
+# every outcome of every command, and the --help page of each and of the
+# top level, the command ""
+STREAM_CASES = [(command, outcome) for command in FAILING_CALL
+                for outcome in ("success", "usage", "runtime", "help")] + [("", "help")]
+
+
+@pytest.mark.parametrize("command, outcome", STREAM_CASES,
+                         ids=[f"{command or 'main'}-{outcome}" for command, outcome in STREAM_CASES])
 def test_run_keeps_no_stream(tmp_path, inputs, monkeypatch, command, outcome):
+    if outcome == "help":
+        code, (out, err), kept = _run_on_fresh_streams([command, "--help"] if command
+                                                       else ["--help"])
+        assert code == 0 and err == ""
+        assert out.startswith("Usage: ") and "Show this message and exit.\n" in out
+        assert kept == [False, False]
+        return
     argv = _argv(command, inputs, str(tmp_path / "out"))
     if outcome == "usage":
         argv += USAGE_FLAGS[command]

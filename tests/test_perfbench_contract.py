@@ -152,16 +152,18 @@ def test_stacking_keeps_attention_work(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(images, images_one, strict=True))
 
 
-def _traced_chunks(monkeypatch, pool) -> tuple[dict, list]:
+def _traced_chunks(monkeypatch, workers: int) -> tuple[dict, list]:
     """(span stats, images) of a traced 3-entity sample at d32, 16x16,
-    whose one-entity chunks render on pool."""
+    whose one-entity chunks render on workers loops: the calling thread's
+    and workers - 1 on a pool."""
     sched = make_schedule(ScheduleFamily("arctan", 2.0, 0.8), 4)
     p = init_pipeline(PipelineConfig(d_model=32, grid_side=16, steps=4))
     t = tracer.Tracer()
     t.install()
     try:
-        with monkeypatch.context() as m:
+        with ThreadPoolExecutor(max(1, workers - 1)) as pool, monkeypatch.context() as m:
             m.setattr(couplegen.pipeline, "_executor", lambda: pool)
+            m.setattr(couplegen.pipeline, "_workers", lambda: workers)
             t.enabled = True
             images = couplegen.pipeline.sample(p, BUNDLE, sched)
     finally:
@@ -173,10 +175,8 @@ def _traced_chunks(monkeypatch, pool) -> tuple[dict, list]:
 def test_traced_concurrent_chunks_count_like_one_worker(monkeypatch):
     # the tracer keeps one span stack, so self times interleave when chunks
     # render at once, but every call is still counted once
-    with ThreadPoolExecutor(3) as pool:
-        stats, images = _traced_chunks(monkeypatch, pool)
-    with ThreadPoolExecutor(1) as pool:
-        serial, serial_images = _traced_chunks(monkeypatch, pool)
+    stats, images = _traced_chunks(monkeypatch, 3)
+    serial, serial_images = _traced_chunks(monkeypatch, 1)
     assert stats["pipeline.sample"][0] == 1
 
     def counted(s):

@@ -129,6 +129,23 @@ class TestInit:
             h.update(a.astype("<f8").tobytes())
         assert h.hexdigest() == "541ce116e146707afe3b0707debb91e49781a52b3ca3b70e176995363061dfb6"
 
+    @pytest.mark.parametrize("d_model", [16, 32, 64])
+    def test_one_draw_equals_per_matrix_draws(self, d_model):
+        # the weights come out of one fill; each equals its own draw, in the
+        # order the blocks use them, and owns its data
+        p = small_pipeline(d_model=d_model)
+        rng = Rng(p.config.weight_seed)
+        weights = [w for blk in p.double_blocks
+                   for w in (blk.attn.w_q, blk.attn.w_k, blk.attn.w_v, blk.attn.w_o,
+                             blk.text_ff.w1, blk.text_ff.w2, blk.image_ff.w1, blk.image_ff.w2)]
+        weights += [w for blk in p.single_blocks
+                    for w in (blk.attn.w_q, blk.attn.w_k, blk.attn.w_v, blk.attn.w_o,
+                              blk.ff.w1, blk.ff.w2)]
+        assert len(weights) == 28
+        for w in weights:
+            assert np.array_equal(w, rng.fill(d_model, d_model, -0.1, 0.1))
+            assert w.flags.owndata and w.flags.c_contiguous
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             PipelineConfig(d_model=0)
@@ -699,7 +716,8 @@ class TestBatchedSample:
 @contextlib.contextmanager
 def three_chunks(monkeypatch):
     """Inside, a default-config call's 5 entities of one depth split into
-    chunks of 1, 2 and 2 entities, which render on the pool."""
+    chunks of 1, 2 and 2 entities, which render on the calling thread and
+    the pool."""
     cfg = PipelineConfig()
     with monkeypatch.context() as m:
         m.setattr("couplegen.pipeline.CHUNK_SCORE_BYTES",
@@ -710,7 +728,8 @@ def three_chunks(monkeypatch):
 
 class RunsInOrder:
     """An executor that runs each task to the end as it is submitted, in
-    the calling thread, so the scheduler's loops run one after another."""
+    the calling thread, so the scheduler's loops run one after another and
+    the pool's run before the calling thread's own."""
 
     def __init__(self):
         self.futures: list = []
@@ -728,7 +747,7 @@ class RunsInOrder:
 def recorded_steps(m, after_step=None) -> tuple[list, list]:
     """Inside the monkeypatch context m, (sizes, steps): the stack size of
     every _trajectory run in the order the runs are made, and per step, in
-    the order the steps end, (run index, whether the main thread ran it).
+    the order the steps end, (run index, the thread that ran it).
     after_step(size, last), if given, runs in the step's thread as it ends."""
     sizes: list = []
     steps: list = []
@@ -736,7 +755,7 @@ def recorded_steps(m, after_step=None) -> tuple[list, list]:
 
     def stepping(run, stepper, size, n_steps):
         for k, x in enumerate(stepper):
-            steps.append((run, threading.current_thread() is threading.main_thread()))
+            steps.append((run, threading.current_thread()))
             if after_step is not None:
                 after_step(size, k == n_steps - 1)
             yield x
@@ -752,7 +771,7 @@ def recorded_steps(m, after_step=None) -> tuple[list, list]:
 
 def chunk_pool(m, pool, workers: int) -> None:
     """Inside the monkeypatch context m, calls render their chunks on
-    workers loops on pool."""
+    workers loops: the calling thread's and workers - 1 on pool."""
     m.setattr(pipeline_module, "_executor", lambda: pool)
     m.setattr(pipeline_module, "_workers", lambda: workers)
 
@@ -763,11 +782,90 @@ def first_entity(cfg: PipelineConfig, text) -> int:
         text[1, 0], embed_prompt(entity, cfg.d_model, cfg.text_tokens, seed=cfg.weight_seed)))
 
 
+class WatchedFuture(Future):
+    """A Future that sets waited once its result or exception is asked for."""
+
+    def __init__(self, waited: threading.Event):
+        super().__init__()
+        self.waited = waited
+
+    def result(self, timeout=None):
+        self.waited.set()
+        return super().result(timeout)
+
+    def exception(self, timeout=None):
+        self.waited.set()
+        return super().exception(timeout)
+
+
+class ThreadPerTask:
+    """An executor that runs each task on a thread of its own; waited is
+    set once the caller first waits for a task."""
+
+    def __init__(self):
+        self.futures: list = []
+        self.threads: list = []
+        self.waited = threading.Event()
+
+    def submit(self, fn, *args):
+        future = WatchedFuture(self.waited)
+
+        def task():
+            try:
+                future.set_result(fn(*args))
+            except BaseException as exc:  # noqa: BLE001 - handed to the future, as a pool does
+                future.set_exception(exc)
+
+        self.threads.append(threading.Thread(target=task))
+        self.threads[-1].start()
+        self.futures.append(future)
+        return future
+
+
+@contextlib.contextmanager
+def held_pool(monkeypatch, loops: int, interrupt: bool = False):
+    """Inside, calls render their chunks on `loops` loops, the pool's on a
+    ThreadPerTask.  The first step of each loop waits until every loop has
+    one running; then the calling thread's steps go on, or raise
+    KeyboardInterrupt with interrupt, and each pool step waits until the
+    calling thread first waits for a pool loop.  Yields (pool, started),
+    started holding per step whether the calling thread ran it."""
+    pool = ThreadPerTask()
+    all_running = threading.Barrier(loops, timeout=10)
+    seen: set = set()
+    started: list = []
+    run_step = pipeline_module._run_step
+
+    def step(pipeline, text, image, theta):
+        thread = threading.current_thread()
+        main = thread is threading.main_thread()
+        started.append(main)
+        if thread not in seen:
+            seen.add(thread)
+            all_running.wait()
+        if main and interrupt:
+            raise KeyboardInterrupt
+        if not main:
+            assert pool.waited.wait(10)
+        return run_step(pipeline, text, image, theta)
+
+    with monkeypatch.context() as m:
+        chunk_pool(m, pool, loops)
+        m.setattr(pipeline_module, "_run_step", step)
+        try:
+            yield pool, started
+        finally:  # frees the pool's threads whatever the test left them at
+            all_running.abort()
+            pool.waited.set()
+            for thread in pool.threads:
+                thread.join(10)
+
+
 class TestConcurrentChunks:
-    """The chunks of a call advance one step at a time on the pool, each
-    with the bits of a one-chunk render; the calling thread stores their
-    entries in chunk order once all have rendered, and stores nothing when
-    a step raises."""
+    """The chunks of a call advance one step at a time on the calling
+    thread and the pool, each with the bits of a one-chunk render; the
+    calling thread stores their entries in chunk order once all have
+    rendered, and stores nothing when a step raises."""
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "separate"])
     @pytest.mark.parametrize("family", ["ramp", "mixed"])
@@ -784,11 +882,16 @@ class TestConcurrentChunks:
             with three_chunks(monkeypatch) as m:
                 sizes, steps = recorded_steps(m)
                 got = sample(p, FIVE, sched, 3, shared, got_log)
-            # the trunk renders inline, every step of a chunk off the main thread
-            on_main = {run for run, main in steps if main}
-            off_main = [size for run, size in enumerate(sizes) if run not in on_main]
-            assert not on_main & {run for run, main in steps if not main}
-            assert len(off_main) == 3 and sum(off_main) == 5
+            # the last 3 runs are the chunks; a trunk, one chunk, runs on the
+            # calling thread alone, and every chunk step on the calling
+            # thread or a pool thread
+            trunks = len(sizes) - 3
+            assert sizes[:trunks] == [1] * trunks and sum(sizes[trunks:]) == 5
+            main = threading.main_thread()
+            assert {thread for run, thread in steps if run < trunks} <= {main}
+            threads = {thread for run, thread in steps if run >= trunks}
+            assert all(t is main or t.name.startswith("couplegen-chunk") for t in threads)
+            assert len(threads) <= min(pipeline_module._workers(), 3)
             assert same_renders(got, want)
             assert same_logs(got_log, want_log)
             assert same_logs(got_log, exact_latents(p, FIVE, sched, 3, shared))
@@ -812,7 +915,9 @@ class TestConcurrentChunks:
             got = sample(small_pipeline(), bundle, ramp())
         assert len(sizes) == 3
         assert [run for run, _ in steps] == order
-        assert len(pool.futures) == 2  # the first loop runs every step
+        # one loop on the pool, which runs every step before the calling
+        # thread's own loop finds no chunk left
+        assert len(pool.futures) == 1
         assert same_renders(got, sample(small_pipeline(), bundle, ramp()))
 
     def test_entries_stored_in_chunk_order(self, monkeypatch):
@@ -890,8 +995,64 @@ class TestConcurrentChunks:
             with pytest.raises(RuntimeError, match="second step of entity 3 failed"):
                 sample(p, FIVE, ramp())
         assert started == [1, 3, 1, 3]
-        assert [f.exception() for f in pool.futures] == [None] * 3
+        assert [f.exception() for f in pool.futures] == [None] * 2
         assert not p.memo.entries
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_pool_gets_every_loop_but_the_calling_threads(self, workers, monkeypatch):
+        # 3 chunks run on min(workers, 3) loops, the calling thread's one of them
+        pool = RunsInOrder()
+        with three_chunks(monkeypatch) as m:
+            chunk_pool(m, pool, workers)
+            got = sample(small_pipeline(), FIVE, ramp())
+        assert len(pool.futures) == min(workers, 3) - 1
+        assert same_renders(got, sample(small_pipeline(), FIVE, ramp()))
+
+    @pytest.mark.parametrize("workers, split", [(1, True), (4, False)],
+                             ids=["one_worker", "one_chunk"])
+    def test_one_loop_never_calls_executor(self, workers, split, monkeypatch):
+        # mixed starts at theta 0, so the call also renders the trunk, one chunk
+        sched = mixed_schedule(10)
+        with three_chunks(monkeypatch) if split else monkeypatch.context() as m:
+            m.setattr(pipeline_module, "_workers", lambda: workers)
+            m.setattr(pipeline_module, "_executor", lambda: pytest.fail("_executor called"))
+            got_log: list = []
+            got = sample(small_pipeline(), FIVE, sched, latent_log=got_log)
+        want_log: list = []
+        assert same_renders(got, sample(small_pipeline(), FIVE, sched, latent_log=want_log))
+        assert same_logs(got_log, want_log)
+
+    def test_calling_thread_waits_for_pool_loops(self, monkeypatch):
+        # the calling thread's loop renders 2 chunks and finds none idle
+        # while the pool's loop has run 1 step of the third; the call waits
+        # for that loop to finish it
+        want_log: list = []
+        want = sample(small_pipeline(), OTHER, ramp(), latent_log=want_log)
+        got_log: list = []
+        with per_entity(monkeypatch), held_pool(monkeypatch, 2) as (pool, started):
+            got = sample(small_pipeline(), OTHER, ramp(), latent_log=got_log)
+        assert not any(thread.is_alive() for thread in pool.threads)
+        assert started.count(False) == 10
+        assert same_renders(got, want)
+        assert same_logs(got_log, want_log)
+
+    def test_interrupt_in_calling_threads_step_stops_and_waits_for_pool(self, monkeypatch):
+        # each of the 3 loops has a step of its own chunk running when the
+        # calling thread's is interrupted; the pool's steps end only once the
+        # caller waits for their loops, and no loop starts another
+        p = small_pipeline()
+        sample(p, OTHER, ramp())
+        held = list(p.memo.entries)
+        proposal = nudged(ramp(), 0)  # every entity renders from step 0
+        with per_entity(monkeypatch), held_pool(monkeypatch, 3, True) as (pool, started):
+            with pytest.raises(KeyboardInterrupt):
+                sample(p, OTHER, proposal)
+            assert [future.done() for future in pool.futures] == [True, True]
+        assert not any(thread.is_alive() for thread in pool.threads)
+        assert sorted(started) == [False, False, True]
+        assert [future.exception() for future in pool.futures] == [None, None]
+        assert list(p.memo.entries) == held
+        assert same_renders(sample(p, OTHER, proposal), sample(small_pipeline(), OTHER, proposal))
 
     def test_chunk_never_advanced_by_two_threads(self, monkeypatch):
         # more loops than cores and a short switch interval: each chunk has
@@ -937,11 +1098,12 @@ class TestConcurrentChunks:
         assert all(same_renders(entries[key], steps) for key, steps in want_entries.items())
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_renders_on_its_own_pool(self):
+    def test_forked_child_renders_on_its_own_pool(self, monkeypatch):
         # a forked child has none of the pool's threads: without the at-fork
-        # hook that drops the cached pool, its first call with more than one
-        # chunk would queue its steps for workers that never run them
+        # hook that drops the cached pool, its first call that submits a loop
+        # would queue it for a thread that never runs it, and wait forever
         cfg = PipelineConfig(d_model=32, grid_side=16)  # one chunk per entity
+        monkeypatch.setattr(pipeline_module, "_workers", lambda: 2)  # one pool thread
         want = sample(init_pipeline(cfg), OTHER, ramp())
         assert pipeline_module._executor.cache_info().currsize == 1
         read, write = os.pipe()
