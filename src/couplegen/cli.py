@@ -74,21 +74,21 @@ def _load_bundle(path: str, min_entities: int = 1) -> PromptBundle:
                              f"got {len(bundle.entities)}")
         return bundle
 
-    [bundle] = _read_files(read, [path], "--bundle")
-    return bundle
+    return _read("--bundle", read, path)
 
 
-def _warn_truncated(bundle: PromptBundle, cfg: PipelineConfig) -> None:
-    """One stderr warning per prompt with more whitespace tokens than the
-    text_tokens that embed_prompt keeps, naming the words it drops."""
+def _pipeline(bundle: PromptBundle, cfg: PipelineConfig):
+    """init_pipeline(cfg), after one stderr warning per prompt of bundle with
+    more whitespace tokens than the text_tokens that embed_prompt keeps,
+    naming the words it drops.  Each command calls it first in its work, once
+    every flag is checked and every output it can name is claimed, so a
+    rejected run prints no warning and draws no weight."""
     for text in (bundle.background, *bundle.entities):
         dropped = text.split()[cfg.text_tokens:]
         if dropped:
-            _echo(
-                f"warning: --text-tokens {cfg.text_tokens} drops {' '.join(dropped)!r} "
-                f"from {text!r}",
-                err=True,
-            )
+            _echo(f"warning: --text-tokens {cfg.text_tokens} drops {' '.join(dropped)!r} "
+                  f"from {text!r}", err=True)
+    return init_pipeline(cfg)
 
 
 def _pipeline_options(fn):
@@ -116,15 +116,13 @@ def _read_text(path) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _read_files(reader, paths, hint: str) -> list:
-    """Read every path with reader; a malformed file is a bad parameter."""
-    arrays = []
-    for path in paths:
-        try:
-            arrays.append(reader(path))
-        except ValueError as exc:
-            raise click.BadParameter(f"{path}: {exc}", param_hint=hint) from exc
-    return arrays
+def _read(hint: str, reader, path):
+    """reader(path); a ValueError it raises is a malformed file, a bad value
+    of hint named by its path."""
+    try:
+        return reader(path)
+    except ValueError as exc:
+        raise click.BadParameter(f"{path}: {exc}", param_hint=hint) from exc
 
 
 def _write_text(path, data) -> None:
@@ -234,7 +232,7 @@ def main():
 @click.option("--out", "out_path", required=True, help="Bundle JSON output path.")
 def decompose_cmd(prompts_path, fixture, out_path):
     """Split prompts into a shared background and per-prompt entities."""
-    [text] = _read_files(_read_text, [Path(prompts_path)], "--prompts")
+    text = _read("--prompts", _read_text, prompts_path)
     prompts = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(prompts) < 2:
         raise click.BadParameter(
@@ -244,7 +242,7 @@ def decompose_cmd(prompts_path, fixture, out_path):
     endpoint = None if fixture is not None else _checked("--fixture", endpoint_from_env)
     with _outputs(out_path) as writes:
         if endpoint is None:
-            [reply] = _read_files(_read_text, [Path(fixture)], "--fixture")
+            reply = _read("--fixture", _read_text, fixture)
         else:
             reply = request_reply(prompts, endpoint)
         writes.append((out_path, _write_text, decompose(prompts, reply).to_json() + "\n"))
@@ -278,22 +276,22 @@ def generate_cmd(bundle_path, schedule_path, out_dir, separate_noise, dump_laten
     """Render per-entity images (PGM) plus auto-threshold masks."""
     bundle = _load_bundle(bundle_path)
     cfg = _checked(None, PipelineConfig, **kw)
-    [sched] = _read_files(read_schedule_csv, [schedule_path], "--schedule")
+    sched = _read("--schedule", read_schedule_csv, schedule_path)
     if len(sched) != cfg.steps:
         raise click.BadParameter(
             f"{schedule_path} has {len(sched)} steps but --steps is {cfg.steps}",
             param_hint="--schedule",
         )
-    _warn_truncated(bundle, cfg)
-    pipeline = init_pipeline(cfg)
     out = Path(out_dir)
     entities = range(1, len(bundle.entities) + 1)
     npy_paths = [out / f"latent_e{j}_s{i:03d}.npy" for j in entities
                  for i in range(1, cfg.steps + 1) if dump_latents]
     pgm_paths = [(out / f"entity_{j}.pgm", out / f"mask_{j}.pgm") for j in entities]
     latent_log = [] if dump_latents else None
-    # every file is named before the render, so a path that cannot be written costs none
+    # every file is named before the weights are drawn, so a path that cannot
+    # be written costs no work
     with _outputs(*npy_paths, out / "background.pgm", *sum(pgm_paths, ()), out_dir=out) as writes:
+        pipeline = _pipeline(bundle, cfg)
         images, background_image, masks = render(
             pipeline, bundle, sched, shared_noise=not separate_noise, latent_log=latent_log
         )
@@ -325,8 +323,8 @@ def evaluate_cmd(image_paths, mask_paths, bundle_path, lambda_bg, lambda_ti, out
             f"{bundle_path} has {len(bundle.entities)} entities but {len(image_paths)} "
             "images given", param_hint="--bundle",
         )
-    images = _read_files(pnm.read_pgm, image_paths, "--image")
-    masks = _read_files(pnm.read_mask, mask_paths, "--mask")
+    images = [_read("--image", pnm.read_pgm, path) for path in image_paths]
+    masks = [_read("--mask", pnm.read_mask, path) for path in mask_paths]
     h, w = images[0].shape
     for hint, paths, arrays in (("--image", image_paths, images), ("--mask", mask_paths, masks)):
         for path, a in zip(paths, arrays):
@@ -355,14 +353,13 @@ def optimize_cmd(bundle_path, max_evals, step, search_seed, out_dir, **kw):
     """Pattern-search the schedule against the combined metric."""
     bundle = _load_bundle(bundle_path, min_entities=2)
     cfg = _checked(None, PipelineConfig, **kw)
-    pipeline = init_pipeline(cfg)
     init = make_schedule(
         ScheduleFamily(kind="arctan", center=cfg.steps / 5.0, scale=0.5), cfg.steps
     )
     search = _checked(None, isotonic.SearchConfig, max_evals, init, step, search_seed)
     out = Path(out_dir)
-    _warn_truncated(bundle, cfg)
     with _outputs(out / "best_schedule.csv", out / "trace.csv", out_dir=out / "trace") as writes:
+        pipeline = _pipeline(bundle, cfg)
         best, value, trace = isotonic.coordinate_search(
             search, lambda sched: generate_and_score(pipeline, bundle, sched).f_c
         )
@@ -393,11 +390,10 @@ def sweep_cmd(family, centers, scale, bundle_path, noise_seeds, out_path, **kw):
                                  param_hint="--noise-seeds")
     bundle = _load_bundle(bundle_path, min_entities=2)
     cfg = _checked(None, PipelineConfig, **kw)
-    pipeline = init_pipeline(cfg)
     grid_centers = _checked("--centers", _parse_centers, centers)
     grid = [_checked("--centers", ScheduleFamily, family, c, scale) for c in grid_centers]
-    _warn_truncated(bundle, cfg)
     with _outputs(out_path) as writes:
+        pipeline = _pipeline(bundle, cfg)
         # seeds outermost: every center of one seed shares the pipeline's theta == 0 trunk
         by_seed = [
             isotonic.grid_values(

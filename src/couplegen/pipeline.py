@@ -463,19 +463,19 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's thr
 
 def _render(pipeline: Pipeline, work: list) -> list:
     """The final stacks of _trajectory(pipeline, *inputs) for each inputs in
-    work, in order, list-scheduled one step at a time on min(workers,
-    chunks) loops: the calling thread runs one and the pool the others, so
-    one chunk, or one CPU, starts no thread.  Each loop takes, out of one
-    table of the idle chunks' entity-steps left, the chunk with the most
-    (the earliest on a tie), advances it one step and puts it back unless it
-    is done, so no chunk is advanced by two threads at once.
+    work, each with at least one theta, in order, list-scheduled one step at
+    a time on min(workers, chunks) loops: the calling thread runs one and the
+    pool the others, so one chunk, or one CPU, starts no thread.  Each loop
+    takes, out of one table of the idle chunks' entity-steps left, the chunk
+    with the most (the earliest on a tie), advances it one step and puts it
+    back unless it is done, so no chunk is advanced by two threads at once.
     Once a step raises no loop starts another; the running steps finish and
     the first error in chunk order propagates.  The call returns or raises
     only after every pool loop has returned."""
     runs = [_trajectory(pipeline, *inputs) for inputs in work]
-    finals = [x for _, x, *_ in work]
+    finals: list = [None] * len(work)
     # the entity-steps left of each chunk that no loop is advancing
-    idle = {j: len(thetas) * len(x) for j, (_, x, thetas, _) in enumerate(work) if len(thetas)}
+    idle = {j: len(thetas) * len(x) for j, (_, x, thetas, _) in enumerate(work)}
     errors: dict = {}
     lock = threading.Lock()
     stop = threading.Event()

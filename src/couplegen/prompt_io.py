@@ -189,8 +189,9 @@ def decompose(prompts: Sequence[str], reply: str) -> PromptBundle:
 
 
 def request_reply(prompts: Sequence[str], endpoint: LlmEndpoint, sleep=time.sleep) -> str:
-    """The endpoint's reply to the decomposition request for prompts; failed
-    requests are retried with exponential backoff, then raise TransportError."""
+    """The endpoint's reply text to the decomposition request for prompts;
+    failed requests, and replies whose content is missing or not a string,
+    are retried with exponential backoff, then raise TransportError."""
     # imported here: the HTTP stack (http.client, email, ssl, socket) is only
     # needed by a request, and loading it costs every other command start-up
     from urllib.error import HTTPError
@@ -209,8 +210,11 @@ def request_reply(prompts: Sequence[str], endpoint: LlmEndpoint, sleep=time.slee
         try:
             # urlopen follows redirects and raises HTTPError for any other non-2xx status
             with urlopen(request, timeout=REQUEST_TIMEOUT_S) as resp:
-                return json.load(resp)["choices"][0]["message"]["content"]
-        except Exception as exc:  # noqa: BLE001 - network/HTTP/JSON failures all retry
+                reply = json.load(resp)["choices"][0]["message"]["content"]
+            if not isinstance(reply, str):  # such as "content": null
+                raise TypeError(f"reply content is {type(reply).__name__}, not a string")
+            return reply
+        except Exception as exc:  # noqa: BLE001 - network/HTTP/JSON/content failures all retry
             if isinstance(exc, HTTPError):
                 exc.close()  # a non-2xx reply holds its connection until closed
             last_error = exc

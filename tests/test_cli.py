@@ -48,6 +48,16 @@ def bundle_file(tmp_path):
 
 
 @pytest.fixture()
+def weight_draws(monkeypatch):
+    """The configs couplegen.cli.init_pipeline is called with, one per draw
+    of a pipeline's weights."""
+    draws = []
+    monkeypatch.setattr(couplegen.cli, "init_pipeline",
+                        lambda cfg: draws.append(cfg) or init_pipeline(cfg))
+    return draws
+
+
+@pytest.fixture()
 def schedule_file(tmp_path):
     path = tmp_path / "schedule.csv"
     code = run(
@@ -671,23 +681,42 @@ class TestSweepCommand:
         # 1 GiB address space keeps a range that were built from taking
         # the machine's memory
         out = tmp_path / "sweep.csv"
-        script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from couplegen.cli import run\n"
-            "sys.exit(run(sys.argv[1:]))\n"
-        )
-        src = Path(__file__).resolve().parent.parent / "src"
-        done = subprocess.run(
-            [sys.executable, "-c", script, "sweep", "--family", "step01", "--centers",
-             "0..100000000000", "--bundle", str(bundle_file), "--out", str(out)],
-            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
-            timeout=60,
-        )
+        done = _cli_under_rlimit_as(1 << 30, "sweep", "--family", "step01", "--centers",
+                                    "0..100000000000", "--bundle", bundle_file, "--out", out)
         assert done.returncode == 1
         assert "Invalid value for --centers:" in done.stderr
         assert "names 100000000001 centers, at most 1000" in done.stderr
         assert not out.exists()
+
+    def test_bad_centers_at_flux_size_exit_1_before_the_weights(self, tmp_path, bundle_file):
+        # --d-model 3072 is legal, and its weights take about 2 GiB, more
+        # than the child's 1.5 GiB address space: the bad flag is named
+        # before any weight is drawn
+        pytest.importorskip("resource")
+        out = tmp_path / "sweep.csv"
+        done = _cli_under_rlimit_as(3 << 29, "sweep", "--family", "step01", "--centers", "0..-1",
+                                    "--bundle", bundle_file, "--out", out, "--d-model", "3072")
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("usage error: Invalid value for --centers:")
+        assert not out.exists()
+
+
+def _cli_under_rlimit_as(limit: int, *args) -> subprocess.CompletedProcess:
+    """couplegen args in a child whose address space is limited to limit
+    bytes, with OpenBLAS on one thread, so a large allocation fails there and
+    never in the test process."""
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from couplegen.cli import run\n"
+        "sys.exit(run(sys.argv[1:]))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=60,
+    )
 
 
 def test_modules_import_only_used_or_perfbench_wrapped_names(monkeypatch):
@@ -1115,10 +1144,11 @@ class TestExitCodes:
         ids=["entity", "latent"],
     )
     def test_generate_bad_output_path_costs_no_render(
-        self, tmp_path, bundle_file, schedule_file, capsys, monkeypatch, name, flags
+        self, tmp_path, bundle_file, schedule_file, capsys, monkeypatch, weight_draws, name,
+        flags
     ):
         # every file name is known from the bundle, --steps and --dump-latents,
-        # so each is claimed before the render
+        # so each is claimed before the weights are drawn
         renders = []
         monkeypatch.setattr(couplegen.cli, "render",
                             lambda *a, **k: renders.append(a) or render(*a, **k))
@@ -1131,6 +1161,7 @@ class TestExitCodes:
         assert str(out / name) in capsys.readouterr().err
         assert _tree(tmp_path) == before
         assert renders == []
+        assert weight_draws == []
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -1173,7 +1204,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name", ["trace.csv", "best_schedule.csv"])
     def test_optimize_bad_output_path_costs_no_search(
-        self, tmp_path, bundle_file, capsys, monkeypatch, name
+        self, tmp_path, bundle_file, capsys, monkeypatch, weight_draws, name
     ):
         renders = []
         monkeypatch.setattr(couplegen.cli, "generate_and_score",
@@ -1187,6 +1218,66 @@ class TestExitCodes:
         assert str(out / name) in capsys.readouterr().err
         assert _tree(tmp_path) == before
         assert renders == []
+        assert weight_draws == []
+
+    @pytest.mark.parametrize("kind", ["directory", "dangling_symlink"])
+    def test_sweep_bad_output_path_costs_no_sweep(
+        self, tmp_path, capsys, monkeypatch, weight_draws, kind
+    ):
+        # the truncation warning is printed once the work starts, so not here
+        bundle_file = tmp_path / "long.json"
+        bundle_file.write_text(PromptBundle(LONG_BACKGROUND, ("a fox", "a dog")).to_json())
+        renders = []
+        monkeypatch.setattr(couplegen.cli, "generate_and_score",
+                            lambda *a, **k: renders.append(a) or generate_and_score(*a, **k))
+        out = tmp_path / "sweep.csv"
+        if kind == "directory":
+            out.mkdir()
+        else:
+            out.symlink_to("missing/target.csv")
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert run(["sweep", "--family", "step01", "--centers", "3,6", "--bundle",
+                    str(bundle_file), "--out", str(out)]) == 1
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith("usage error:") and str(out) in err
+        assert _tree(tmp_path) == before
+        assert renders == []
+        assert weight_draws == []
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["optimize", "--bundle", "{bundle}", "--out-dir", "{out}", "--step-size", "0"],
+             "--step-size"),
+            (["optimize", "--bundle", "{bundle}", "--out-dir", "{out}", "--max-evals", "0"],
+             "--max-evals"),
+            (["sweep", "--family", "step01", "--centers", "0..-1", "--bundle", "{bundle}",
+              "--out", "{out}"], "--centers"),
+            (["sweep", "--family", "step01", "--centers", "3", "--scale", "nan", "--bundle",
+              "{bundle}", "--out", "{out}"], "--scale"),
+            # a 10-step schedule for 9 steps
+            (["generate", "--bundle", "{bundle}", "--schedule", "{schedule}", "--out-dir",
+              "{out}", "--steps", "9"], "--schedule"),
+        ],
+        ids=["optimize_step_size", "optimize_max_evals", "sweep_centers", "sweep_scale",
+             "generate_schedule_length"],
+    )
+    def test_rejected_flag_draws_no_weights(
+        self, tmp_path, schedule_file, capsys, weight_draws, argv, flag
+    ):
+        # every flag is checked before the weights are drawn, so a bad one
+        # costs no init_pipeline, and no truncation warning is printed
+        bundle_file = tmp_path / "long.json"
+        bundle_file.write_text(PromptBundle(LONG_BACKGROUND, ("a fox", "a dog")).to_json())
+        out = tmp_path / "out"
+        paths = {"bundle": bundle_file, "schedule": schedule_file, "out": out}
+        capsys.readouterr()
+        assert run([a.format(**paths) for a in argv]) == 1
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"usage error: Invalid value for {flag}:")
+        assert not out.exists()
+        assert weight_draws == []
 
     @pytest.mark.parametrize("cover", [False, True], ids=["scores", "full_cover_mask"])
     def test_dangling_symlink_out_exit_1(self, tmp_path, bundle_file, capsys, cover):

@@ -60,7 +60,7 @@ FIGURE_REPLY = (
 )
 
 
-def fake_response(content: str) -> io.BytesIO:
+def fake_response(content) -> io.BytesIO:
     """What urlopen returns for a chat completion whose reply is content."""
     return io.BytesIO(json.dumps({"choices": [{"message": {"content": content}}]}).encode())
 
@@ -267,6 +267,23 @@ class TestDecompose:
         with pytest.raises(TransportError, match="after 3 attempts"):
             request_reply([PIKACHU, GIRL], ep, sleep=lambda s: None)
         assert len(attempts) == 3
+
+    @pytest.mark.parametrize("content", [None, 42], ids=["null", "number"])
+    def test_non_string_content_retries_then_fails(self, monkeypatch, content):
+        # counted as a failed attempt, as a reply without the key is
+        attempts, sleeps = [], []
+
+        def reply(*args, **kwargs):
+            attempts.append(1)
+            return fake_response(content)
+
+        monkeypatch.setattr("urllib.request.urlopen", reply)
+        ep = LlmEndpoint(base_url="http://example.invalid/v1", model="m")
+        with pytest.raises(TransportError, match=f"after 3 attempts: reply content is "
+                                                 f"{type(content).__name__}, not a string"):
+            request_reply([PIKACHU, GIRL], ep, sleep=sleeps.append)
+        assert len(attempts) == 3
+        assert len(sleeps) == 2
 
     def test_network_mode_parses_choices(self, monkeypatch):
         monkeypatch.setattr("urllib.request.urlopen", lambda *a, **k: fake_response(FIGURE_REPLY))
