@@ -118,10 +118,11 @@ class Rng:
         return float(_to_range(self._next(1), lo, hi)[0])
 
     def fill(self, rows: int, cols: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        """Row-major matrix of the next rows*cols uniforms in [lo, hi)."""
+        """Row-major matrix of the next rows*cols uniforms in [lo, hi), an
+        array that owns its data."""
         if rows < 0 or cols < 0:
             raise ValueError(f"cannot draw a {rows}x{cols} matrix")
-        return _to_range(self._next(rows * cols), lo, hi).reshape(rows, cols)
+        return _to_range(self._next(rows * cols).reshape(rows, cols), lo, hi)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle, its len(items) - 1 draws taken at once."""

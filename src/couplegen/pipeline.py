@@ -100,7 +100,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -266,37 +266,26 @@ class Pipeline:
     )
 
 
-def _attention_weights(squares) -> AttentionWeights:
-    return AttentionWeights(
-        w_q=next(squares), w_k=next(squares), w_v=next(squares), w_o=next(squares)
-    )
-
-
-def _feed_forward(squares) -> FeedForward:
-    return FeedForward(w1=next(squares), w2=next(squares))
-
-
 def init_pipeline(cfg: PipelineConfig) -> Pipeline:
-    """Deterministic weights from the weight seed, drawn in a fixed order.
-
-    Every (d_model, d_model) weight comes out of one Rng.fill, cut into
-    rows in that order and copied into an array of its own; splitmix64 is
-    counter-based, so each equals the draw of that one matrix."""
+    """Deterministic weights from the weight seed: each (d_model, d_model)
+    weight is its own Rng.fill from one stream, drawn in the order the
+    blocks are built, so each owns its data and no draw is larger than one
+    weight."""
     d = cfg.d_model
-    # 4 attention weights and 2 per feed-forward: 2 feed-forwards in a double block, 1 in a single
-    count = 8 * cfg.double_blocks + 6 * cfg.single_blocks
-    drawn = Rng(cfg.weight_seed).fill(count * d, d, -WEIGHT_RANGE, WEIGHT_RANGE)
-    squares = (drawn[i * d:(i + 1) * d].copy() for i in range(count))
+    square = partial(Rng(cfg.weight_seed).fill, d, d, -WEIGHT_RANGE, WEIGHT_RANGE)
     doubles = tuple(
         DoubleBlockWeights(
-            attn=_attention_weights(squares),
-            text_ff=_feed_forward(squares),
-            image_ff=_feed_forward(squares),
+            attn=AttentionWeights(w_q=square(), w_k=square(), w_v=square(), w_o=square()),
+            text_ff=FeedForward(w1=square(), w2=square()),
+            image_ff=FeedForward(w1=square(), w2=square()),
         )
         for _ in range(cfg.double_blocks)
     )
     singles = tuple(
-        SingleBlockWeights(attn=_attention_weights(squares), ff=_feed_forward(squares))
+        SingleBlockWeights(
+            attn=AttentionWeights(w_q=square(), w_k=square(), w_v=square(), w_o=square()),
+            ff=FeedForward(w1=square(), w2=square()),
+        )
         for _ in range(cfg.single_blocks)
     )
     return Pipeline(

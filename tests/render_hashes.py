@@ -13,8 +13,9 @@ and of the single-prompt reference image.
 
 Run it once with one commit's `src/` first on PYTHONPATH and once with
 another's, and compare the output: equal lines mean equal bits, on the
-same machine and BLAS kernel.  pytest does not collect this file;
-`tests/test_scripts.py` runs it over the default config.
+same machine and BLAS kernel and OpenBLAS thread count (the d64 lines
+differ between OPENBLAS_NUM_THREADS=1 and =2).  pytest does not collect
+this file; `tests/test_scripts.py` runs it over the default config.
 """
 
 import hashlib

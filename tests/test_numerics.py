@@ -13,6 +13,7 @@ from couplegen.numerics import (
     ShapeError,
     as_image,
     softmax_rows,
+    uniform_rows,
 )
 
 from oracles import reference_softmax_rows, splitmix64_reference
@@ -197,6 +198,20 @@ class TestRng:
         assert got.shape == (rows, cols) and got.dtype == np.float64
         assert np.array_equal(got, np.array(expected, dtype=np.float64).reshape(rows, cols))
         assert r.next_u64() == ref[-1]
+
+    @pytest.mark.parametrize("shape", [(0, 5), (4, 0), (3, 7)], ids=["no_rows", "no_cols", "full"])
+    def test_fill_owns_its_matrix_and_stream_continues(self, shape):
+        # each draw is a C-contiguous array of its own, equal to the stream's
+        # next rows*cols uniforms, and the next draw starts where it ended
+        rows, cols = shape
+        seed = 2**64 - 3
+        r = Rng(seed)
+        first, second = r.fill(rows, cols, -0.5, 2.0), r.fill(rows, cols, -0.5, 2.0)
+        both = uniform_rows([seed], 2 * rows * cols, -0.5, 2.0)[0]
+        for i, got in enumerate((first, second)):
+            assert got.shape == shape
+            assert got.flags.c_contiguous and got.flags.owndata
+            assert np.array_equal(got, both[i * rows * cols:(i + 1) * rows * cols].reshape(shape))
 
     @pytest.mark.parametrize("shape", [(-1, 3), (3, -1), (-2, -3)])
     def test_negative_fill_shape_rejected(self, shape):

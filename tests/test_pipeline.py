@@ -8,10 +8,12 @@ import itertools
 import os
 import select
 import signal
+import subprocess
 import sys
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,9 +132,9 @@ class TestInit:
         assert h.hexdigest() == "541ce116e146707afe3b0707debb91e49781a52b3ca3b70e176995363061dfb6"
 
     @pytest.mark.parametrize("d_model", [16, 32, 64])
-    def test_one_draw_equals_per_matrix_draws(self, d_model):
-        # the weights come out of one fill; each equals its own draw, in the
-        # order the blocks use them, and owns its data
+    def test_each_weight_is_its_own_draw(self, d_model):
+        # each weight equals its own fill of one stream, in the order the
+        # blocks use them, and owns its data
         p = small_pipeline(d_model=d_model)
         rng = Rng(p.config.weight_seed)
         weights = [w for blk in p.double_blocks
@@ -145,6 +147,26 @@ class TestInit:
         for w in weights:
             assert np.array_equal(w, rng.fill(d_model, d_model, -0.1, 0.1))
             assert w.flags.owndata and w.flags.c_contiguous
+
+    def test_d1024_init_fits_768_mib_address_space(self):
+        # 28 weights of 8 MiB each; a draw of all of them into one buffer,
+        # then copied out, does not fit.  The child's address-space limit
+        # keeps a failing draw from taking the machine's memory.
+        pytest.importorskip("resource")
+        limit = 768 << 20
+        script = (
+            "import resource\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from couplegen.pipeline import PipelineConfig, init_pipeline\n"
+            "init_pipeline(PipelineConfig(d_model=1024))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
